@@ -2,10 +2,10 @@
 // sharded conservative-lookahead event engine.
 //
 // Runs one permutation workload (the shape behind Table 1 / Figs. 10-13) on
-// a jellyfish topology: once on the serial Simulator as the reference, then
-// on the sharded engine at several (shards, threads) points. Every run's
-// per-flow goodput, drop count, and retransmit count must be byte-identical
-// to the serial reference — the benchmark doubles as a determinism check —
+// a jellyfish topology: once at one shard as the reference (one round over
+// one heap), then at several (shards, threads) points. Every run's per-flow
+// goodput, drop count, and retransmit count must be byte-identical to the
+// one-shard reference — the benchmark doubles as a determinism check —
 // and the output is a schema-v1 perf record (src/obs/perfrec.h) with every
 // repeat's wall time and the engine's deterministic work counters. Run from
 // the repo root:
@@ -40,9 +40,9 @@ namespace {
 
 using namespace jf;
 
-// The deterministic work block: schedule-independent counters only. The
-// serial engine (shards=1) records none of these — snapshot_work pins the
-// absent names to zero so the key set stays stable across engine paths.
+// The deterministic work block: schedule-independent counters only. Every
+// point records all four; sim.events is the same at every shard count, and
+// shards=1 reads sim.rounds 1 and sim.handoffs 0.
 const std::vector<std::string> kWorkMetrics = {"sim.runs", "sim.rounds", "sim.events",
                                                "sim.handoffs"};
 
@@ -140,8 +140,8 @@ int main(int argc, char** argv) {
     record.set_meta("measure_ms", json::Value(measure_ms));
     record.set_meta("repeats", json::Value(repeats));
 
-    // Serial warm-up run: the byte-identity reference for every later run,
-    // and it fully warms the shared path provider.
+    // One-shard warm-up run: the byte-identity reference for every later
+    // run, and it fully warms the shared path provider.
     sim::WorkloadResult reference;
     run_once(1, 1, reference, nullptr);
     sim::TelemetryDataset reference_data;
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
       sim::WorkloadResult res;
       run_once(1, 1, res, &rec);
       if (!same_result(res, reference)) {
-        std::cerr << "bench_sim_scaling: telemetry changed the serial result — "
+        std::cerr << "bench_sim_scaling: telemetry changed the one-shard result — "
                      "observational contract broken\n";
         return 1;
       }
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     double serial_median = 0.0;
     for (int shards : {1, 2, 8}) {
       for (int threads : {1, 2, 4, 8}) {
-        if (shards == 1 && threads > 1) continue;  // serial engine ignores threads
+        if (shards == 1 && threads > 1) continue;  // one shard borrows no workers
         json::Object params;
         params.emplace_back("shards", shards);
         params.emplace_back("threads", threads);

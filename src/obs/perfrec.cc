@@ -130,8 +130,8 @@ std::vector<std::pair<std::string, std::int64_t>> snapshot_work(
         found = true;
       }
     }
-    // Stable key set even when a subsystem never ran (e.g. the serial sim
-    // records no shard counters): absent names pin an explicit zero.
+    // Stable key set even when a subsystem never ran (e.g. no packet-sim
+    // run in an MCF-only bench): absent names pin an explicit zero.
     if (!found) work.emplace_back(name, 0);
   }
   std::sort(work.begin(), work.end());

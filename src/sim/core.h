@@ -1,11 +1,12 @@
-// Shared state types for the packet-level simulator engines.
+// Shared state types for the packet-level simulator.
 //
-// Two engines execute the same simulation semantics: the serial
-// sim::Simulator (one event heap) and sim::sharded::ShardedSimulator (one
-// heap per link shard, advanced in conservative-lookahead rounds). Both are
-// thin drivers around the same link mechanics (sim/event_loop.h) and the
-// same transport state machines (sim/transport_ops.h), operating on the
-// types defined here — which is what makes their results bit-identical.
+// One engine executes the simulation: sim::sharded::ShardedSimulator, with
+// one event heap per link shard advanced in conservative-lookahead rounds.
+// Every shard is a thin driver around the same link mechanics
+// (sim/event_loop.h) and the same transport state machines
+// (sim/transport_ops.h), operating on the types defined here — which is
+// what makes results bit-identical at any shard count. With one shard the
+// run is a single canonical heap: the reference every partition matches.
 //
 // Determinism contract. Events are processed in (time, order) order, where
 // `order` is NOT a global arrival counter (that would encode the scheduler's
@@ -13,10 +14,10 @@
 // every event carries the identity of the entity whose state machine emitted
 // it — a link starting a transmission, a subflow arming a timer — plus that
 // entity's own emission count. Each entity's event sequence is a pure
-// function of the simulation's pre-shard global state: both engines drive
-// every entity through the same handler sequence, so they assign identical
-// keys, sort identically, and produce identical results at any shard or
-// worker count.
+// function of the simulation's pre-shard global state: every partition
+// drives every entity through the same handler sequence, so it assigns
+// identical keys, sorts identically, and produces identical results at any
+// shard or worker count.
 #pragma once
 
 #include <cstdint>
@@ -109,7 +110,7 @@ struct Subflow {
   std::int64_t timeouts = 0;
   // Packets this subflow may originate: -1 = unlimited (backlogged flow),
   // otherwise try_send stops offering new sequences at this bound. Set via
-  // the engines' set_flow_size(), which splits a sized flow's packet total
+  // the engine's set_flow_size(), which splits a sized flow's packet total
   // across its subflows.
   std::int32_t limit_pkts = -1;
   // Emission counter behind this subflow's event-order keys (see EventOrder).
@@ -234,7 +235,7 @@ struct EventAfter {
 };
 
 // Serialization delay of `size_bytes` at `rate_bps`, in integer ns — the
-// single rounding point both engines share.
+// single rounding point every shard shares.
 inline TimeNs transmit_time_ns(int size_bytes, double rate_bps) {
   return static_cast<TimeNs>(static_cast<double>(size_bytes) * 8.0 * 1e9 / rate_bps);
 }
@@ -250,10 +251,8 @@ inline TimeNs path_traversal_ns(const std::vector<Link>& links, const std::vecto
   return total;
 }
 
-// Validates the paths and builds a fully initialized Subflow. Shared by
-// both engines' add_subflow so connection setup can never diverge between
-// them — any drift here would break the serial/sharded bit-identity
-// contract.
+// Validates the paths and builds a fully initialized Subflow: the engine's
+// add_subflow contract.
 inline Subflow make_subflow(const std::vector<Link>& links, const SimConfig& cfg,
                             std::vector<int> data_path, std::vector<int> ack_path,
                             TimeNs start_time) {
@@ -276,8 +275,8 @@ inline Subflow make_subflow(const std::vector<Link>& links, const SimConfig& cfg
 
 // Sizes a flow: `bytes` of payload become ceil(bytes / payload) packets,
 // split as evenly as possible across the flow's subflows (earlier subflows
-// absorb the remainder). bytes == 0 restores the backlogged default. Shared
-// by both engines' set_flow_size so sized runs can never diverge.
+// absorb the remainder). bytes == 0 restores the backlogged default. The
+// engine's set_flow_size contract.
 inline void set_flow_size_of(const SimConfig& cfg, Flow& f, std::int64_t bytes) {
   check(bytes >= 0, "set_flow_size: negative size");
   check(!f.subflows.empty(), "set_flow_size: flow has no subflows");
@@ -303,7 +302,7 @@ inline std::int64_t total_link_drops(const std::vector<Link>& links) {
 }
 
 // Normalized goodput over the measurement window (1.0 = NIC rate); the one
-// formula both engines report through.
+// formula the engine reports through.
 inline double normalized_goodput_of(const SimConfig& cfg, TimeNs measure_start,
                                     TimeNs measure_end, const Flow& f) {
   check(measure_end > measure_start, "normalized_goodput: no measurement window set");

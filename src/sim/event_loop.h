@@ -1,9 +1,9 @@
-// Link-layer event mechanics shared by the serial and sharded engines.
+// Link-layer event mechanics run by every shard of the packet-sim engine.
 //
 // EngineOps<Engine> implements the store-and-forward machinery — drop-tail
 // enqueue, transmission scheduling, hop-by-hop forwarding, and the event
-// dispatch switch — exactly once, as a template over the engine that hosts
-// the state. An engine provides:
+// dispatch switch — exactly once, as a template over the engine state it
+// runs against (a sharded::Shard). An engine provides:
 //
 //   links_, flows_, cfg_, now_, measure_start_, measure_end_   (state)
 //   telemetry_                    Telemetry* (may be null); purely observed
@@ -12,13 +12,13 @@
 //   dispatch_loss(Event&&)        kLossNotify; routed to the sender endpoint
 //   schedule_transport(Event&&)   kTimeout; emitted at the sender endpoint
 //
-// For the serial Simulator every hook pushes the one global heap. For a
-// sharded::Shard, schedule_self and schedule_transport are shard-local by
-// construction (a link's transmissions complete in its own shard; timers
-// fire where the sender lives), while dispatch_arrival/dispatch_loss may
-// stage the event in a mailbox for another shard. Nothing in this file
-// knows which is which — that is the point: identical mechanics, identical
-// event-order keys, identical results.
+// schedule_self and schedule_transport are shard-local by construction (a
+// link's transmissions complete in its own shard; timers fire where the
+// sender lives), while dispatch_arrival/dispatch_loss may stage the event
+// in a mailbox for another shard; with one shard every hook pushes the one
+// heap. Nothing in this file knows which is which — that is the point:
+// identical mechanics, identical event-order keys, identical results at any
+// shard count.
 #pragma once
 
 #include <algorithm>

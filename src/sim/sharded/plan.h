@@ -8,7 +8,7 @@
 // server (with its NIC links and transport endpoint state) is pinned to its
 // ToR's shard. The plan is a pure function of (topology, shards, rng
 // stream): sim::workload derives the stream from a fork of the workload
-// seed, so planning never perturbs the draws the serial path makes.
+// seed, so planning never perturbs the draws the one-shard run makes.
 #pragma once
 
 #include <vector>

@@ -18,6 +18,11 @@ Shard::Shard(ShardedSimulator& owner, int id)
       measure_end_(owner.measure_end_) {}
 
 void Shard::dispatch_arrival(Event&& ev) {
+  // One shard owns every link: no next-hop lookup.
+  if (owner_.num_shards() == 1) {
+    events_.push(std::move(ev));
+    return;
+  }
   const Packet& pkt = ev.pkt;
   const Subflow& sf = flows_[static_cast<std::size_t>(pkt.flow)]
                           .subflows[static_cast<std::size_t>(pkt.subflow)];

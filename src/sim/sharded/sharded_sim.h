@@ -1,10 +1,20 @@
-// Sharded conservative-lookahead parallel discrete-event engine.
+// Packet-level discrete-event network simulator (the paper's htsim
+// stand-in): a sharded conservative-lookahead engine.
+//
+// Models store-and-forward output-queued links with drop-tail queues,
+// source-routed packets, TCP NewReno senders, and MPTCP with LIA-coupled
+// congestion control across pinned subflow paths. Time is integer
+// nanoseconds; all behavior is deterministic given the configured inputs.
+// The engine is topology-agnostic: callers create directed links and flows
+// whose subflows carry explicit link-id paths; sim::workload builds these
+// from a topo::Topology.
 //
 // The link set is partitioned into shards (normally via sharded::ShardPlan:
 // per-switch domains from graph/partition's recursive KL bisection, servers
 // pinned with their ToR). Each shard owns the links and flow endpoints
-// assigned to it and runs the exact serial event mechanics over its own
-// (time, EventOrder) heap. Shards advance in barrier-synchronous rounds:
+// assigned to it and runs the shared event mechanics (sim/event_loop.h)
+// over its own (time, EventOrder) heap. Shards advance in
+// barrier-synchronous rounds:
 //
 //   round k:  every shard processes its events with time in [T, T + L)
 //   barrier:  staged cross-shard events are merged, T advances
@@ -20,10 +30,14 @@
 // round shards only touch disjoint state: their own links, and the
 // sender/receiver halves of Subflow state (see sim/core.h).
 //
-// Determinism: results are bit-identical to the serial Simulator at any
-// shard and worker count. Each shard's pop sequence equals the serial
-// engine's canonical (time, EventOrder) sequence restricted to the events
-// the shard owns — the keys derive from per-entity emission counters
+// With one shard nothing is cut: the lookahead is kMaxTime and the whole run
+// is one round over one canonical (time, EventOrder) heap — the reference
+// run every partition reproduces.
+//
+// Determinism: results are bit-identical to the one-shard run at any shard
+// and worker count. Each shard's pop sequence equals the one-shard run's
+// canonical (time, EventOrder) sequence restricted to the events the shard
+// owns — the keys derive from per-entity emission counters
 // (pre-shard global state), not arrival interleaving, and same-time events
 // in different shards commute because they share no mutable state. Staged
 // hand-offs are merged at the barrier in canonical shard order; since the
@@ -52,8 +66,8 @@ namespace jf::sim::sharded {
 
 class ShardedSimulator;
 
-// One shard: the engine-state view TransportOps/EngineOps run against,
-// exactly as they run against the serial Simulator (same member interface).
+// One shard: the engine-state view TransportOps/EngineOps run against (the
+// member interface sim/event_loop.h documents).
 class Shard {
  public:
   Shard(ShardedSimulator& owner, int id);
@@ -67,7 +81,8 @@ class Shard {
 
   // Event routing hooks (see sim/event_loop.h). Transmission completions
   // and timers are shard-local by construction; arrivals and loss
-  // notifications may hand off to another shard's mailbox.
+  // notifications may hand off to another shard's mailbox (never when the
+  // engine has one shard).
   void schedule_self(Event&& ev) { events_.push(std::move(ev)); }
   void schedule_transport(Event&& ev) { events_.push(std::move(ev)); }
   void dispatch_arrival(Event&& ev);
@@ -123,23 +138,27 @@ class ShardedSimulator {
   // in src_shard and receiver endpoint in dst_shard.
   int add_flow(int src_server, int dst_server, bool mptcp, int src_shard, int dst_shard);
 
-  // Attaches a subflow; same contract as Simulator::add_subflow, plus the
-  // sharded-emission constraint checked at run start: data_path.front()
+  // Attaches a subflow with its forward and reverse link paths; both must
+  // be non-empty (a server pair is always joined via its NIC links). The
+  // sharded-emission constraint is checked at run start: data_path.front()
   // must live in src_shard and ack_path.front() in dst_shard (senders
   // enqueue into their first link with zero latency).
   void add_subflow(int flow, std::vector<int> data_path, std::vector<int> ack_path,
                    TimeNs start_time);
 
+  // In-order payload bytes delivered inside [start, end) count as measured.
   void set_measure_window(TimeNs start, TimeNs end);
 
-  // Sizes a flow (same contract as Simulator::set_flow_size).
+  // Sizes a flow (ceil(bytes/payload) packets split across its subflows;
+  // 0 = backlogged). Call after its subflows are attached, before the run.
   void set_flow_size(int flow, std::int64_t bytes);
 
   // Attaches a telemetry recorder to every shard (may be null to detach;
-  // not owned). Same contract as Simulator::set_telemetry — and because the
-  // hooks never create events or advance emission counters, the recording
-  // (and the run) is byte-identical to the serial engine's at any shard or
-  // worker count.
+  // not owned). Call after every link and flow exists, before the first
+  // run_until — attach() pre-sizes the recorder's tables to the current
+  // link/flow counts. Because the hooks never create events or advance
+  // emission counters, the recording (and the run) is byte-identical to the
+  // one-shard run's at any shard or worker count.
   void set_telemetry(Telemetry* telemetry);
 
   // Finalizes the attached recorder at the run's end time. Call exactly

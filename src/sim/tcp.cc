@@ -4,7 +4,6 @@
 #include "common/check.h"
 #include "sim/event_loop.h"
 #include "sim/sharded/sharded_sim.h"
-#include "sim/simulator.h"
 #include "sim/transport_ops.h"
 
 namespace jf::sim {
@@ -258,8 +257,6 @@ void TransportOps<Engine>::on_timeout(Engine& sim, int flow, int subflow, std::u
   arm_timer(sim, flow, subflow, /*rearm=*/true);
 }
 
-// One transport implementation, two execution engines.
-template struct TransportOps<Simulator>;
 template struct TransportOps<sharded::Shard>;
 
 }  // namespace jf::sim

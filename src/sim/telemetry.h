@@ -1,7 +1,8 @@
 // Deterministic data-plane telemetry for the packet simulator.
 //
 // Two views of one run, both keyed purely by simulated time (never wall
-// clock, so recordings are detlint-clean and byte-identical across engines):
+// clock, so recordings are detlint-clean and byte-identical across shard
+// counts):
 //
 //   * per-flow records — start/finish simulated time, bytes acked,
 //     retransmits, timeouts, data-packet drops on the path, hop count —
@@ -9,10 +10,10 @@
 //   * per-link epoch series — tx counts, drop counts, a log2 queue-depth
 //     histogram, and a utilization figure per fixed simulated-time epoch.
 //
-// The Telemetry object is strictly observational: engines call its hooks
-// from their event handlers, and the hooks mutate only telemetry state —
-// no events are created, no per-entity emission counters advance, no RNG
-// draws happen. A run with telemetry attached is therefore bit-identical
+// The Telemetry object is strictly observational: the engine's shards call
+// its hooks from their event handlers, and the hooks mutate only telemetry
+// state — no events are created, no per-entity emission counters advance,
+// no RNG draws happen. A run with telemetry attached is therefore bit-identical
 // to the same run without it.
 //
 // Sharded-engine safety: one Telemetry instance is shared by every shard.
@@ -20,10 +21,10 @@
 // only ever written by the handlers of the entity's owning shard (a link's
 // hooks fire in the shard that owns the link; a flow's hooks fire at its
 // sender endpoint) — the same single-writer discipline that makes the
-// engines themselves race-free. Per-link epoch vectors grow on demand, but
+// engine itself race-free. Per-link epoch vectors grow on demand, but
 // only from their single writer. finalize() runs once, single-threaded,
 // after the run; it merges nothing across shards because nothing needs
-// merging — slots are globally indexed, so serial and sharded runs fill
+// merging — slots are globally indexed, so runs at every shard count fill
 // the identical structure in canonical link/flow order.
 #pragma once
 
@@ -122,7 +123,7 @@ class Telemetry {
  public:
   explicit Telemetry(TelemetryConfig cfg);
 
-  // Pre-sizes the per-link/per-flow tables; engines call this from
+  // Pre-sizes the per-link/per-flow tables; the engine calls this from
   // set_telemetry(), after every link and flow exists. Hooks on slots
   // outside these bounds are a bug (checked).
   void attach(std::size_t num_links, std::size_t num_flows);

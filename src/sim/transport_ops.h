@@ -1,4 +1,4 @@
-// Transport-layer state machines driven by the simulator event loops.
+// Transport-layer state machines driven by the simulator's shard event loops.
 //
 // TCP NewReno: slow start, congestion avoidance, fast retransmit/recovery
 // with partial-ACK retransmission, RFC 6298 RTO estimation. MPTCP: the same
@@ -6,14 +6,13 @@
 // across subflows by the LIA rule (Wischik et al., NSDI 2011) so a multipath
 // flow pools capacity instead of grabbing k independent fair shares.
 //
-// Templated over the engine (the serial Simulator or one sharded::Shard) so
-// the serial and sharded execution engines share one transport
-// implementation — tcp.cc holds the definitions and instantiates both. The
-// engine interface TransportOps consumes is the one EngineOps documents
-// (sim/event_loop.h). Every method runs at one endpoint of the flow: on_data
-// at the destination, everything else at the source — the field-ownership
-// split Subflow documents, which is what lets the sharded engine place the
-// two endpoints in different shards.
+// Templated over the engine state it runs against (one sharded::Shard);
+// tcp.cc holds the definitions and the instantiation. The engine interface
+// TransportOps consumes is the one EngineOps documents (sim/event_loop.h).
+// Every method runs at one endpoint of the flow: on_data at the
+// destination, everything else at the source — the field-ownership split
+// Subflow documents, which is what lets the engine place the two endpoints
+// in different shards.
 #pragma once
 
 #include <cstdint>

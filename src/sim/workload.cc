@@ -20,39 +20,18 @@ std::uint64_t flow_key(int tm_flow, int connection, int subflow) {
 }
 
 // Stream tag for the shard plan's KL restarts. The plan draws from a fork
-// of the workload rng, so serial (shards == 1) and sharded runs consume
-// identical start-jitter sequences from the parent stream.
+// of the workload rng, so one-shard and multi-shard runs consume identical
+// start-jitter sequences from the parent stream.
 constexpr std::uint64_t kShardPlanStream = 0x5bad'c0de;
 
-// Engine adapters: the workload build is identical for both engines except
-// for where links and flow endpoints are pinned.
-int place_link(Simulator& sim, int /*shard*/) { return sim.add_link(); }
-int place_link(sharded::ShardedSimulator& sim, int shard) { return sim.add_link(shard); }
-int place_flow(Simulator& sim, int src, int dst, bool mptcp, int /*src_shard*/,
-               int /*dst_shard*/) {
-  return sim.add_flow(src, dst, mptcp);
-}
-int place_flow(sharded::ShardedSimulator& sim, int src, int dst, bool mptcp, int src_shard,
-               int dst_shard) {
-  return sim.add_flow(src, dst, mptcp, src_shard, dst_shard);
-}
-void run_to(Simulator& sim, TimeNs t_end, parallel::WorkBudget* /*budget*/) {
-  sim.run_until(t_end);
-}
-void run_to(sharded::ShardedSimulator& sim, TimeNs t_end, parallel::WorkBudget* budget) {
-  sim.run_until(t_end, budget);
-}
-
 // Builds links, flows, and subflows from the traffic matrix, runs the
-// simulation, and collects the result — one implementation for both
-// engines. `shard_of(switch)` pins links and endpoints (always 0 for the
-// serial engine, where the pin is ignored anyway).
-template <class SimT>
-WorkloadResult run_workload_on(SimT& sim, const topo::Topology& topo,
-                               const traffic::TrafficMatrix& tm, const WorkloadConfig& cfg,
-                               routing::PathProvider& routes, Rng& rng,
-                               const sharded::ShardPlan* plan, parallel::WorkBudget* budget,
-                               Telemetry* telemetry) {
+// simulation, and collects the result. `shard_of(switch)` pins links and
+// endpoints; without a plan everything lives in one shard.
+WorkloadResult run_workload_on(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
+                               const WorkloadConfig& cfg, routing::PathProvider& routes,
+                               Rng& rng, const sharded::ShardPlan* plan,
+                               parallel::WorkBudget* budget, Telemetry* telemetry) {
+  sharded::ShardedSimulator sim(cfg.sim, plan ? plan->num_shards : 1);
   const auto& g = topo.switches();
   flow::LinkIndex link_index(g);
   auto shard_of = [&](graph::NodeId sw) {
@@ -65,8 +44,8 @@ WorkloadResult run_workload_on(SimT& sim, const topo::Topology& topo,
   {
     int next = 0;
     for (const auto& e : g.edges()) {
-      const int ab = place_link(sim, shard_of(e.a));
-      const int ba = place_link(sim, shard_of(e.b));
+      const int ab = sim.add_link(shard_of(e.a));
+      const int ba = sim.add_link(shard_of(e.b));
       ensure(ab == next && ba == next + 1, "run_workload: link ids out of sync");
       next += 2;
     }
@@ -78,8 +57,8 @@ WorkloadResult run_workload_on(SimT& sim, const topo::Topology& topo,
   auto uplink = [&](int server) { return nic_base + 2 * server; };
   auto downlink = [&](int server) { return nic_base + 2 * server + 1; };
   for (int s = 0; s < topo.num_servers(); ++s) {
-    place_link(sim, shard_of(topo.server_switch(s)));
-    place_link(sim, shard_of(topo.server_switch(s)));
+    sim.add_link(shard_of(topo.server_switch(s)));
+    sim.add_link(shard_of(topo.server_switch(s)));
   }
 
   // Builds the directed link-id chain for one switch path, bracketed by the
@@ -124,8 +103,8 @@ WorkloadResult run_workload_on(SimT& sim, const topo::Topology& topo,
 
     if (cfg.transport == Transport::kTcp) {
       for (int c = 0; c < cfg.parallel_connections; ++c) {
-        const int id = place_flow(sim, f.src_server, f.dst_server, /*mptcp=*/false,
-                                  shard_of(ssw), shard_of(dsw));
+        const int id = sim.add_flow(f.src_server, f.dst_server, /*mptcp=*/false,
+                                    shard_of(ssw), shard_of(dsw));
         const auto p = pick(c, 0);
         std::vector<graph::NodeId> rev(p.rbegin(), p.rend());
         sim.add_subflow(id, build_link_path(f.src_server, f.dst_server, p),
@@ -135,8 +114,8 @@ WorkloadResult run_workload_on(SimT& sim, const topo::Topology& topo,
         connections.push_back({fi, id});
       }
     } else {
-      const int id = place_flow(sim, f.src_server, f.dst_server, /*mptcp=*/true,
-                                shard_of(ssw), shard_of(dsw));
+      const int id = sim.add_flow(f.src_server, f.dst_server, /*mptcp=*/true,
+                                  shard_of(ssw), shard_of(dsw));
       for (int s = 0; s < cfg.subflows; ++s) {
         const auto p = pick(0, s);
         std::vector<graph::NodeId> rev(p.rbegin(), p.rend());
@@ -159,7 +138,7 @@ WorkloadResult run_workload_on(SimT& sim, const topo::Topology& topo,
   const TimeNs t_end = cfg.warmup_ns + cfg.measure_ns;
   sim.set_measure_window(cfg.warmup_ns, t_end);
   if (telemetry != nullptr) sim.set_telemetry(telemetry);
-  run_to(sim, t_end, budget);
+  sim.run_until(t_end, budget);
   if (telemetry != nullptr) sim.finalize_telemetry();
 
   WorkloadResult result;
@@ -201,11 +180,9 @@ WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMa
   if (cfg.shards > 1 && topo.num_switches() > 1) {
     const sharded::ShardPlan plan =
         sharded::build_shard_plan(topo, cfg.shards, rng.fork(kShardPlanStream));
-    sharded::ShardedSimulator sim(cfg.sim, plan.num_shards);
-    return run_workload_on(sim, topo, tm, cfg, routes, rng, &plan, budget, telemetry);
+    return run_workload_on(topo, tm, cfg, routes, rng, &plan, budget, telemetry);
   }
-  Simulator sim(cfg.sim);
-  return run_workload_on(sim, topo, tm, cfg, routes, rng, nullptr, budget, telemetry);
+  return run_workload_on(topo, tm, cfg, routes, rng, nullptr, budget, telemetry);
 }
 
 WorkloadResult run_permutation_workload(const topo::Topology& topo, const WorkloadConfig& cfg,

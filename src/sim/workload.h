@@ -7,11 +7,13 @@
 // per-server and per-flow goodput under {TCP x n, MPTCP x k subflows} over
 // {ECMP-w, KSP-k} routing.
 //
-// With cfg.shards == 1 the serial sim::Simulator runs the workload; with
-// shards > 1 the link set is partitioned (sharded::ShardPlan — per-switch
-// KL domains, servers pinned with their ToR) and the conservative-lookahead
-// sharded engine runs it on workers borrowed from the caller's WorkBudget.
-// Results are byte-identical either way, at any shard or worker count.
+// Every workload runs on sharded::ShardedSimulator. With cfg.shards == 1 it
+// uses one shard and no plan: one round over one canonical heap, the
+// reference run. With shards > 1 the link set is partitioned
+// (sharded::ShardPlan — per-switch KL domains, servers pinned with their
+// ToR) and the conservative-lookahead rounds run on workers borrowed from
+// the caller's WorkBudget. Results are byte-identical at any shard or
+// worker count.
 #pragma once
 
 #include <vector>
@@ -20,7 +22,8 @@
 #include "common/rng.h"
 #include "routing/path_provider.h"
 #include "routing/paths.h"
-#include "sim/simulator.h"
+#include "sim/core.h"
+#include "sim/telemetry.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
 
@@ -37,10 +40,10 @@ struct WorkloadConfig {
   int parallel_connections = 1;  // TCP connections per traffic-matrix flow
   int subflows = 8;              // MPTCP subflows per flow
   SimConfig sim;
-  // Event-loop sharding: 1 selects the serial engine; N > 1 partitions the
-  // links into (up to) N shards for the parallel engine. Purely a speed
-  // knob — goodput, drops, and retransmit counts are byte-identical at any
-  // value.
+  // Event-loop sharding: 1 runs the engine on one shard (the single-heap
+  // reference run); N > 1 partitions the links into (up to) N shards run in
+  // parallel rounds. Purely a speed knob — goodput, drops, and retransmit
+  // counts are byte-identical at any value.
   int shards = 1;
   TimeNs warmup_ns = 15 * kMillisecond;   // slow-start convergence
   TimeNs measure_ns = 40 * kMillisecond;

@@ -1,25 +1,28 @@
 // Tests for the packet-level simulator: link/queue mechanics, TCP behavior,
-// MPTCP pooling, and conservation properties.
+// MPTCP pooling, and conservation properties. Every test drives the engine
+// directly with one shard — the single-heap reference run.
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include "sim/sharded/sharded_sim.h"
 
 namespace jf::sim {
 namespace {
 
+using sharded::ShardedSimulator;
+
 // Builds a minimal two-host dumbbell: host A -> link chain -> host B and the
 // reverse chain for ACKs. Returns {data_path, ack_path}.
 struct MiniNet {
-  Simulator sim;
+  ShardedSimulator sim;
   int up, down, rup, rdown;
-  explicit MiniNet(SimConfig cfg = {}) : sim(cfg) {
-    up = sim.add_link();
-    down = sim.add_link();
-    rup = sim.add_link();
-    rdown = sim.add_link();
+  explicit MiniNet(SimConfig cfg = {}) : sim(cfg, 1) {
+    up = sim.add_link(0);
+    down = sim.add_link(0);
+    rup = sim.add_link(0);
+    rdown = sim.add_link(0);
   }
   int add_tcp_flow(TimeNs start = 0) {
-    int f = sim.add_flow(0, 1, /*mptcp=*/false);
+    int f = sim.add_flow(0, 1, /*mptcp=*/false, 0, 0);
     sim.add_subflow(f, {up, down}, {rup, rdown}, start);
     return f;
   }
@@ -49,16 +52,16 @@ TEST(SimCore, GoodputNeverExceedsLineRate) {
 
 TEST(SimCore, TwoFlowsShareFairly) {
   SimConfig cfg;
-  Simulator sim(cfg);
+  ShardedSimulator sim(cfg, 1);
   // Distinct senders/receivers but one shared bottleneck link.
-  int upA = sim.add_link(), upB = sim.add_link();
-  int shared = sim.add_link();
-  int downA = sim.add_link(), downB = sim.add_link();
-  int rA1 = sim.add_link(), rA2 = sim.add_link();
-  int rB1 = sim.add_link(), rB2 = sim.add_link();
-  int f1 = sim.add_flow(0, 2, false);
+  int upA = sim.add_link(0), upB = sim.add_link(0);
+  int shared = sim.add_link(0);
+  int downA = sim.add_link(0), downB = sim.add_link(0);
+  int rA1 = sim.add_link(0), rA2 = sim.add_link(0);
+  int rB1 = sim.add_link(0), rB2 = sim.add_link(0);
+  int f1 = sim.add_flow(0, 2, false, 0, 0);
   sim.add_subflow(f1, {upA, shared, downA}, {rA1, rA2}, 0);
-  int f2 = sim.add_flow(1, 3, false);
+  int f2 = sim.add_flow(1, 3, false, 0, 0);
   sim.add_subflow(f2, {upB, shared, downB}, {rB1, rB2}, 500);
   sim.set_measure_window(10 * kMillisecond, 50 * kMillisecond);
   sim.run_until(50 * kMillisecond);
@@ -74,12 +77,13 @@ TEST(SimCore, TwoFlowsShareFairly) {
 
 TEST(SimCore, SlowLinkIsBottleneck) {
   SimConfig cfg;
-  Simulator sim(cfg);
-  int up = sim.add_link();
-  int slow = sim.add_link(cfg.link_rate_bps / 4.0, cfg.link_delay_ns, cfg.queue_capacity_pkts);
-  int down = sim.add_link();
-  int r1 = sim.add_link(), r2 = sim.add_link(), r3 = sim.add_link();
-  int f = sim.add_flow(0, 1, false);
+  ShardedSimulator sim(cfg, 1);
+  int up = sim.add_link(0);
+  int slow =
+      sim.add_link(0, cfg.link_rate_bps / 4.0, cfg.link_delay_ns, cfg.queue_capacity_pkts);
+  int down = sim.add_link(0);
+  int r1 = sim.add_link(0), r2 = sim.add_link(0), r3 = sim.add_link(0);
+  int f = sim.add_flow(0, 1, false, 0, 0);
   sim.add_subflow(f, {up, slow, down}, {r1, r2, r3}, 0);
   sim.set_measure_window(5 * kMillisecond, 30 * kMillisecond);
   sim.run_until(30 * kMillisecond);
@@ -103,14 +107,14 @@ TEST(SimCore, DeliveredBytesMonotoneAndConservative) {
 
 TEST(SimCore, MptcpPoolsDisjointPaths) {
   SimConfig cfg;
-  Simulator sim(cfg);
+  ShardedSimulator sim(cfg, 1);
   // Two fully disjoint unit paths between the same pair of hosts, with a
   // per-path sender NIC (models a dual-homed host): MPTCP should pool them.
-  int upA = sim.add_link(), downA = sim.add_link();
-  int upB = sim.add_link(), downB = sim.add_link();
-  int rA1 = sim.add_link(), rA2 = sim.add_link();
-  int rB1 = sim.add_link(), rB2 = sim.add_link();
-  int f = sim.add_flow(0, 1, /*mptcp=*/true);
+  int upA = sim.add_link(0), downA = sim.add_link(0);
+  int upB = sim.add_link(0), downB = sim.add_link(0);
+  int rA1 = sim.add_link(0), rA2 = sim.add_link(0);
+  int rB1 = sim.add_link(0), rB2 = sim.add_link(0);
+  int f = sim.add_flow(0, 1, /*mptcp=*/true, 0, 0);
   sim.add_subflow(f, {upA, downA}, {rA1, rA2}, 0);
   sim.add_subflow(f, {upB, downB}, {rB1, rB2}, 100);
   sim.set_measure_window(10 * kMillisecond, 40 * kMillisecond);
@@ -121,18 +125,18 @@ TEST(SimCore, MptcpPoolsDisjointPaths) {
 
 TEST(SimCore, MptcpIsFriendlyToTcpOnSharedBottleneck) {
   SimConfig cfg;
-  Simulator sim(cfg);
+  ShardedSimulator sim(cfg, 1);
   // A 2-subflow MPTCP flow and a plain TCP flow share one bottleneck.
   // LIA coupling should keep MPTCP from taking much more than half.
-  int upM = sim.add_link(), upT = sim.add_link();
-  int shared = sim.add_link();
-  int downM = sim.add_link(), downT = sim.add_link();
-  int rM1 = sim.add_link(), rM2 = sim.add_link();
-  int rT1 = sim.add_link(), rT2 = sim.add_link();
-  int fm = sim.add_flow(0, 2, /*mptcp=*/true);
+  int upM = sim.add_link(0), upT = sim.add_link(0);
+  int shared = sim.add_link(0);
+  int downM = sim.add_link(0), downT = sim.add_link(0);
+  int rM1 = sim.add_link(0), rM2 = sim.add_link(0);
+  int rT1 = sim.add_link(0), rT2 = sim.add_link(0);
+  int fm = sim.add_flow(0, 2, /*mptcp=*/true, 0, 0);
   sim.add_subflow(fm, {upM, shared, downM}, {rM1, rM2}, 0);
   sim.add_subflow(fm, {upM, shared, downM}, {rM1, rM2}, 200);
-  int ft = sim.add_flow(1, 3, /*mptcp=*/false);
+  int ft = sim.add_flow(1, 3, /*mptcp=*/false, 0, 0);
   sim.add_subflow(ft, {upT, shared, downT}, {rT1, rT2}, 400);
   sim.set_measure_window(10 * kMillisecond, 60 * kMillisecond);
   sim.run_until(60 * kMillisecond);
@@ -147,14 +151,14 @@ TEST(SimCore, MptcpIsFriendlyToTcpOnSharedBottleneck) {
 TEST(SimCore, DropsHappenUnderOverload) {
   SimConfig cfg;
   cfg.queue_capacity_pkts = 8;  // tiny queue forces losses
-  Simulator sim(cfg);
-  int upA = sim.add_link(), upB = sim.add_link();
-  int shared = sim.add_link();
-  int downA = sim.add_link(), downB = sim.add_link();
-  int r1 = sim.add_link(), r2 = sim.add_link(), r3 = sim.add_link(), r4 = sim.add_link();
-  int f1 = sim.add_flow(0, 2, false);
+  ShardedSimulator sim(cfg, 1);
+  int upA = sim.add_link(0), upB = sim.add_link(0);
+  int shared = sim.add_link(0);
+  int downA = sim.add_link(0), downB = sim.add_link(0);
+  int r1 = sim.add_link(0), r2 = sim.add_link(0), r3 = sim.add_link(0), r4 = sim.add_link(0);
+  int f1 = sim.add_flow(0, 2, false, 0, 0);
   sim.add_subflow(f1, {upA, shared, downA}, {r1, r2}, 0);
-  int f2 = sim.add_flow(1, 3, false);
+  int f2 = sim.add_flow(1, 3, false, 0, 0);
   sim.add_subflow(f2, {upB, shared, downB}, {r3, r4}, 100);
   sim.set_measure_window(2 * kMillisecond, 20 * kMillisecond);
   sim.run_until(20 * kMillisecond);
@@ -175,9 +179,9 @@ TEST(SimCore, StartTimeDelaysFlow) {
 
 TEST(SimCore, ApiContracts) {
   SimConfig cfg;
-  Simulator sim(cfg);
-  EXPECT_THROW(sim.add_link(-1.0, 0, 1), std::invalid_argument);
-  int f = sim.add_flow(0, 1, false);
+  ShardedSimulator sim(cfg, 1);
+  EXPECT_THROW(sim.add_link(0, -1.0, 0, 1), std::invalid_argument);
+  int f = sim.add_flow(0, 1, false, 0, 0);
   EXPECT_THROW(sim.add_subflow(f, {}, {0}, 0), std::invalid_argument);
   EXPECT_THROW(sim.add_subflow(f, {99}, {0}, 0), std::invalid_argument);
   EXPECT_THROW(sim.set_measure_window(5, 5), std::invalid_argument);

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "sim/sharded/sharded_sim.h"
 #include "sim/workload.h"
 #include "topo/jellyfish.h"
 
@@ -61,13 +62,13 @@ TEST(SimInvariants, LinkTxNeverExceedsCapacity) {
   // physical limit rate * elapsed.
   auto tm = traffic::random_permutation(topo.num_servers(), rng);
   // Rebuild the simulator manually to keep a handle on it.
-  // (The workload API returns aggregates; this test drives Simulator itself.)
-  Simulator sim(cfg.sim);
-  int l0 = sim.add_link();
-  int l1 = sim.add_link();
-  int r0 = sim.add_link();
-  int r1 = sim.add_link();
-  int f = sim.add_flow(0, 1, false);
+  // (The workload API returns aggregates; this test drives the engine itself.)
+  sharded::ShardedSimulator sim(cfg.sim, 1);
+  int l0 = sim.add_link(0);
+  int l1 = sim.add_link(0);
+  int r0 = sim.add_link(0);
+  int r1 = sim.add_link(0);
+  int f = sim.add_flow(0, 1, false, 0, 0);
   sim.add_subflow(f, {l0, l1}, {r0, r1}, 0);
   sim.set_measure_window(0, 10 * kMillisecond);
   sim.run_until(10 * kMillisecond);
@@ -83,10 +84,11 @@ TEST(SimInvariants, LinkTxNeverExceedsCapacity) {
 
 TEST(SimInvariants, NoTrafficNoEvents) {
   SimConfig cfg;
-  Simulator sim(cfg);
-  sim.add_link();
+  sharded::ShardedSimulator sim(cfg, 1);
+  sim.add_link(0);
   sim.set_measure_window(0, kMillisecond);
   sim.run_until(kMillisecond);  // no flows: must terminate instantly
+  EXPECT_EQ(sim.rounds(), 0);
   EXPECT_EQ(sim.total_drops(), 0);
 }
 

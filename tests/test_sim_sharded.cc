@@ -1,6 +1,7 @@
 // Tests for the sharded conservative-lookahead packet-sim engine: exact
-// (byte-identical) agreement with the serial Simulator across shard and
-// thread counts, the lookahead bound, and the Link-through-config contract.
+// (byte-identical) agreement with the one-shard reference run (a single
+// canonical heap) across shard and thread counts, exact work counters, the
+// lookahead bound, and the Link-through-config contract.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,9 +10,9 @@
 #include "common/rng.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
+#include "obs/metrics.h"
 #include "sim/sharded/plan.h"
 #include "sim/sharded/sharded_sim.h"
-#include "sim/simulator.h"
 #include "sim/workload.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
@@ -47,7 +48,7 @@ WorkloadResult run_at(const topo::Topology& topo, WorkloadConfig cfg, int shards
   return run_workload(topo, tm, cfg, rng, &budget);
 }
 
-TEST(ShardedSim, MatchesSerialOnJellyfishTcp) {
+TEST(ShardedSim, MatchesOneShardOnJellyfishTcp) {
   Rng rng(42);
   auto topo = topo::build_jellyfish(
       {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
@@ -57,18 +58,18 @@ TEST(ShardedSim, MatchesSerialOnJellyfishTcp) {
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
 
-  const WorkloadResult serial = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 7);
-  EXPECT_GT(serial.mean_flow_throughput, 0.0);
+  const WorkloadResult reference = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 7);
+  EXPECT_GT(reference.mean_flow_throughput, 0.0);
   for (int shards : {2, 8}) {
     for (int threads : {1, 4}) {
-      expect_identical(serial, run_at(topo, cfg, shards, threads, 7),
+      expect_identical(reference, run_at(topo, cfg, shards, threads, 7),
                        "jellyfish shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
     }
   }
 }
 
-TEST(ShardedSim, MatchesSerialOnFattreeMptcp) {
+TEST(ShardedSim, MatchesOneShardOnFattreeMptcp) {
   auto topo = topo::build_fattree(4);
   WorkloadConfig cfg;
   cfg.routing = {routing::Scheme::kEcmp, 8};
@@ -77,47 +78,67 @@ TEST(ShardedSim, MatchesSerialOnFattreeMptcp) {
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
 
-  const WorkloadResult serial = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 11);
-  EXPECT_GT(serial.mean_flow_throughput, 0.0);
+  const WorkloadResult reference = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 11);
+  EXPECT_GT(reference.mean_flow_throughput, 0.0);
   for (int shards : {2, 8}) {
     for (int threads : {1, 4}) {
-      expect_identical(serial, run_at(topo, cfg, shards, threads, 11),
+      expect_identical(reference, run_at(topo, cfg, shards, threads, 11),
                        "fattree shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
     }
   }
 }
 
-// Hand-built two-shard dumbbell. Shard 0 owns host A's side (uplink and the
-// forward cross link), shard 1 owns host B's side. Returns the engine ready
-// to run; `cross_delay` is the delay of both cut links.
-struct TwoShardNet {
+// The engine's work counters are exact at every shard count, one shard
+// included: events processed do not depend on the partition, a single shard
+// hands nothing off, and with no cut link its whole run is one round.
+TEST(ShardedSim, WorkCountersExactAtOneShard) {
+  Rng rng(42);
+  auto topo = topo::build_jellyfish(
+      {.num_switches = 12, .ports_per_switch = 8, .network_degree = 5}, rng);
+  WorkloadConfig cfg;
+  cfg.routing = {routing::Scheme::kKsp, 4};
+  cfg.warmup_ns = 2 * kMillisecond;
+  cfg.measure_ns = 4 * kMillisecond;
+
+  obs::set_metrics_enabled(true);
+  auto counters_at = [&](int shards) {
+    obs::reset_metrics();
+    (void)run_at(topo, cfg, shards, /*threads=*/1, 3);
+    return obs::collect_metrics();
+  };
+  const obs::MetricsSnapshot one = counters_at(1);
+  const std::int64_t events = one.counter_value("sim.events");
+  EXPECT_GT(events, 0);
+  EXPECT_EQ(one.counter_value("sim.handoffs"), 0);
+  EXPECT_EQ(one.counter_value("sim.rounds"), 1);
+  EXPECT_EQ(one.counter_value("sim.runs"), 1);
+  for (int shards : {2, 8}) {
+    const obs::MetricsSnapshot many = counters_at(shards);
+    EXPECT_EQ(many.counter_value("sim.events"), events) << "shards=" << shards;
+    EXPECT_GT(many.counter_value("sim.handoffs"), 0) << "shards=" << shards;
+  }
+  obs::reset_metrics();
+  obs::set_metrics_enabled(false);
+}
+
+// Hand-built dumbbell. With two shards, shard 0 owns host A's side (uplink
+// and the forward cross link) and shard 1 owns host B's side; with one shard
+// it is the single-heap twin, with identical link ids and parameters.
+// Returns the engine ready to run; `cross_delay` is the delay of both cross
+// links.
+struct DumbbellNet {
   sharded::ShardedSimulator sim;
   int flow;
-  explicit TwoShardNet(SimConfig cfg, TimeNs cross_delay) : sim(cfg, 2) {
-    const int up = sim.add_link(0);
-    const int x = sim.add_link(0, cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
-    const int down = sim.add_link(1);
-    const int rup = sim.add_link(1);
-    const int rx = sim.add_link(1, cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
-    const int rdown = sim.add_link(0);
-    flow = sim.add_flow(0, 1, /*mptcp=*/false, /*src_shard=*/0, /*dst_shard=*/1);
-    sim.add_subflow(flow, {up, x, down}, {rup, rx, rdown}, 0);
-  }
-};
-
-// The serial twin of TwoShardNet: identical link ids and parameters.
-struct SerialTwin {
-  Simulator sim;
-  int flow;
-  explicit SerialTwin(SimConfig cfg, TimeNs cross_delay) : sim(cfg) {
-    const int up = sim.add_link();
-    const int x = sim.add_link(cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
-    const int down = sim.add_link();
-    const int rup = sim.add_link();
-    const int rx = sim.add_link(cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
-    const int rdown = sim.add_link();
-    flow = sim.add_flow(0, 1, /*mptcp=*/false);
+  DumbbellNet(SimConfig cfg, TimeNs cross_delay, int shards) : sim(cfg, shards) {
+    const int a = 0, b = shards - 1;
+    const int up = sim.add_link(a);
+    const int x = sim.add_link(a, cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
+    const int down = sim.add_link(b);
+    const int rup = sim.add_link(b);
+    const int rx = sim.add_link(b, cfg.link_rate_bps, cross_delay, cfg.queue_capacity_pkts);
+    const int rdown = sim.add_link(a);
+    flow = sim.add_flow(0, 1, /*mptcp=*/false, /*src_shard=*/a, /*dst_shard=*/b);
     sim.add_subflow(flow, {up, x, down}, {rup, rx, rdown}, 0);
   }
 };
@@ -128,8 +149,8 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
 
   std::int64_t rounds_short = 0, rounds_long = 0;
   for (const TimeNs cross : {2 * kMicrosecond, 30 * kMicrosecond}) {
-    TwoShardNet net(cfg, cross);
-    SerialTwin twin(cfg, cross);
+    DumbbellNet net(cfg, cross, /*shards=*/2);
+    DumbbellNet twin(cfg, cross, /*shards=*/1);
     net.sim.set_measure_window(2 * kMillisecond, t_end);
     twin.sim.set_measure_window(2 * kMillisecond, t_end);
     net.sim.run_until(t_end);
@@ -144,9 +165,12 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
     // window has work.
     EXPECT_GE(net.sim.rounds(), 300);
     EXPECT_LE(net.sim.rounds(), t_end / net.sim.lookahead_ns() + 1);
+    // One shard cuts nothing: the whole run is one round over one heap.
+    EXPECT_EQ(twin.sim.lookahead_ns(), sharded::ShardedSimulator::kMaxTime);
+    EXPECT_EQ(twin.sim.rounds(), 1);
 
     // And regardless of round granularity, arrivals were never reordered:
-    // the sharded run reproduces the serial twin bit for bit.
+    // the two-shard run reproduces the one-shard twin bit for bit.
     EXPECT_EQ(net.sim.flow(net.flow).delivered_bytes_total,
               twin.sim.flow(twin.flow).delivered_bytes_total);
     EXPECT_EQ(net.sim.flow(net.flow).delivered_bytes_measured,
@@ -165,7 +189,7 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
 
 TEST(ShardedSim, ZeroLatencyCutIsRejected) {
   SimConfig cfg;
-  TwoShardNet net(cfg, /*cross_delay=*/0);
+  DumbbellNet net(cfg, /*cross_delay=*/0, /*shards=*/2);
   EXPECT_THROW(net.sim.run_until(kMillisecond), std::invalid_argument);
 }
 
@@ -189,12 +213,6 @@ TEST(ShardedSim, LinkParametersAlwaysComeFromConfig) {
   cfg.link_rate_bps = 3e8;
   cfg.link_delay_ns = 1234;
   cfg.queue_capacity_pkts = 9;
-
-  Simulator serial(cfg);
-  const int sl = serial.add_link();
-  EXPECT_EQ(serial.link(sl).rate_bps, cfg.link_rate_bps);
-  EXPECT_EQ(serial.link(sl).delay_ns, cfg.link_delay_ns);
-  EXPECT_EQ(serial.link(sl).queue_capacity, cfg.queue_capacity_pkts);
 
   sharded::ShardedSimulator sharded(cfg, 2);
   const int hl = sharded.add_link(1);

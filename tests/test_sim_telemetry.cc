@@ -1,7 +1,7 @@
 // Tests for the data-plane telemetry layer: epoch-boundary bookkeeping of
 // the per-link series, the observational contract (telemetry on vs off
 // leaves the WorkloadResult bit-identical), byte-identical datasets across
-// the serial and sharded engines at several thread counts, sized-flow
+// shard and thread counts, sized-flow
 // completion records, and the strict JSON round-trip of telemetry dumps.
 #include <gtest/gtest.h>
 
@@ -154,7 +154,7 @@ WorkloadResult run_at(const Fixture& fx, int shards, int threads, Telemetry* rec
 }
 
 // Recording is observational: the result with telemetry attached is
-// bit-identical to the result without, on both engines.
+// bit-identical to the result without, at one shard and at eight.
 TEST(Telemetry, AttachingRecorderDoesNotChangeTheRun) {
   const Fixture fx = make_fixture(0);
   for (int shards : {1, 8}) {
@@ -172,9 +172,9 @@ TEST(Telemetry, AttachingRecorderDoesNotChangeTheRun) {
   }
 }
 
-// The tentpole contract: serial and sharded engines record byte-identical
-// datasets at every (threads, shards) combination.
-TEST(Telemetry, DatasetIsByteIdenticalAcrossEngines) {
+// The tentpole contract: every (threads, shards) combination records a
+// dataset byte-identical to the one-shard reference run's.
+TEST(Telemetry, DatasetIsByteIdenticalAcrossShards) {
   const Fixture fx = make_fixture(0);
 
   Telemetry ref_rec(TelemetryConfig{fx.cfg.telemetry_epoch_ns});
@@ -218,16 +218,16 @@ TEST(Telemetry, DatasetIsByteIdenticalAcrossEngines) {
 }
 
 // Sized flows complete and report true FCTs: finish before t_end, all bytes
-// acked, and the same records from both engines.
+// acked, and the same records at one shard and at eight.
 TEST(Telemetry, SizedFlowsRecordCompletion) {
   Fixture fx = make_fixture(/*flow_size_bytes=*/30'000);  // 20 packets
   // Deep queues: this test is about completion records, not loss recovery —
   // a 16-deep queue can stall one unlucky flow past the end of the run.
   fx.cfg.sim.queue_capacity_pkts = 64;
 
-  Telemetry serial_rec(TelemetryConfig{fx.cfg.telemetry_epoch_ns});
-  run_at(fx, /*shards=*/1, /*threads=*/1, &serial_rec);
-  const TelemetryDataset& d = serial_rec.dataset();
+  Telemetry one_shard_rec(TelemetryConfig{fx.cfg.telemetry_epoch_ns});
+  run_at(fx, /*shards=*/1, /*threads=*/1, &one_shard_rec);
+  const TelemetryDataset& d = one_shard_rec.dataset();
   ASSERT_FALSE(d.flows.empty());
   for (std::size_t i = 0; i < d.flows.size(); ++i) {
     const FlowRecord& f = d.flows[i];
