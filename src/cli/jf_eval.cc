@@ -23,15 +23,18 @@
 // processed files move to <queue>/done/ (or <queue>/failed/), and one
 // status line per job goes to stdout.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fs.h"
@@ -136,63 +139,90 @@ std::string format_secs(double secs) {
   return os.str();
 }
 
+// Per-phase wall-time sums: the key shown and the metrics distribution it
+// sums. t_warm/t_cells are batch phases; the remaining keys are summed task
+// time across workers, so t_solve can exceed wall on a parallel run.
+constexpr std::pair<const char*, const char*> kPhases[] = {
+    {"t_warm", "engine.phase_warm_ns"}, {"t_cells", "engine.phase_cells_ns"},
+    {"t_solve", "engine.cell_solve_ns"}, {"t_mcf_sweep", "mcf.sweep_ns"},
+    {"t_mcf_apply", "mcf.apply_ns"},    {"t_store_get", "store.get_ns"},
+    {"t_store_put", "store.put_ns"},
+};
+
+// Flow count, FCT tail, and the hottest link's whole-run utilization across
+// every simulated cell of a batch.
+struct TelemetrySummary {
+  std::int64_t flows = 0;
+  std::optional<double> fct_p99;  // absent when no flow was recorded
+  double worst_link_util = 0.0;
+};
+
+TelemetrySummary summarize_telemetry(const std::vector<eval::ScenarioTelemetry>& points) {
+  TelemetrySummary t;
+  std::vector<double> fct;
+  for (const auto& p : points) {
+    for (const auto& c : p.cells) {
+      t.flows += static_cast<std::int64_t>(c.data.flows.size());
+      for (const auto& f : c.data.flows) fct.push_back(sim::fct_seconds(f));
+      t.worst_link_util = std::max(t.worst_link_util, sim::worst_link_utilization(c.data));
+    }
+  }
+  if (!fct.empty()) t.fct_p99 = percentile(fct, 99.0);
+  return t;
+}
+
+// Everything one batch's [stats] line reports, gathered once and rendered
+// both as the stderr line and as --stats-json.
+struct StatsRecord {
+  eval::BatchStats batch;
+  const store::ResultStore* store = nullptr;
+  double wall_secs = 0.0;
+  std::vector<std::pair<const char*, double>> phase_secs;  // empty with metrics off
+  std::optional<TelemetrySummary> telemetry;
+};
+
+StatsRecord collect_stats(const eval::BatchStats& batch, const store::ResultStore* store,
+                          double wall_secs,
+                          const std::vector<eval::ScenarioTelemetry>* telemetry) {
+  StatsRecord r{batch, store, wall_secs, {}, std::nullopt};
+  if (obs::metrics_enabled()) {
+    const obs::MetricsSnapshot snap = obs::collect_metrics();
+    for (const auto& [key, dist] : kPhases) {
+      const obs::DistributionSnapshot* d = snap.find_distribution(dist);
+      if (d != nullptr && d->count > 0) {
+        r.phase_secs.emplace_back(key, static_cast<double>(d->sum) / 1e9);
+      }
+    }
+  }
+  if (telemetry != nullptr) r.telemetry = summarize_telemetry(*telemetry);
+  return r;
+}
+
 // One greppable accounting line per executed batch; keys are stable (CI's
 // cold-vs-warm gate asserts on "solved=0"), new keys append only.
 // Deliberately on stderr: report bytes must not depend on cache state.
-// With metrics collection on, appends the per-phase wall-time breakdown
-// (t_warm/t_cells are batch phases; the remaining keys are summed task time
-// across workers, so t_solve can exceed wall on a parallel run).
-std::string stats_line(const eval::BatchStats& st, const store::ResultStore* store,
-                       double wall_secs) {
-  std::string line = "[stats] cells=" + std::to_string(st.cells) +
-                     " solved=" + std::to_string(st.solved) +
-                     " memo_hits=" + std::to_string(st.memo_hits) +
-                     " store_hits=" + std::to_string(st.store_hits);
-  if (store != nullptr) {
-    line += " store_entries=" + std::to_string(store->entry_count()) +
-            " store_bytes=" + std::to_string(store->total_bytes());
+std::string stats_line(const StatsRecord& r) {
+  std::string line = "[stats] cells=" + std::to_string(r.batch.cells) +
+                     " solved=" + std::to_string(r.batch.solved) +
+                     " memo_hits=" + std::to_string(r.batch.memo_hits) +
+                     " store_hits=" + std::to_string(r.batch.store_hits);
+  if (r.store != nullptr) {
+    line += " store_entries=" + std::to_string(r.store->entry_count()) +
+            " store_bytes=" + std::to_string(r.store->total_bytes());
   }
-  line += " wall=" + format_secs(wall_secs);
-  if (obs::metrics_enabled()) {
-    const obs::MetricsSnapshot snap = obs::collect_metrics();
-    auto phase = [&](const char* key, const char* dist) {
-      const obs::DistributionSnapshot* d = snap.find_distribution(dist);
-      if (d != nullptr && d->count > 0) {
-        line += std::string(" ") + key + "=" + format_secs(static_cast<double>(d->sum) / 1e9);
-      }
-    };
-    phase("t_warm", "engine.phase_warm_ns");
-    phase("t_cells", "engine.phase_cells_ns");
-    phase("t_solve", "engine.cell_solve_ns");
-    phase("t_mcf_sweep", "mcf.sweep_ns");
-    phase("t_mcf_apply", "mcf.apply_ns");
-    phase("t_store_get", "store.get_ns");
-    phase("t_store_put", "store.put_ns");
+  line += " wall=" + format_secs(r.wall_secs);
+  for (const auto& [key, secs] : r.phase_secs) {
+    line += std::string(" ") + key + "=" + format_secs(secs);
   }
-  return line;
-}
-
-// Appended to the [stats] line when telemetry was collected: flow count,
-// FCT tail, and the hottest link's whole-run utilization across every
-// simulated cell of the batch.
-std::string telemetry_stats(const std::vector<eval::ScenarioTelemetry>& points) {
-  std::vector<double> fct;
-  std::int64_t flows = 0;
-  double worst = 0.0;
-  for (const auto& p : points) {
-    for (const auto& c : p.cells) {
-      flows += static_cast<std::int64_t>(c.data.flows.size());
-      for (const auto& f : c.data.flows) fct.push_back(sim::fct_seconds(f));
-      worst = std::max(worst, sim::worst_link_utilization(c.data));
-    }
+  if (r.telemetry) {
+    line += " flows=" + std::to_string(r.telemetry->flows);
+    if (r.telemetry->fct_p99) line += " fct_p99=" + format_secs(*r.telemetry->fct_p99);
+    std::ostringstream util;
+    util.setf(std::ios::fixed);
+    util.precision(3);
+    util << r.telemetry->worst_link_util;
+    line += " worst_link_util=" + util.str();
   }
-  std::string line = " flows=" + std::to_string(flows);
-  if (!fct.empty()) line += " fct_p99=" + format_secs(percentile(fct, 99.0));
-  std::ostringstream util;
-  util.setf(std::ios::fixed);
-  util.precision(3);
-  util << worst;
-  line += " worst_link_util=" + util.str();
   return line;
 }
 
@@ -200,52 +230,27 @@ std::string telemetry_stats(const std::vector<eval::ScenarioTelemetry>& points) 
 // availability rules, but times are plain seconds instead of the "1.234s"
 // display form, so a harness never re-parses the human format. Key set
 // grows append-only, like the line it mirrors.
-json::Value stats_json(const eval::BatchStats& st, const store::ResultStore* store,
-                       double wall_secs,
-                       const std::vector<eval::ScenarioTelemetry>* telemetry) {
+json::Value stats_json(const StatsRecord& r) {
   json::Object o;
-  o.emplace_back("cells", st.cells);
-  o.emplace_back("solved", st.solved);
-  o.emplace_back("memo_hits", st.memo_hits);
-  o.emplace_back("store_hits", st.store_hits);
-  if (store != nullptr) {
-    o.emplace_back("store_entries", static_cast<std::int64_t>(store->entry_count()));
-    o.emplace_back("store_bytes", static_cast<std::int64_t>(store->total_bytes()));
+  o.emplace_back("cells", r.batch.cells);
+  o.emplace_back("solved", r.batch.solved);
+  o.emplace_back("memo_hits", r.batch.memo_hits);
+  o.emplace_back("store_hits", r.batch.store_hits);
+  if (r.store != nullptr) {
+    o.emplace_back("store_entries", static_cast<std::int64_t>(r.store->entry_count()));
+    o.emplace_back("store_bytes", static_cast<std::int64_t>(r.store->total_bytes()));
   }
-  o.emplace_back("wall_seconds", wall_secs);
-  if (obs::metrics_enabled()) {
-    const obs::MetricsSnapshot snap = obs::collect_metrics();
+  o.emplace_back("wall_seconds", r.wall_secs);
+  if (!r.phase_secs.empty()) {
     json::Object phases;
-    auto phase = [&](const char* key, const char* dist) {
-      const obs::DistributionSnapshot* d = snap.find_distribution(dist);
-      if (d != nullptr && d->count > 0) {
-        phases.emplace_back(key, static_cast<double>(d->sum) / 1e9);
-      }
-    };
-    phase("t_warm", "engine.phase_warm_ns");
-    phase("t_cells", "engine.phase_cells_ns");
-    phase("t_solve", "engine.cell_solve_ns");
-    phase("t_mcf_sweep", "mcf.sweep_ns");
-    phase("t_mcf_apply", "mcf.apply_ns");
-    phase("t_store_get", "store.get_ns");
-    phase("t_store_put", "store.put_ns");
-    if (!phases.empty()) o.emplace_back("phases_seconds", json::Value(std::move(phases)));
+    for (const auto& [key, secs] : r.phase_secs) phases.emplace_back(key, secs);
+    o.emplace_back("phases_seconds", json::Value(std::move(phases)));
   }
-  if (telemetry != nullptr) {
-    std::vector<double> fct;
-    std::int64_t flows = 0;
-    double worst = 0.0;
-    for (const auto& p : *telemetry) {
-      for (const auto& c : p.cells) {
-        flows += static_cast<std::int64_t>(c.data.flows.size());
-        for (const auto& f : c.data.flows) fct.push_back(sim::fct_seconds(f));
-        worst = std::max(worst, sim::worst_link_utilization(c.data));
-      }
-    }
+  if (r.telemetry) {
     json::Object t;
-    t.emplace_back("flows", flows);
-    if (!fct.empty()) t.emplace_back("fct_p99_seconds", percentile(fct, 99.0));
-    t.emplace_back("worst_link_util", worst);
+    t.emplace_back("flows", r.telemetry->flows);
+    if (r.telemetry->fct_p99) t.emplace_back("fct_p99_seconds", *r.telemetry->fct_p99);
+    t.emplace_back("worst_link_util", r.telemetry->worst_link_util);
     o.emplace_back("telemetry", json::Value(std::move(t)));
   }
   return json::Value(std::move(o));
@@ -275,6 +280,19 @@ void export_observability(const std::string& trace_out, const std::string& metri
     common::write_file_atomic(fs::path(metrics_out),
                               obs::metrics_to_json(obs::collect_metrics()).dump(2) + "\n");
   }
+}
+
+// Parses an integer flag value. Non-numeric text, trailing characters and
+// values below `min` are errors naming the flag.
+int int_flag(const std::string& flag, const char* text, int min) {
+  int v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < min) {
+    throw std::invalid_argument(flag + " needs an integer value >= " + std::to_string(min) +
+                                ", got '" + text + "'");
+  }
+  return v;
 }
 
 std::unique_ptr<store::ResultStore> open_store(const std::string& dir, int budget_mb) {
@@ -309,10 +327,9 @@ int cmd_run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      threads = std::atoi(value());
+      threads = int_flag(arg, value(), 0);
     } else if (arg == "--sim-shards") {
-      sim_shards = std::atoi(value());
-      if (sim_shards < 1) throw std::invalid_argument("--sim-shards needs a value >= 1");
+      sim_shards = int_flag(arg, value(), 1);
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--format") {
@@ -320,10 +337,7 @@ int cmd_run(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = value();
     } else if (arg == "--cache-budget-mb") {
-      cache_budget_mb = std::atoi(value());
-      if (cache_budget_mb < 1) {
-        throw std::invalid_argument("--cache-budget-mb needs a value >= 1");
-      }
+      cache_budget_mb = int_flag(arg, value(), 1);
     } else if (arg == "--trace-out") {
       trace_out = value();
     } else if (arg == "--metrics-out") {
@@ -360,15 +374,12 @@ int cmd_run(int argc, char** argv) {
     // The override rewrites the base scenario, which sweep expansion would
     // silently overwrite again for a swept sim.shards — refuse rather than
     // let the flag claim an engine choice it cannot deliver.
-    for (const auto& axis : spec.axes) {
-      for (const auto& entry : axis.entries) {
-        if (entry.field == "sim.shards") {
-          throw std::invalid_argument(
-              "--sim-shards conflicts with the scenario's 'sim.shards' sweep axis");
-        }
-      }
+    const eval::AxisEntry shards{"sim.shards", "", {}};
+    if (spec.sweeps(shards.field)) {
+      throw std::invalid_argument("--sim-shards conflicts with the scenario's '" +
+                                  shards.field + "' sweep axis");
     }
-    spec.base.sim.shards = sim_shards;
+    eval::apply_sweep_value(spec.base, shards, sim_shards);
   }
   eval::SweepProgress progress;
   if (!quiet) {
@@ -395,15 +406,10 @@ int cmd_run(int argc, char** argv) {
   eval::SweepReport report = eval::run_sweep(spec, opts, progress);
   const double wall_secs =  // detlint: ok(stderr [stats] accounting only)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_t0).count();
-  if (!quiet) {
-    std::string line = stats_line(stats, store.get(), wall_secs);
-    if (opts.telemetry != nullptr) line += telemetry_stats(telemetry);
-    std::cerr << line << "\n";
-  }
+  const StatsRecord record = collect_stats(stats, store.get(), wall_secs, opts.telemetry);
+  if (!quiet) std::cerr << stats_line(record) << "\n";
   if (!stats_json_out.empty()) {
-    common::write_file_atomic(
-        fs::path(stats_json_out),
-        stats_json(stats, store.get(), wall_secs, opts.telemetry).dump(2) + "\n");
+    common::write_file_atomic(fs::path(stats_json_out), stats_json(record).dump(2) + "\n");
   }
   export_observability(trace_out, metrics_out);
   if (!telemetry_out.empty()) {
@@ -489,15 +495,11 @@ int cmd_serve(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = value();
     } else if (arg == "--cache-budget-mb") {
-      cache_budget_mb = std::atoi(value());
-      if (cache_budget_mb < 1) {
-        throw std::invalid_argument("--cache-budget-mb needs a value >= 1");
-      }
+      cache_budget_mb = int_flag(arg, value(), 1);
     } else if (arg == "--threads") {
-      threads = std::atoi(value());
+      threads = int_flag(arg, value(), 0);
     } else if (arg == "--poll-ms") {
-      poll_ms = std::atoi(value());
-      if (poll_ms < 1) throw std::invalid_argument("--poll-ms needs a value >= 1");
+      poll_ms = int_flag(arg, value(), 1);
     } else if (arg == "--trace-out") {
       trace_out = value();
     } else if (arg == "--metrics-out") {
@@ -577,9 +579,8 @@ int cmd_serve(int argc, char** argv) {
         line << " wall=" << format_secs(secs) << " -> " << out.string();
         std::cout << line.str() << "\n" << std::flush;
         if (!quiet) {
-          std::string stats_str = stats_line(stats, store.get(), secs);
-          if (opts.telemetry != nullptr) stats_str += telemetry_stats(telemetry);
-          std::cerr << stats_str << "\n";
+          std::cerr << stats_line(collect_stats(stats, store.get(), secs, opts.telemetry))
+                    << "\n";
         }
         export_observability(trace_out, metrics_out);
         if (!telemetry_out.empty()) {
@@ -605,6 +606,9 @@ int cmd_serve(int argc, char** argv) {
 
 int cmd_print(int argc, char** argv) {
   if (argc < 1) throw std::invalid_argument("print: missing scenario file");
+  if (argc > 1) {
+    throw std::invalid_argument("print: unexpected argument '" + std::string(argv[1]) + "'");
+  }
   eval::SweepSpec spec = eval::load_sweep_file(argv[0]);
   auto points = eval::expand_sweep(spec);
   std::cout << "scenario: " << spec.base.name << "\n"

@@ -5,6 +5,9 @@
 #include <limits>
 #include <sstream>
 
+#include "common/check.h"
+#include "eval/field_table.h"
+
 // gcc 12 emits spurious -Warray-bounds through the inlined realloc path of
 // vector<pair<string, Value>>::emplace_back (GCC PR 104475); every
 // emplacement here targets a local vector, so the diagnostic is noise.
@@ -55,39 +58,41 @@ class ObjectReader {
     }
   }
 
-  // Typed readers; absent keys keep the caller's default. Kind mismatches
-  // are rethrown with the field's context path ("scenario.topologies[0]
-  // .switches: json: expected number, got string").
-  void read(std::string_view key, std::string& out) {
-    if (const Value* v = get(key)) out = located(key, [&] { return v->as_string(); });
+  std::string path(std::string_view key) const { return ctx_ + "." + std::string(key); }
+
+  // Typed readers; absent keys keep the caller's default and return false.
+  // Kind mismatches are rethrown with the field's context path
+  // ("scenario.topologies[0].switches: json: expected number, got string").
+  bool read(std::string_view key, std::string& out) {
+    return read_as(key, out, [](const Value& v) { return v.as_string(); });
   }
-  void read(std::string_view key, int& out) {
-    if (const Value* v = get(key)) {
-      out = located(key, [&] {
-        const std::int64_t x = v->as_int();
-        if (x < std::numeric_limits<int>::min() || x > std::numeric_limits<int>::max()) {
-          throw std::runtime_error("json: integer " + std::to_string(x) +
-                                   " out of int range");
-        }
-        return static_cast<int>(x);
-      });
-    }
+  bool read(std::string_view key, int& out) {
+    return read_as(key, out, [](const Value& v) {
+      const std::int64_t x = v.as_int();
+      if (x < std::numeric_limits<int>::min() || x > std::numeric_limits<int>::max()) {
+        throw std::runtime_error("json: integer " + std::to_string(x) + " out of int range");
+      }
+      return static_cast<int>(x);
+    });
   }
-  void read(std::string_view key, double& out) {
-    if (const Value* v = get(key)) out = located(key, [&] { return v->as_number(); });
+  bool read(std::string_view key, double& out) {
+    return read_as(key, out, [](const Value& v) { return v.as_number(); });
   }
-  void read(std::string_view key, std::int64_t& out) {
-    if (const Value* v = get(key)) out = located(key, [&] { return v->as_int(); });
+  bool read(std::string_view key, std::int64_t& out) {
+    return read_as(key, out, [](const Value& v) { return v.as_int(); });
   }
 
  private:
-  template <typename Fn>
-  auto located(std::string_view key, Fn&& fn) -> decltype(fn()) {
+  template <typename T, typename As>
+  bool read_as(std::string_view key, T& out, As&& as) {
+    const Value* v = get(key);
+    if (v == nullptr) return false;
     try {
-      return fn();
+      out = as(*v);
     } catch (const std::runtime_error& e) {
-      schema_error(ctx_ + "." + std::string(key), e.what());
+      schema_error(path(key), e.what());
     }
+    return true;
   }
 
   std::string ctx_;
@@ -106,323 +111,333 @@ auto with_ctx(const std::string& ctx, Fn&& fn) -> decltype(fn()) {
   }
 }
 
-// --- enum <-> string ---
+}  // namespace
 
-std::string traffic_kind_name(TrafficSpec::Kind k) {
-  switch (k) {
-    case TrafficSpec::Kind::kPermutation: return "permutation";
-    case TrafficSpec::Kind::kAllToAll: return "all_to_all";
-    case TrafficSpec::Kind::kHotspot: return "hotspot";
+// --- the scenario field table (eval/field_table.h) ---
+
+namespace fields {
+namespace {
+
+template <typename... Fs>
+struct Overload : Fs... {
+  using Fs::operator()...;
+};
+
+// The struct a member pointer belongs to: decltype(owner_of(M)).
+template <typename S, typename T>
+S owner_of(T S::*);
+
+std::string_view choice_name(const Choices& c, int value) {
+  for (const Choice& ch : c.names) {
+    if (ch.value == value) return ch.name;
   }
   return "?";
 }
 
-TrafficSpec::Kind traffic_kind_from(const std::string& name, const std::string& ctx) {
-  if (name == "permutation") return TrafficSpec::Kind::kPermutation;
-  if (name == "all_to_all") return TrafficSpec::Kind::kAllToAll;
-  if (name == "hotspot") return TrafficSpec::Kind::kHotspot;
-  schema_error(ctx, "unknown traffic kind '" + name + "'");
-}
-
-std::string transport_name(sim::Transport t) {
-  return t == sim::Transport::kMptcp ? "mptcp" : "tcp";
-}
-
-sim::Transport transport_from(const std::string& name, const std::string& ctx) {
-  if (name == "tcp") return sim::Transport::kTcp;
-  if (name == "mptcp") return sim::Transport::kMptcp;
-  schema_error(ctx, "unknown transport '" + name + "'");
-}
-
-std::string placement_name(layout::PlacementStyle s) {
-  return s == layout::PlacementStyle::kToRInRack ? "tor-in-rack" : "switch-cluster";
-}
-
-layout::PlacementStyle placement_from(const std::string& name, const std::string& ctx) {
-  if (name == "tor-in-rack") return layout::PlacementStyle::kToRInRack;
-  if (name == "switch-cluster") return layout::PlacementStyle::kCentralCluster;
-  schema_error(ctx, "unknown cabling placement '" + name + "'");
-}
-
-// --- component writers ---
-
-Value topology_to_json(const TopologySpec& t) {
-  Object o;
-  o.emplace_back("family", t.family);
-  o.emplace_back("label", t.label);
-  o.emplace_back("switches", t.switches);
-  o.emplace_back("ports", t.ports);
-  o.emplace_back("servers", t.servers);
-  o.emplace_back("fattree_k", t.fattree_k);
-  o.emplace_back("degree", t.degree);
-  o.emplace_back("servers_per_switch", t.servers_per_switch);
-  o.emplace_back("containers", t.containers);
-  o.emplace_back("switches_per_container", t.switches_per_container);
-  o.emplace_back("network_degree", t.network_degree);
-  o.emplace_back("local_fraction", t.local_fraction);
-  o.emplace_back("grow_from", t.grow_from);
-  o.emplace_back("grow_step", t.grow_step);
-  o.emplace_back("fail_links", t.fail_links);
-  o.emplace_back("growth_policy", t.growth_policy);
-  return Value(std::move(o));
-}
-
-TopologySpec topology_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  TopologySpec t;
-  r.read("family", t.family);
-  r.read("label", t.label);
-  r.read("switches", t.switches);
-  r.read("ports", t.ports);
-  r.read("servers", t.servers);
-  r.read("fattree_k", t.fattree_k);
-  r.read("degree", t.degree);
-  r.read("servers_per_switch", t.servers_per_switch);
-  r.read("containers", t.containers);
-  r.read("switches_per_container", t.switches_per_container);
-  r.read("network_degree", t.network_degree);
-  r.read("local_fraction", t.local_fraction);
-  r.read("grow_from", t.grow_from);
-  r.read("grow_step", t.grow_step);
-  r.read("fail_links", t.fail_links);
-  if (t.fail_links < 0.0 || t.fail_links > 1.0) {
-    schema_error(ctx + ".fail_links", "must be in [0, 1]");
+const Choice& find_choice(const Choices& c, const std::string& name, const std::string& ctx) {
+  for (const Choice& ch : c.names) {
+    if (ch.name == name) return ch;
   }
-  r.read("growth_policy", t.growth_policy);
-  if (!t.growth_policy.empty() && t.growth_policy != "jellyfish" &&
-      t.growth_policy != "clos") {
-    schema_error(ctx + ".growth_policy",
-                 "unknown growth policy '" + t.growth_policy + "'");
+  schema_error(ctx, "unknown " + std::string(c.noun) + " '" + name + "'");
+}
+
+// The canonical writer: every row, in table order.
+template <typename S>
+Object write_fields(Table<S> rows, const S& obj) {
+  Object o;
+  o.reserve(rows.size());
+  for (const Field<S>& f : rows) {
+    o.emplace_back(
+        std::string(f.key),
+        std::visit(Overload{[&](const Named<S>& n) { return Value(obj.*n.member); },
+                            [&](const Enum<S>& e) {
+                              return Value(std::string(choice_name(*e.choices, e.get(obj))));
+                            },
+                            [&](const Hook<S>& h) { return h.write(obj); },
+                            [&](auto m) { return Value(obj.*m); }},
+                   f.member));
   }
-  r.done();
-  return t;
+  return o;
 }
 
-Value routing_to_json(const routing::RoutingSpec& rs) {
-  Object o;
-  o.emplace_back("scheme", rs.scheme);
-  o.emplace_back("width", rs.width);
-  return Value(std::move(o));
-}
-
-routing::RoutingSpec routing_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  routing::RoutingSpec rs;
-  r.read("scheme", rs.scheme);
-  r.read("width", rs.width);
-  r.done();
-  return rs;
-}
-
-Value traffic_to_json(const TrafficSpec& t) {
-  Object o;
-  o.emplace_back("kind", traffic_kind_name(t.kind));
-  o.emplace_back("demand", t.demand);
-  o.emplace_back("num_hot", t.num_hot);
-  o.emplace_back("fan_in", t.fan_in);
-  return Value(std::move(o));
-}
-
-TrafficSpec traffic_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  TrafficSpec t;
-  if (const Value* kind = r.get("kind")) {
-    t.kind = traffic_kind_from(kind->as_string(), ctx + ".kind");
+// The strict loader: absent keys keep obj's defaults; the caller's done()
+// rejects keys no row consumed.
+template <typename S>
+void read_fields(ObjectReader& r, Table<S> rows, S& obj) {
+  for (const Field<S>& f : rows) {
+    std::visit(Overload{[&](const Named<S>& n) {
+                          if (r.read(f.key, obj.*n.member)) {
+                            find_choice(*n.choices, obj.*n.member, r.path(f.key));
+                          }
+                        },
+                        [&](const Enum<S>& e) {
+                          std::string name;
+                          if (r.read(f.key, name)) {
+                            e.set(obj, find_choice(*e.choices, name, r.path(f.key)).value);
+                          }
+                        },
+                        [&](const Hook<S>& h) {
+                          if (const Value* v = r.get(f.key)) h.read(*v, obj, r.path(f.key));
+                        },
+                        [&](double S::*m) {
+                          if (r.read(f.key, obj.*m) && f.rule == Rule::kUnit &&
+                              !(obj.*m >= 0.0 && obj.*m <= 1.0)) {
+                            schema_error(r.path(f.key), "must be in [0, 1]");
+                          }
+                        },
+                        [&](auto m) { r.read(f.key, obj.*m); }},
+               f.member);
   }
-  r.read("demand", t.demand);
-  r.read("num_hot", t.num_hot);
-  r.read("fan_in", t.fan_in);
-  r.done();
-  return t;
 }
 
-Value mcf_to_json(const flow::McfOptions& m) {
-  Object o;
-  o.emplace_back("epsilon", m.epsilon);
-  o.emplace_back("max_phases", m.max_phases);
-  o.emplace_back("convergence_tol", m.convergence_tol);
-  o.emplace_back("convergence_window", m.convergence_window);
-  o.emplace_back("decide_threshold", m.decide_threshold);
-  o.emplace_back("link_capacity", m.link_capacity);
-  return Value(std::move(o));
-}
-
-flow::McfOptions mcf_from_json(const Value& v, const std::string& ctx) {
+template <typename S>
+S object_from_json(Table<S> rows, const Value& v, const std::string& ctx) {
   ObjectReader r(v, ctx);
-  flow::McfOptions m;
-  r.read("epsilon", m.epsilon);
-  r.read("max_phases", m.max_phases);
-  r.read("convergence_tol", m.convergence_tol);
-  r.read("convergence_window", m.convergence_window);
-  r.read("decide_threshold", m.decide_threshold);
-  r.read("link_capacity", m.link_capacity);
+  S obj;
+  read_fields(r, rows, obj);
   r.done();
-  return m;
+  return obj;
 }
 
-Value sim_net_to_json(const sim::SimConfig& c) {
-  Object o;
-  o.emplace_back("link_rate_bps", c.link_rate_bps);
-  o.emplace_back("link_delay_ns", c.link_delay_ns);
-  o.emplace_back("queue_capacity_pkts", c.queue_capacity_pkts);
-  o.emplace_back("payload_bytes", c.payload_bytes);
-  o.emplace_back("ack_bytes", c.ack_bytes);
-  o.emplace_back("initial_cwnd_pkts", c.initial_cwnd_pkts);
-  o.emplace_back("min_rto_ns", c.min_rto_ns);
-  o.emplace_back("initial_rto_ns", c.initial_rto_ns);
-  o.emplace_back("max_rto_ns", c.max_rto_ns);
-  o.emplace_back("loss_feedback_floor_ns", c.loss_feedback_floor_ns);
-  return Value(std::move(o));
+template <auto M>
+constexpr auto enum_member(const Choices& c) {
+  using S = decltype(owner_of(M));
+  return Enum<S>{&c, [](const S& s) { return static_cast<int>(s.*M); },
+                 [](S& s, int v) { s.*M = static_cast<std::remove_cvref_t<decltype(s.*M)>>(v); }};
 }
 
-sim::SimConfig sim_net_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  sim::SimConfig c;
-  r.read("link_rate_bps", c.link_rate_bps);
-  r.read("link_delay_ns", c.link_delay_ns);
-  r.read("queue_capacity_pkts", c.queue_capacity_pkts);
-  r.read("payload_bytes", c.payload_bytes);
-  r.read("ack_bytes", c.ack_bytes);
-  r.read("initial_cwnd_pkts", c.initial_cwnd_pkts);
-  r.read("min_rto_ns", c.min_rto_ns);
-  r.read("initial_rto_ns", c.initial_rto_ns);
-  r.read("max_rto_ns", c.max_rto_ns);
-  r.read("loss_feedback_floor_ns", c.loss_feedback_floor_ns);
-  r.done();
-  return c;
+// A nested object member described by its own table.
+template <auto M, const auto& Rows>
+constexpr auto nested() {
+  using S = decltype(owner_of(M));
+  return Hook<S>{[](const S& s) { return Value(write_fields(Rows, s.*M)); },
+                 [](const Value& v, S& s, const std::string& ctx) {
+                   s.*M = object_from_json(Rows, v, ctx);
+                 }};
 }
+
+// A vector member of objects described by one table.
+template <auto M, const auto& Rows>
+constexpr auto array_of() {
+  using S = decltype(owner_of(M));
+  return Hook<S>{[](const S& s) {
+                   Array a;
+                   for (const auto& x : s.*M) a.emplace_back(write_fields(Rows, x));
+                   return Value(std::move(a));
+                 },
+                 [](const Value& v, S& s, const std::string& ctx) {
+                   const Array& arr =
+                       with_ctx(ctx, [&]() -> const Array& { return v.as_array(); });
+                   (s.*M).clear();
+                   for (std::size_t i = 0; i < arr.size(); ++i) {
+                     (s.*M).push_back(
+                         object_from_json(Rows, arr[i], ctx + "[" + std::to_string(i) + "]"));
+                   }
+                 }};
+}
+
+constexpr Choice kTrafficKindNames[] = {
+    {"permutation", static_cast<int>(TrafficSpec::Kind::kPermutation)},
+    {"all_to_all", static_cast<int>(TrafficSpec::Kind::kAllToAll)},
+    {"hotspot", static_cast<int>(TrafficSpec::Kind::kHotspot)},
+};
+constexpr Choice kTransportNames[] = {
+    {"tcp", static_cast<int>(sim::Transport::kTcp)},
+    {"mptcp", static_cast<int>(sim::Transport::kMptcp)},
+};
+constexpr Choice kPlacementNames[] = {
+    {"tor-in-rack", static_cast<int>(layout::PlacementStyle::kToRInRack)},
+    {"switch-cluster", static_cast<int>(layout::PlacementStyle::kCentralCluster)},
+};
+// A topology row's empty growth_policy defers to the schedule's policy.
+constexpr Choice kPolicyNames[] = {{""}, {"jellyfish"}, {"clos"}};
+constexpr Choices kTrafficKinds{"traffic kind", kTrafficKindNames};
+constexpr Choices kTransports{"transport", kTransportNames};
+constexpr Choices kPlacements{"cabling placement", kPlacementNames};
+constexpr Choices kRowGrowthPolicies{"growth policy", kPolicyNames};
+constexpr Choices kGrowthPolicies{"growth policy", std::span(kPolicyNames).subspan(1)};
+
+constexpr Field<TopologySpec> kTopologyRows[] = {
+    {"family", &TopologySpec::family},
+    {"label", &TopologySpec::label},
+    {"switches", &TopologySpec::switches, Rule::kCount},
+    {"ports", &TopologySpec::ports, Rule::kCount},
+    {"servers", &TopologySpec::servers, Rule::kCount},
+    {"fattree_k", &TopologySpec::fattree_k, Rule::kCount},
+    {"degree", &TopologySpec::degree, Rule::kCount},
+    {"servers_per_switch", &TopologySpec::servers_per_switch, Rule::kCount},
+    {"containers", &TopologySpec::containers, Rule::kCount},
+    {"switches_per_container", &TopologySpec::switches_per_container, Rule::kCount},
+    {"network_degree", &TopologySpec::network_degree, Rule::kCount},
+    {"local_fraction", &TopologySpec::local_fraction, Rule::kUnit},
+    {"grow_from", &TopologySpec::grow_from, Rule::kCount},
+    {"grow_step", &TopologySpec::grow_step, Rule::kCount},
+    {"fail_links", &TopologySpec::fail_links, Rule::kUnit},
+    {"growth_policy", Named<TopologySpec>{&TopologySpec::growth_policy, &kRowGrowthPolicies}},
+};
+
+constexpr Field<routing::RoutingSpec> kRoutingRows[] = {
+    {"scheme", &routing::RoutingSpec::scheme},
+    {"width", &routing::RoutingSpec::width, Rule::kCount},
+};
+
+constexpr Field<TrafficSpec> kTrafficRows[] = {
+    {"kind", enum_member<&TrafficSpec::kind>(kTrafficKinds)},
+    {"demand", &TrafficSpec::demand, Rule::kAny},
+    {"num_hot", &TrafficSpec::num_hot, Rule::kCount},
+    {"fan_in", &TrafficSpec::fan_in, Rule::kCount},
+};
+
+constexpr Field<flow::McfOptions> kMcfRows[] = {
+    {"epsilon", &flow::McfOptions::epsilon},
+    {"max_phases", &flow::McfOptions::max_phases},
+    {"convergence_tol", &flow::McfOptions::convergence_tol},
+    {"convergence_window", &flow::McfOptions::convergence_window},
+    {"decide_threshold", &flow::McfOptions::decide_threshold},
+    {"link_capacity", &flow::McfOptions::link_capacity},
+};
+
+constexpr Field<sim::SimConfig> kSimNetRows[] = {
+    {"link_rate_bps", &sim::SimConfig::link_rate_bps},
+    {"link_delay_ns", &sim::SimConfig::link_delay_ns},
+    {"queue_capacity_pkts", &sim::SimConfig::queue_capacity_pkts},
+    {"payload_bytes", &sim::SimConfig::payload_bytes},
+    {"ack_bytes", &sim::SimConfig::ack_bytes},
+    {"initial_cwnd_pkts", &sim::SimConfig::initial_cwnd_pkts},
+    {"min_rto_ns", &sim::SimConfig::min_rto_ns},
+    {"initial_rto_ns", &sim::SimConfig::initial_rto_ns},
+    {"max_rto_ns", &sim::SimConfig::max_rto_ns},
+    {"loss_feedback_floor_ns", &sim::SimConfig::loss_feedback_floor_ns},
+};
 
 // WorkloadConfig::routing is deliberately not serialized: the engine routes
 // each cell through its RoutingSpec's provider and ignores that field.
-Value sim_to_json(const sim::WorkloadConfig& w) {
-  Object o;
-  o.emplace_back("transport", transport_name(w.transport));
-  o.emplace_back("parallel_connections", w.parallel_connections);
-  o.emplace_back("subflows", w.subflows);
-  o.emplace_back("shards", w.shards);
-  o.emplace_back("warmup_ns", w.warmup_ns);
-  o.emplace_back("measure_ns", w.measure_ns);
-  o.emplace_back("start_jitter_ns", w.start_jitter_ns);
-  o.emplace_back("flow_size_bytes", w.flow_size_bytes);
-  o.emplace_back("telemetry_epoch_ns", w.telemetry_epoch_ns);
-  o.emplace_back("net", sim_net_to_json(w.sim));
-  return Value(std::move(o));
+constexpr Field<sim::WorkloadConfig> kSimRows[] = {
+    {"transport", enum_member<&sim::WorkloadConfig::transport>(kTransports)},
+    {"parallel_connections", &sim::WorkloadConfig::parallel_connections, Rule::kCount},
+    {"subflows", &sim::WorkloadConfig::subflows, Rule::kCount},
+    {"shards", &sim::WorkloadConfig::shards, Rule::kCount},
+    {"warmup_ns", &sim::WorkloadConfig::warmup_ns},
+    {"measure_ns", &sim::WorkloadConfig::measure_ns},
+    {"start_jitter_ns", &sim::WorkloadConfig::start_jitter_ns},
+    {"flow_size_bytes", &sim::WorkloadConfig::flow_size_bytes},
+    {"telemetry_epoch_ns", &sim::WorkloadConfig::telemetry_epoch_ns},
+    {"net", nested<&sim::WorkloadConfig::sim, kSimNet>()},
+};
+
+constexpr Field<flow::CapacitySearchOptions> kCapacityRows[] = {
+    {"matrices_per_check", &flow::CapacitySearchOptions::matrices_per_check},
+    {"threshold", &flow::CapacitySearchOptions::threshold},
+    {"verify_matrices", &flow::CapacitySearchOptions::verify_matrices},
+};
+
+constexpr Field<expansion::GrowthStep> kGrowthStepRows[] = {
+    {"add_switches", &expansion::GrowthStep::add_switches},
+    {"min_servers", &expansion::GrowthStep::min_servers},
+    {"budget", &expansion::GrowthStep::budget, Rule::kNonNeg},
+    {"rewire_limit", &expansion::GrowthStep::rewire_limit},
+};
+
+constexpr Field<expansion::InitialBuild> kGrowthInitialRows[] = {
+    {"switches", &expansion::InitialBuild::switches},
+    {"ports", &expansion::InitialBuild::ports_per_switch},
+    {"servers", &expansion::InitialBuild::servers},
+};
+
+// The generator fields are ignored whenever explicit steps exist — sweeping
+// them there would silently evaluate N identical points.
+void reject_over_explicit_steps(expansion::GrowthSchedule& g, const std::string& field) {
+  check(g.steps.empty(), "sweep field '" + field +
+                             "': schedule has explicit steps (sweep growth.budget or "
+                             "growth.rewire_limit instead)");
 }
 
-sim::WorkloadConfig sim_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  sim::WorkloadConfig w;
-  if (const Value* t = r.get("transport")) {
-    w.transport = transport_from(t->as_string(), ctx + ".transport");
-  }
-  r.read("parallel_connections", w.parallel_connections);
-  r.read("subflows", w.subflows);
-  r.read("shards", w.shards);
-  r.read("warmup_ns", w.warmup_ns);
-  r.read("measure_ns", w.measure_ns);
-  r.read("start_jitter_ns", w.start_jitter_ns);
-  r.read("flow_size_bytes", w.flow_size_bytes);
-  r.read("telemetry_epoch_ns", w.telemetry_epoch_ns);
-  if (const Value* net = r.get("net")) w.sim = sim_net_from_json(*net, ctx + ".net");
-  r.done();
-  return w;
+// The swept cap applies to the generator default and every explicit step.
+void copy_rewire_limit_to_steps(expansion::GrowthSchedule& g, const std::string&) {
+  for (auto& step : g.steps) step.rewire_limit = g.rewire_limit;
 }
 
-Value capacity_to_json(const flow::CapacitySearchOptions& c) {
-  Object o;
-  o.emplace_back("matrices_per_check", c.matrices_per_check);
-  o.emplace_back("threshold", c.threshold);
-  o.emplace_back("verify_matrices", c.verify_matrices);
-  return Value(std::move(o));
+constexpr Field<expansion::GrowthSchedule> kGrowthRows[] = {
+    {"policy", Named<expansion::GrowthSchedule>{&expansion::GrowthSchedule::policy,
+                                                &kGrowthPolicies}},
+    {"initial", nested<&expansion::GrowthSchedule::initial, kGrowthInitial>()},
+    {"network_degree", &expansion::GrowthSchedule::network_degree},
+    {"steps", array_of<&expansion::GrowthSchedule::steps, kGrowthStep>()},
+    {"target_switches", &expansion::GrowthSchedule::target_switches, Rule::kCount,
+     reject_over_explicit_steps},
+    // Listed before target_switches in sweep_fields(), as it always was.
+    {"step_switches", &expansion::GrowthSchedule::step_switches, Rule::kCount,
+     reject_over_explicit_steps, true},
+    {"rewire_limit", &expansion::GrowthSchedule::rewire_limit, Rule::kLimit,
+     copy_rewire_limit_to_steps},
+};
+
+Value metrics_to_json(const Scenario& s) {
+  Array metrics;
+  for (Metric m : s.metrics) metrics.emplace_back(metric_name(m));
+  return Value(std::move(metrics));
 }
 
-flow::CapacitySearchOptions capacity_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  flow::CapacitySearchOptions c;
-  r.read("matrices_per_check", c.matrices_per_check);
-  r.read("threshold", c.threshold);
-  r.read("verify_matrices", c.verify_matrices);
-  r.done();
-  return c;
-}
-
-// --- growth schedules ---
-
-Value growth_step_to_json(const expansion::GrowthStep& s) {
-  Object o;
-  o.emplace_back("add_switches", s.add_switches);
-  o.emplace_back("min_servers", s.min_servers);
-  o.emplace_back("budget", s.budget);
-  o.emplace_back("rewire_limit", s.rewire_limit);
-  return Value(std::move(o));
-}
-
-expansion::GrowthStep growth_step_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  expansion::GrowthStep s;
-  r.read("add_switches", s.add_switches);
-  r.read("min_servers", s.min_servers);
-  r.read("budget", s.budget);
-  r.read("rewire_limit", s.rewire_limit);
-  r.done();
-  return s;
-}
-
-Value growth_to_json(const expansion::GrowthSchedule& g) {
-  Object o;
-  o.emplace_back("policy", g.policy);
-  Object initial;
-  initial.emplace_back("switches", g.initial.switches);
-  initial.emplace_back("ports", g.initial.ports_per_switch);
-  initial.emplace_back("servers", g.initial.servers);
-  o.emplace_back("initial", Value(std::move(initial)));
-  o.emplace_back("network_degree", g.network_degree);
-  Array steps;
-  for (const auto& s : g.steps) steps.push_back(growth_step_to_json(s));
-  o.emplace_back("steps", Value(std::move(steps)));
-  o.emplace_back("target_switches", g.target_switches);
-  o.emplace_back("step_switches", g.step_switches);
-  o.emplace_back("rewire_limit", g.rewire_limit);
-  return Value(std::move(o));
-}
-
-expansion::GrowthSchedule growth_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  expansion::GrowthSchedule g;
-  r.read("policy", g.policy);
-  if (g.policy != "jellyfish" && g.policy != "clos") {
-    schema_error(ctx + ".policy", "unknown growth policy '" + g.policy + "'");
-  }
-  if (const Value* initial = r.get("initial")) {
-    ObjectReader ir(*initial, ctx + ".initial");
-    ir.read("switches", g.initial.switches);
-    ir.read("ports", g.initial.ports_per_switch);
-    ir.read("servers", g.initial.servers);
-    ir.done();
-  }
-  r.read("network_degree", g.network_degree);
-  if (const Value* steps = r.get("steps")) {
-    const Array& arr =
-        with_ctx(ctx + ".steps", [&]() -> const Array& { return steps->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      g.steps.push_back(
-          growth_step_from_json(arr[i], ctx + ".steps[" + std::to_string(i) + "]"));
+void metrics_from_json(const Value& v, Scenario& s, const std::string& ctx) {
+  s.metrics.clear();
+  with_ctx(ctx, [&] {
+    for (const auto& m : v.as_array()) {
+      try {
+        s.metrics.push_back(metric_from_name(m.as_string()));
+      } catch (const std::invalid_argument& e) {
+        throw std::runtime_error(e.what());
+      }
     }
-  }
-  r.read("target_switches", g.target_switches);
-  r.read("step_switches", g.step_switches);
-  r.read("rewire_limit", g.rewire_limit);
-  r.done();
-  // Structural validation (generator consistency, field ranges) happens in
-  // resolve_growth_steps; run it here so a bad schedule fails at load time
-  // with the file's context path instead of mid-run.
-  try {
-    expansion::resolve_growth_steps(g);
-  } catch (const std::invalid_argument& e) {
-    schema_error(ctx, e.what());
-  }
-  return g;
+  });
+  if (s.metrics.empty()) schema_error(ctx, "must be non-empty");
 }
+
+Value seeds_to_json(const Scenario& s) {
+  Array seeds;
+  for (std::uint64_t seed : s.seeds) seeds.emplace_back(seed);
+  return Value(std::move(seeds));
+}
+
+void seeds_from_json(const Value& v, Scenario& s, const std::string& ctx) {
+  s.seeds.clear();
+  with_ctx(ctx, [&] {
+    for (const auto& seed : v.as_array()) s.seeds.push_back(seed.as_uint());
+  });
+  if (s.seeds.empty()) schema_error(ctx, "must be non-empty");
+}
+
+constexpr Field<Scenario> kScenarioRows[] = {
+    {"name", &Scenario::name},
+    {"topologies", array_of<&Scenario::topologies, kTopology>()},
+    {"routings", array_of<&Scenario::routings, kRouting>()},
+    {"traffic", nested<&Scenario::traffic, kTraffic>()},
+    {"metrics", Hook<Scenario>{metrics_to_json, metrics_from_json}},
+    {"seeds", Hook<Scenario>{seeds_to_json, seeds_from_json}},
+    {"samples_per_seed", &Scenario::samples_per_seed, Rule::kCount},
+    {"mcf", nested<&Scenario::mcf, kMcf>()},
+    {"sim", nested<&Scenario::sim, kSim>()},
+    {"capacity", nested<&Scenario::capacity, kCapacity>()},
+    {"growth", nested<&Scenario::growth, kGrowth>()},
+    {"cabling_placement", enum_member<&Scenario::cabling_placement>(kPlacements)},
+};
+
+}  // namespace
+
+const Table<Scenario> kScenario = kScenarioRows;
+const Table<TopologySpec> kTopology = kTopologyRows;
+const Table<routing::RoutingSpec> kRouting = kRoutingRows;
+const Table<TrafficSpec> kTraffic = kTrafficRows;
+const Table<flow::McfOptions> kMcf = kMcfRows;
+const Table<sim::WorkloadConfig> kSim = kSimRows;
+const Table<sim::SimConfig> kSimNet = kSimNetRows;
+const Table<flow::CapacitySearchOptions> kCapacity = kCapacityRows;
+const Table<expansion::GrowthSchedule> kGrowth = kGrowthRows;
+const Table<expansion::InitialBuild> kGrowthInitial = kGrowthInitialRows;
+const Table<expansion::GrowthStep> kGrowthStep = kGrowthStepRows;
+
+}  // namespace fields
+
+namespace {
 
 // --- sweep axes ---
 
@@ -523,73 +538,26 @@ Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_o
   const std::string ctx = "scenario";
   ObjectReader r(v, ctx);
   Scenario s;
-  r.read("name", s.name);
-  if (const Value* topos = r.get("topologies")) {
-    s.topologies.clear();
-    const Array& arr = with_ctx(ctx + ".topologies",
-                                [&]() -> const Array& { return topos->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      s.topologies.push_back(
-          topology_from_json(arr[i], ctx + ".topologies[" + std::to_string(i) + "]"));
+  fields::read_fields(r, fields::kScenario, s);
+  // Structural validation of the growth schedule (generator consistency,
+  // field ranges) happens in resolve_growth_steps; run it here so a bad
+  // schedule fails at load time with the file's context path instead of
+  // mid-run. A topology row's growth_policy swaps the planner for that row,
+  // so the schedule must be valid under each override too.
+  auto validate_growth = [&](const std::string& policy, const std::string& where) {
+    expansion::GrowthSchedule g = s.growth;
+    if (!policy.empty()) g.policy = policy;
+    try {
+      expansion::resolve_growth_steps(g);
+    } catch (const std::invalid_argument& e) {
+      schema_error(where, e.what());
     }
-  }
-  if (const Value* routings = r.get("routings")) {
-    s.routings.clear();
-    const Array& arr = with_ctx(ctx + ".routings",
-                                [&]() -> const Array& { return routings->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      s.routings.push_back(
-          routing_from_json(arr[i], ctx + ".routings[" + std::to_string(i) + "]"));
-    }
-  }
-  if (const Value* traffic = r.get("traffic")) {
-    s.traffic = traffic_from_json(*traffic, ctx + ".traffic");
-  }
-  if (const Value* metrics = r.get("metrics")) {
-    s.metrics.clear();
-    with_ctx(ctx + ".metrics", [&] {
-      for (const auto& m : metrics->as_array()) {
-        try {
-          s.metrics.push_back(metric_from_name(m.as_string()));
-        } catch (const std::invalid_argument& e) {
-          throw std::runtime_error(e.what());
-        }
-      }
-    });
-    if (s.metrics.empty()) schema_error(ctx + ".metrics", "must be non-empty");
-  }
-  if (const Value* seeds = r.get("seeds")) {
-    s.seeds.clear();
-    with_ctx(ctx + ".seeds", [&] {
-      for (const auto& seed : seeds->as_array()) s.seeds.push_back(seed.as_uint());
-    });
-    if (s.seeds.empty()) schema_error(ctx + ".seeds", "must be non-empty");
-  }
-  r.read("samples_per_seed", s.samples_per_seed);
-  if (const Value* mcf = r.get("mcf")) s.mcf = mcf_from_json(*mcf, ctx + ".mcf");
-  if (const Value* sim = r.get("sim")) s.sim = sim_from_json(*sim, ctx + ".sim");
-  if (const Value* cap = r.get("capacity")) {
-    s.capacity = capacity_from_json(*cap, ctx + ".capacity");
-  }
-  if (const Value* growth = r.get("growth")) {
-    s.growth = growth_from_json(*growth, ctx + ".growth");
-  }
-  // A topology row's growth_policy swaps the planner for that row, so the
-  // schedule must be structurally valid under the override too — catch the
-  // combination here (with the row's context path) rather than mid-batch.
+  };
+  validate_growth("", ctx + ".growth");
   for (std::size_t i = 0; i < s.topologies.size(); ++i) {
     if (s.topologies[i].growth_policy.empty()) continue;
-    expansion::GrowthSchedule overridden = s.growth;
-    overridden.policy = s.topologies[i].growth_policy;
-    try {
-      expansion::resolve_growth_steps(overridden);
-    } catch (const std::invalid_argument& e) {
-      schema_error(ctx + ".topologies[" + std::to_string(i) + "].growth_policy", e.what());
-    }
-  }
-  if (const Value* placement = r.get("cabling_placement")) {
-    s.cabling_placement =
-        placement_from(placement->as_string(), ctx + ".cabling_placement");
+    validate_growth(s.topologies[i].growth_policy,
+                    ctx + ".topologies[" + std::to_string(i) + "].growth_policy");
   }
   if (sweep_out != nullptr) {
     if (const Value* sweep = r.get("sweep")) {
@@ -606,27 +574,7 @@ Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_o
 }
 
 Value scenario_to_json_impl(const Scenario& s, const std::vector<SweepAxis>* axes) {
-  Object o;
-  o.emplace_back("name", s.name);
-  Array topos;
-  for (const auto& t : s.topologies) topos.push_back(topology_to_json(t));
-  o.emplace_back("topologies", Value(std::move(topos)));
-  Array routings;
-  for (const auto& rs : s.routings) routings.push_back(routing_to_json(rs));
-  o.emplace_back("routings", Value(std::move(routings)));
-  o.emplace_back("traffic", traffic_to_json(s.traffic));
-  Array metrics;
-  for (Metric m : s.metrics) metrics.emplace_back(metric_name(m));
-  o.emplace_back("metrics", Value(std::move(metrics)));
-  Array seeds;
-  for (std::uint64_t seed : s.seeds) seeds.emplace_back(seed);
-  o.emplace_back("seeds", Value(std::move(seeds)));
-  o.emplace_back("samples_per_seed", s.samples_per_seed);
-  o.emplace_back("mcf", mcf_to_json(s.mcf));
-  o.emplace_back("sim", sim_to_json(s.sim));
-  o.emplace_back("capacity", capacity_to_json(s.capacity));
-  o.emplace_back("growth", growth_to_json(s.growth));
-  o.emplace_back("cabling_placement", placement_name(s.cabling_placement));
+  Object o = fields::write_fields(fields::kScenario, s);
   if (axes != nullptr && !axes->empty()) {
     Array sweep;
     for (const auto& axis : *axes) sweep.push_back(axis_to_json(axis));

@@ -8,6 +8,13 @@
 // write -> load -> write is byte-identical, and Report JSON carries both the
 // raw per-seed samples and the derived aggregates.
 //
+// The Scenario writer and loader are generated from the scenario field
+// table (eval/field_table.h): one row per key, walked in row order by the
+// writer and through the same rows by the loader, which also enforces each
+// row's closed name set or [0, 1] range. Sweep fields come from the same
+// rows, so every swept or loaded field is also written — and the written
+// bytes are the result store's cell key.
+//
 // A scenario file is a JSON object of Scenario fields; an optional "sweep"
 // key turns it into a SweepSpec (see sweep.h):
 //

@@ -5,174 +5,138 @@
 
 #include "common/check.h"
 #include "common/json.h"
+#include "eval/field_table.h"
 
 namespace jf::eval {
 
 namespace {
 
-// Field name after the "topology." / "routing." / ... prefix.
-std::string_view suffix_after(std::string_view field, std::string_view prefix) {
-  return field.substr(prefix.size());
-}
+using fields::Field;
+using fields::Rule;
 
-int as_int_value(const AxisEntry& entry, double v) {
-  check(v == std::floor(v) && std::abs(v) < 2e9,
-        "sweep field '" + entry.field + "' needs an integer value");
-  return static_cast<int>(v);
-}
-
-// Count fields (switch/port/server/width counts and the like) must be
-// strictly positive: a zero or negative count would either fail much later
-// inside a topology factory with an opaque error or — worse — build a
-// silently degenerate topology. Rejecting here keeps the sweep field path
-// in the message.
-int as_count_value(const AxisEntry& entry, double v) {
-  const int n = as_int_value(entry, v);
-  check(n > 0, "sweep field '" + entry.field + "' needs a positive value, got " +
-                   json::number_to_string(v));
-  return n;
-}
+constexpr std::string_view kTopologyPrefix = "topology.";
 
 bool topology_matches(const TopologySpec& t, const std::string& only) {
   return only.empty() || t.family == only || t.label == only;
 }
 
-// Sets `member` on one TopologySpec; returns false for unknown members.
-bool set_topology_field(TopologySpec& t, std::string_view member, const AxisEntry& entry,
-                        double v) {
-  if (member == "switches") {
-    t.switches = as_count_value(entry, v);
-  } else if (member == "ports") {
-    t.ports = as_count_value(entry, v);
-  } else if (member == "servers") {
-    t.servers = as_count_value(entry, v);
-  } else if (member == "fattree_k") {
-    t.fattree_k = as_count_value(entry, v);
-  } else if (member == "degree") {
-    t.degree = as_count_value(entry, v);
-  } else if (member == "servers_per_switch") {
-    t.servers_per_switch = as_count_value(entry, v);
-  } else if (member == "containers") {
-    t.containers = as_count_value(entry, v);
-  } else if (member == "switches_per_container") {
-    t.switches_per_container = as_count_value(entry, v);
-  } else if (member == "network_degree") {
-    t.network_degree = as_count_value(entry, v);
-  } else if (member == "local_fraction") {
-    t.local_fraction = v;
-  } else if (member == "fail_links") {
-    check(v >= 0.0 && v <= 1.0,
-          "sweep field '" + entry.field + "' needs a value in [0, 1], got " +
-              json::number_to_string(v));
-    t.fail_links = v;
-  } else if (member == "grow_from") {
-    t.grow_from = as_count_value(entry, v);
-  } else if (member == "grow_step") {
-    t.grow_step = as_count_value(entry, v);
-  } else {
-    return false;
+// Every table with swept rows, in sweep_fields() order: the dotted prefix of
+// its rows and the instances of a scenario one swept value fans out to.
+template <typename Fn>
+void for_each_swept_table(Fn&& fn) {
+  fn(kTopologyPrefix, fields::kTopology, [](Scenario& s, const AxisEntry& e, const auto& set) {
+    int matched = 0;
+    for (auto& t : s.topologies) {
+      if (!topology_matches(t, e.only)) continue;
+      set(t);
+      ++matched;
+    }
+    check(matched > 0,
+          "sweep field '" + e.field + "': filter '" + e.only + "' matches no topology");
+  });
+  fn("routing.", fields::kRouting, [](Scenario& s, const AxisEntry& e, const auto& set) {
+    check(!s.routings.empty(), "sweep field '" + e.field + "': scenario has no routings");
+    for (auto& r : s.routings) set(r);
+  });
+  fn("traffic.", fields::kTraffic,
+     [](Scenario& s, const AxisEntry&, const auto& set) { set(s.traffic); });
+  fn("", fields::kScenario, [](Scenario& s, const AxisEntry&, const auto& set) { set(s); });
+  fn("sim.", fields::kSim, [](Scenario& s, const AxisEntry&, const auto& set) { set(s.sim); });
+  fn("growth.", fields::kGrowth,
+     [](Scenario& s, const AxisEntry&, const auto& set) { set(s.growth); });
+  fn("growth.", fields::kGrowthStep, [](Scenario& s, const AxisEntry& e, const auto& set) {
+    check(!s.growth.steps.empty(),
+          "sweep field '" + e.field + "': schedule has no explicit steps");
+    for (auto& step : s.growth.steps) set(step);
+  });
+}
+
+// Checks a swept value against its row's rule. Integer members also need an
+// integral value. Rejecting here keeps the sweep field path in the message,
+// where a zero count would otherwise fail much later inside a topology
+// factory with an opaque error, or build a silently degenerate topology.
+template <typename S>
+void check_swept_value(const Field<S>& f, const std::string& field, double v) {
+  if (std::holds_alternative<int S::*>(f.member)) {
+    check(v == std::floor(v) && std::abs(v) < 2e9,
+          "sweep field '" + field + "' needs an integer value");
   }
-  return true;
+  const char* need = nullptr;
+  switch (f.rule) {
+    case Rule::kCount: need = v > 0 ? nullptr : "a positive value"; break;
+    case Rule::kLimit: need = v >= -1 ? nullptr : "a value >= -1"; break;
+    case Rule::kNonNeg: need = v >= 0 ? nullptr : "a value >= 0"; break;
+    case Rule::kUnit: need = v >= 0 && v <= 1 ? nullptr : "a value in [0, 1]"; break;
+    case Rule::kFixed:
+    case Rule::kAny: break;
+  }
+  if (need != nullptr) {
+    check(false, "sweep field '" + field + "' needs " + need + ", got " +
+                     json::number_to_string(v));
+  }
+}
+
+template <typename S>
+void set_swept_value(const Field<S>& f, S& obj, const std::string& field, double v) {
+  if (const auto* m = std::get_if<int S::*>(&f.member)) {
+    obj.**m = static_cast<int>(v);
+  } else {
+    obj.*std::get<double S::*>(f.member) = v;
+  }
+  if (f.then != nullptr) f.then(obj, field);
 }
 
 }  // namespace
 
 const std::vector<std::string>& sweep_fields() {
-  static const std::vector<std::string> fields = {
-      "topology.switches",
-      "topology.ports",
-      "topology.servers",
-      "topology.fattree_k",
-      "topology.degree",
-      "topology.servers_per_switch",
-      "topology.containers",
-      "topology.switches_per_container",
-      "topology.network_degree",
-      "topology.local_fraction",
-      "topology.grow_from",
-      "topology.grow_step",
-      "topology.fail_links",
-      "routing.width",
-      "traffic.demand",
-      "traffic.num_hot",
-      "traffic.fan_in",
-      "samples_per_seed",
-      "sim.parallel_connections",
-      "sim.subflows",
-      "sim.shards",
-      "growth.step_switches",
-      "growth.target_switches",
-      "growth.rewire_limit",
-      "growth.budget",
-  };
+  static const std::vector<std::string> fields = [] {
+    std::vector<std::string> out;
+    for_each_swept_table([&](std::string_view prefix, const auto& table, const auto&) {
+      for (bool first : {true, false}) {
+        for (const auto& f : table) {
+          if (f.rule != Rule::kFixed && f.listed_first == first) {
+            out.push_back(std::string(prefix).append(f.key));
+          }
+        }
+      }
+    });
+    return out;
+  }();
   return fields;
 }
 
 void apply_sweep_value(Scenario& s, const AxisEntry& entry, double value) {
-  const std::string& f = entry.field;
-  if (f.starts_with("topology.")) {
-    int matched = 0;
-    for (auto& t : s.topologies) {
-      if (!topology_matches(t, entry.only)) continue;
-      check(set_topology_field(t, suffix_after(f, "topology."), entry, value),
-            "unknown sweep field '" + f + "'");
-      ++matched;
+  bool found = false;
+  for_each_swept_table([&](std::string_view prefix, const auto& table, const auto& fan_out) {
+    if (found || !entry.field.starts_with(prefix)) return;
+    const std::string_view key = std::string_view(entry.field).substr(prefix.size());
+    for (const auto& f : table) {
+      if (f.rule == Rule::kFixed || f.key != key) continue;
+      found = true;
+      check(entry.only.empty() || prefix == kTopologyPrefix,
+            "sweep field '" + entry.field + "': 'only' applies to topology.* fields");
+      check_swept_value(f, entry.field, value);
+      fan_out(s, entry, [&](auto& obj) { set_swept_value(f, obj, entry.field, value); });
+      return;
     }
-    check(matched > 0, "sweep field '" + f + "': filter '" + entry.only +
-                           "' matches no topology");
-    return;
-  }
-  check(entry.only.empty(), "sweep field '" + f + "': 'only' applies to topology.* fields");
-  if (f == "routing.width") {
-    check(!s.routings.empty(), "sweep field 'routing.width': scenario has no routings");
-    for (auto& r : s.routings) r.width = as_count_value(entry, value);
-  } else if (f == "traffic.demand") {
-    s.traffic.demand = value;
-  } else if (f == "traffic.num_hot") {
-    s.traffic.num_hot = as_count_value(entry, value);
-  } else if (f == "traffic.fan_in") {
-    s.traffic.fan_in = as_count_value(entry, value);
-  } else if (f == "samples_per_seed") {
-    s.samples_per_seed = as_count_value(entry, value);
-  } else if (f == "sim.parallel_connections") {
-    s.sim.parallel_connections = as_count_value(entry, value);
-  } else if (f == "sim.subflows") {
-    s.sim.subflows = as_count_value(entry, value);
-  } else if (f == "sim.shards") {
-    s.sim.shards = as_count_value(entry, value);
-  } else if (f == "growth.step_switches" || f == "growth.target_switches") {
-    // The generator fields are ignored whenever explicit steps exist —
-    // sweeping them there would silently evaluate N identical points.
-    check(s.growth.steps.empty(),
-          "sweep field '" + f + "': schedule has explicit steps (sweep "
-          "growth.budget or growth.rewire_limit instead)");
-    if (f == "growth.step_switches") {
-      s.growth.step_switches = as_count_value(entry, value);
-    } else {
-      s.growth.target_switches = as_count_value(entry, value);
+  });
+  check(found, "unknown sweep field '" + entry.field + "'");
+}
+
+bool SweepSpec::sweeps(std::string_view field) const {
+  for (const auto& axis : axes) {
+    for (const auto& entry : axis.entries) {
+      if (entry.field == field) return true;
     }
-  } else if (f == "growth.rewire_limit") {
-    // -1 means "no cap", so this is the one integer sweep field that may go
-    // below 1. Applies to the generator default and every explicit step.
-    const int limit = as_int_value(entry, value);
-    check(limit >= -1, "sweep field 'growth.rewire_limit' needs a value >= -1");
-    s.growth.rewire_limit = limit;
-    for (auto& step : s.growth.steps) step.rewire_limit = limit;
-  } else if (f == "growth.budget") {
-    check(value >= 0.0, "sweep field 'growth.budget' needs a value >= 0");
-    check(!s.growth.steps.empty(),
-          "sweep field 'growth.budget': schedule has no explicit steps");
-    for (auto& step : s.growth.steps) step.budget = value;
-  } else {
-    check(false, "unknown sweep field '" + f + "'");
   }
+  return false;
 }
 
 namespace {
 
 // "topology.servers" -> "servers"; non-topology fields keep the full path.
 std::string short_field(const std::string& field) {
-  if (field.starts_with("topology.")) return field.substr(std::string("topology.").size());
+  if (field.starts_with(kTopologyPrefix)) return field.substr(kTopologyPrefix.size());
   return field;
 }
 
@@ -207,41 +171,39 @@ std::vector<SweepPoint> expand_sweep(const SweepSpec& spec) {
     SweepPoint point;
     point.scenario = spec.base;
     std::string coord_label;
+    std::vector<std::string> suffixes(spec.base.topologies.size());
     for (std::size_t a = 0; a < spec.axes.size(); ++a) {
       const SweepAxis& axis = spec.axes[a];
       // Per-axis: each topology gets at most one label suffix (from the
       // first entry of the axis that applies to it), so zipped entries don't
       // stack redundant coordinates onto one label.
-      std::vector<bool> suffixed(point.scenario.topologies.size(), false);
+      std::vector<bool> suffixed(suffixes.size(), false);
       for (const auto& entry : axis.entries) {
         const double v = entry.values[idx[a]];
         point.coords.emplace_back(entry.field, v);
-        if (entry.field.starts_with("topology.")) {
-          // Filters match the *base* specs: label suffixes added for earlier
-          // axes/entries must not hide a topology from later entries.
-          int matched = 0;
-          for (std::size_t t = 0; t < point.scenario.topologies.size(); ++t) {
-            if (!topology_matches(spec.base.topologies[t], entry.only)) continue;
-            auto& ts = point.scenario.topologies[t];
-            check(set_topology_field(ts, suffix_after(entry.field, "topology."), entry, v),
-                  "unknown sweep field '" + entry.field + "'");
-            if (!suffixed[t]) {
-              ts.label = ts.display() + "/" + short_field(entry.field) + "=" +
-                         json::number_to_string(v);
-              suffixed[t] = true;
-            }
-            ++matched;
-          }
-          check(matched > 0, "sweep field '" + entry.field + "': filter '" + entry.only +
-                                 "' matches no topology");
-        } else {
-          apply_sweep_value(point.scenario, entry, v);
+        apply_sweep_value(point.scenario, entry, v);
+        if (!entry.field.starts_with(kTopologyPrefix)) continue;
+        for (std::size_t t = 0; t < suffixes.size(); ++t) {
+          if (suffixed[t] || !topology_matches(spec.base.topologies[t], entry.only)) continue;
+          // Appended piecewise: gcc 12's -Wrestrict misfires on "/" + string
+          // here (GCC PR 105329).
+          suffixes[t].push_back('/');
+          suffixes[t] += short_field(entry.field);
+          suffixes[t].push_back('=');
+          suffixes[t] += json::number_to_string(v);
+          suffixed[t] = true;
         }
       }
       const auto& first = axis.entries.front();
       if (!coord_label.empty()) coord_label += ' ';
       coord_label +=
           short_field(first.field) + "=" + json::number_to_string(first.values[idx[a]]);
+    }
+    // Labels change only after every entry is applied, so `only` filters
+    // always match the base specs' labels.
+    for (std::size_t t = 0; t < suffixes.size(); ++t) {
+      auto& ts = point.scenario.topologies[t];
+      if (!suffixes[t].empty()) ts.label = ts.display() + suffixes[t];
     }
     point.label = point.scenario.name;
     if (!coord_label.empty()) point.label += " [" + coord_label + "]";

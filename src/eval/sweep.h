@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,6 +46,9 @@ struct SweepAxis {
 struct SweepSpec {
   Scenario base;
   std::vector<SweepAxis> axes;  // cartesian product, first axis slowest
+
+  // True when some axis entry sweeps `field`.
+  bool sweeps(std::string_view field) const;
 };
 
 // One expanded sweep point: the concrete Scenario plus the coordinates that
@@ -57,15 +61,20 @@ struct SweepPoint {
   std::vector<std::pair<std::string, double>> coords;  // every applied entry
 };
 
-// Dotted field paths sweepable via AxisEntry::field. topology.* fields set
-// the member on every (filter-passing) TopologySpec; routing.width sets
-// every RoutingSpec's width; traffic.*/sim.* and samples_per_seed adjust the
-// scenario scalars.
+// Dotted field paths sweepable via AxisEntry::field: "<prefix>.<key>" for
+// every row of the scenario field table (eval/field_table.h) that carries a
+// sweep rule, so each swept field is also a written and loaded JSON key.
+// topology.* fields set the member on every (filter-passing) TopologySpec;
+// routing.width sets every RoutingSpec's width; growth.budget sets every
+// explicit step's budget; traffic.*/sim.*/growth.* and samples_per_seed
+// adjust the scenario scalars.
 const std::vector<std::string>& sweep_fields();
 
-// Applies one swept value to the scenario. Throws std::invalid_argument for
-// unknown fields, non-integral values on integer fields, or a topology
-// filter that matches nothing.
+// Applies one swept value to the scenario, after checking it against the
+// row's sweep rule (a positive count, an integer >= -1, a number >= 0, or a
+// number in [0, 1]). Throws std::invalid_argument for unknown fields,
+// values outside the rule, non-integral values on integer fields, or a
+// topology filter that matches nothing.
 void apply_sweep_value(Scenario& s, const AxisEntry& entry, double value);
 
 // Expands the cartesian product of the axes over the base scenario, in a

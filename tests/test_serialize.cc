@@ -2,9 +2,13 @@
 // error paths, and validity of the shipped scenarios/ files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <stdexcept>
+#include <variant>
 
 #include "eval/engine.h"
+#include "eval/field_table.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
 
@@ -150,6 +154,13 @@ TEST(Serialize, LoaderErrorPaths) {
   // truncations.
   expect_context(R"({"topologies": [{"family": "jellyfish", "switches": 4294967298}]})",
                  "topologies[0].switches");
+  // Fractions outside [0, 1] fail at load time with the field's path.
+  expect_context(R"({"topologies": [{"family": "twolayer", "local_fraction": 1.5}]})",
+                 "topologies[0].local_fraction");
+  expect_context(R"({"topologies": [{"family": "twolayer", "local_fraction": -0.1}]})",
+                 "topologies[0].local_fraction");
+  expect_context(R"({"topologies": [{"family": "jellyfish", "fail_links": -0.5}]})",
+                 "topologies[0].fail_links");
 }
 
 TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
@@ -195,17 +206,170 @@ TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
 }
 
 TEST(Serialize, ShippedScenarioFilesLoadAndExpand) {
-  const char* files[] = {"fig02a.json", "fig02b.json", "fig02c.json", "fig04.json",
-                         "fig05.json",  "fig06.json",  "fig07.json",  "fig08.json",
-                         "fig09_ksp.json", "cabling.json", "growth_smoke.json",
-                         "sim_smoke.json", "smoke.json"};
-  for (const char* f : files) {
-    SCOPED_TRACE(f);
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(JF_SCENARIO_DIR)) {
+    if (e.path().extension() == ".json") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& f : files) {
+    SCOPED_TRACE(f.filename().string());
     eval::SweepSpec spec;
-    ASSERT_NO_THROW(spec = eval::load_sweep_file(std::string(JF_SCENARIO_DIR "/") + f));
+    ASSERT_NO_THROW(spec = eval::load_sweep_file(f.string()));
     std::vector<eval::SweepPoint> points;
     ASSERT_NO_THROW(points = eval::expand_sweep(spec));
     EXPECT_FALSE(points.empty());
+    // The canonical form of every shipped file round-trips byte for byte.
+    const std::string once = eval::sweep_to_json(spec).dump(2);
+    EXPECT_EQ(eval::sweep_to_json(eval::sweep_from_json(json::Value::parse(once))).dump(2),
+              once);
+  }
+}
+
+// --- completeness, driven by the scenario field table ---
+
+template <typename... Fs>
+struct Overload : Fs... {
+  using Fs::operator()...;
+};
+
+// Scenarios in which every field table has an instance, one per growth
+// schedule shape a row may need: the default schedule; zero initial servers,
+// so the uniform-regime network_degree may take any legal value; and one
+// explicit step, which excludes the generator's target_switches.
+std::vector<eval::Scenario> probe_bases() {
+  eval::Scenario s;
+  s.topologies = {{.family = "jellyfish", .switches = 20, .ports = 6, .servers = 40}};
+  s.routings = {{"ksp", 4}};
+  std::vector<eval::Scenario> bases(3, s);
+  bases[1].growth.initial.servers = 0;
+  bases[2].growth.steps = {expansion::GrowthStep{}};
+  return bases;
+}
+
+// Calls fn(table, pick) for every field table, where pick(scenario) points
+// at the table's struct inside a probe_bases() scenario (nullptr if absent).
+template <typename Fn>
+void for_each_table(Fn&& fn) {
+  namespace f = eval::fields;
+  fn(f::kScenario, [](eval::Scenario& s) { return &s; });
+  fn(f::kTopology, [](eval::Scenario& s) { return &s.topologies[0]; });
+  fn(f::kRouting, [](eval::Scenario& s) { return &s.routings[0]; });
+  fn(f::kTraffic, [](eval::Scenario& s) { return &s.traffic; });
+  fn(f::kMcf, [](eval::Scenario& s) { return &s.mcf; });
+  fn(f::kSim, [](eval::Scenario& s) { return &s.sim; });
+  fn(f::kSimNet, [](eval::Scenario& s) { return &s.sim.sim; });
+  fn(f::kCapacity, [](eval::Scenario& s) { return &s.capacity; });
+  fn(f::kGrowth, [](eval::Scenario& s) { return &s.growth; });
+  fn(f::kGrowthInitial, [](eval::Scenario& s) { return &s.growth.initial; });
+  fn(f::kGrowthStep, [](eval::Scenario& s) {
+    return s.growth.steps.empty() ? nullptr : &s.growth.steps[0];
+  });
+}
+
+template <typename T>
+std::vector<T> probe_values() {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return {"probe"};
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return {0.25, 0.75, 2.5};
+  } else {
+    return {1, 2, 7, 100};
+  }
+}
+
+// Sets row `f` to each candidate value in turn, on each probe base. The first
+// candidate that changes the written bytes and loads back must round-trip
+// byte for byte and survive the load. Returns whether one did.
+template <typename S, typename Pick>
+bool probe_row(const eval::fields::Field<S>& f, Pick pick) {
+  for (const eval::Scenario& base : probe_bases()) {
+    const std::string base_bytes = eval::scenario_to_json(base).dump(2);
+    auto attempt = [&](auto set, auto same) {
+      eval::Scenario s = base;
+      if (pick(s) == nullptr) return false;
+      set(*pick(s));
+      const std::string once = eval::scenario_to_json(s).dump(2);
+      if (once == base_bytes) return false;
+      eval::Scenario loaded;
+      try {
+        loaded = eval::scenario_from_json(json::Value::parse(once));
+      } catch (const std::invalid_argument&) {
+        return false;
+      }
+      EXPECT_EQ(eval::scenario_to_json(loaded).dump(2), once);
+      EXPECT_TRUE(same(*pick(loaded), *pick(s)));
+      return true;
+    };
+    const bool ok = std::visit(
+        Overload{
+            [&](const eval::fields::Named<S>& n) {
+              for (const auto& c : n.choices->names) {
+                if (attempt([&](S& x) { x.*n.member = std::string(c.name); },
+                            [&](const S& a, const S& b) { return a.*n.member == b.*n.member; })) {
+                  return true;
+                }
+              }
+              return false;
+            },
+            [&](const eval::fields::Enum<S>& e) {
+              for (const auto& c : e.choices->names) {
+                if (attempt([&](S& x) { e.set(x, c.value); },
+                            [&](const S& a, const S& b) { return e.get(a) == e.get(b); })) {
+                  return true;
+                }
+              }
+              return false;
+            },
+            // Containers and nested objects are probed through their own rows.
+            [&](const eval::fields::Hook<S>&) { return true; },
+            [&](auto m) {
+              using T = std::remove_cvref_t<decltype(std::declval<S&>().*m)>;
+              for (const T& v : probe_values<T>()) {
+                if (attempt([&](S& x) { x.*m = v; },
+                            [&](const S& a, const S& b) { return a.*m == b.*m; })) {
+                  return true;
+                }
+              }
+              return false;
+            }},
+        f.member);
+    if (ok) return true;
+  }
+  return false;
+}
+
+TEST(Serialize, EveryTableRowRoundTrips) {
+  int rows = 0;
+  for_each_table([&](const auto& table, auto pick) {
+    for (const auto& f : table) {
+      SCOPED_TRACE(std::string(f.key));
+      EXPECT_TRUE(probe_row(f, pick)) << "no non-default legal value round-trips";
+      ++rows;
+    }
+  });
+  EXPECT_GT(rows, 60);
+}
+
+TEST(Serialize, EverySweepFieldReachesTheCanonicalBytes) {
+  // The canonical bytes are the result-store cell key: a swept value that
+  // left them unchanged would let two sweep points share a cached cell.
+  for (const auto& field : eval::sweep_fields()) {
+    SCOPED_TRACE(field);
+    bool changed = false;
+    for (const eval::Scenario& base : probe_bases()) {
+      const std::string base_bytes = eval::scenario_to_json(base).dump(2);
+      for (double v : {0.25, 3.0}) {
+        eval::Scenario s = base;
+        try {
+          eval::apply_sweep_value(s, {field, "", {}}, v);
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        changed = changed || eval::scenario_to_json(s).dump(2) != base_bytes;
+      }
+    }
+    EXPECT_TRUE(changed) << "no legal swept value changes scenario_to_json";
   }
 }
 

@@ -129,6 +129,34 @@ TEST(Sweep, CountFieldsRejectNonPositiveValues) {
   EXPECT_EQ(s.traffic.demand, 0.0);
 }
 
+TEST(Sweep, FractionFieldsRejectValuesOutsideUnitInterval) {
+  eval::Scenario s;
+  s.topologies = {{.family = "twolayer", .ports = 8, .servers_per_switch = 2,
+                   .containers = 2, .switches_per_container = 4, .network_degree = 6}};
+  // Out-of-range fractions fail up front with the field path in the
+  // message, not later inside the topology builder.
+  for (const char* field : {"topology.local_fraction", "topology.fail_links"}) {
+    for (double bad : {-0.25, 1.5}) {
+      try {
+        eval::apply_sweep_value(s, {field, "", {}}, bad);
+        FAIL() << field << " accepted " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+    eval::apply_sweep_value(s, {field, "", {}}, 1.0);
+  }
+  EXPECT_EQ(s.topologies[0].local_fraction, 1.0);
+  EXPECT_EQ(s.topologies[0].fail_links, 1.0);
+}
+
+TEST(Sweep, SweepsReportsSweptFields) {
+  const auto spec = two_axis_spec();
+  EXPECT_TRUE(spec.sweeps("topology.servers"));
+  EXPECT_TRUE(spec.sweeps("routing.width"));
+  EXPECT_FALSE(spec.sweeps("sim.shards"));
+}
+
 TEST(Sweep, RunSweepByteIdenticalAcrossThreadCounts) {
   const auto spec = two_axis_spec();
   eval::SweepSpec small = spec;
