@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -44,35 +46,53 @@ ArcGraph build_arcs(const graph::Graph& g, double capacity) {
   return a;
 }
 
-// Dijkstra under arc lengths; fills dist and parent-arc; early-exits once the
-// target is settled. Returns dist to `t` (infinity if unreachable). Ties in
-// the priority queue break on node id, so the parent forest — and therefore
-// the extracted path — depends only on the lengths, never on scheduling.
-double dijkstra(const ArcGraph& a, int s, int t, std::vector<double>& dist,
-                std::vector<int>& parent_arc) {
+// Per-slot search scratch, reused across sweeps so searches stay
+// allocation-free after the first round. Each search writes its heap's
+// vector header on every push and pop, so slots sit on separate cache lines.
+struct alignas(64) SearchScratch {
+  std::vector<double> dist;
+  std::vector<int> parent_arc;
+  std::vector<char> pending;  // target marks; all clear between searches
+  std::vector<std::pair<double, int>> heap;
+};
+
+// Single-source Dijkstra under arc lengths from `s`; fills dist and
+// parent-arc and stops once the `num_targets` nodes marked in `pending` are
+// settled (it clears each mark as it settles that node). A node is pushed
+// again only at a strictly smaller dist, so heap entries are distinct
+// (dist, node) pairs and the pop order — and therefore the parent forest —
+// depends only on the lengths, never on scheduling. Lengths are
+// positive and d + len >= d in floating point, so a settled node's dist and
+// parent arc never change again: each target's distance and path are
+// exactly those of a search that stopped at that target alone.
+void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  dist.assign(static_cast<std::size_t>(a.num_nodes), kInf);
-  parent_arc.assign(static_cast<std::size_t>(a.num_nodes), -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[s] = 0.0;
-  pq.emplace(0.0, s);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == t) break;
+  w.dist.assign(static_cast<std::size_t>(a.num_nodes), kInf);
+  w.parent_arc.assign(static_cast<std::size_t>(a.num_nodes), -1);
+  auto& heap = w.heap;
+  heap.clear();
+  w.dist[s] = 0.0;
+  heap.emplace_back(0.0, s);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const auto [d, u] = heap.back();
+    heap.pop_back();
+    if (d > w.dist[u]) continue;
+    if (w.pending[u]) {
+      w.pending[u] = 0;
+      if (--num_targets == 0) break;
+    }
     for (int i = a.first[u]; i < a.first[u + 1]; ++i) {
       const int v = a.to[i];
       const double nd = d + a.len[i];
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent_arc[v] = i;
-        pq.emplace(nd, v);
+      if (nd < w.dist[v]) {
+        w.dist[v] = nd;
+        w.parent_arc[v] = i;
+        heap.emplace_back(nd, v);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
       }
     }
   }
-  return dist[t];
 }
 
 }  // namespace
@@ -113,20 +133,36 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   }
 
   // GK telemetry: counts are exact and schedule-independent (rounds/phases
-  // are decided by the serial apply order); the _ns distributions are wall
-  // times. sweep_ns also covers the sweeps dual_upper() issues.
+  // are decided by the serial apply order, searches by the sources each
+  // sweep lists); the _ns distributions are wall times. sweep_ns and
+  // searches also cover the sweeps dual_upper() issues.
   static obs::Counter& obs_solves = obs::counter("mcf.solves");
   static obs::Counter& obs_phases = obs::counter("mcf.phases");
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
+  static obs::Counter& obs_searches = obs::counter("mcf.searches");
   static obs::Distribution& obs_sweep_ns = obs::distribution("mcf.sweep_ns");
   static obs::Distribution& obs_apply_ns = obs::distribution("mcf.apply_ns");
   obs_solves.increment();
   obs::Span span("mcf.solve", "mcf");
   span.arg("commodities", static_cast<std::int64_t>(cs.size()));
+  std::int64_t searches = 0;
+  // Every exit from here on reports its phase and search counts.
+  auto finish = [&]() {
+    span.arg("phases", result.phases);
+    span.arg("searches", searches);
+    return result;
+  };
+  // A disconnected commodity admits no concurrent flow at all.
+  auto disconnected = [&]() {
+    result.lambda = 0.0;
+    result.lambda_upper = 0.0;
+    result.decided_below = opts.decide_threshold >= 0;
+    return finish();
+  };
 
   ArcGraph a = build_arcs(g, opts.link_capacity);
   const std::size_t m = a.to.size();
-  if (m == 0) return result;  // no links: nothing routable
+  if (m == 0) return disconnected();  // no links: nothing routable
 
   // Source node of each CSR arc (for path extraction).
   std::vector<int> arc_src(m);
@@ -142,41 +178,84 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   const int num_cs = static_cast<int>(cs.size());
   std::vector<double> routed(cs.size(), 0.0);  // flow shipped per commodity
 
+  std::vector<int> all_commodities(cs.size());
+  for (int j = 0; j < num_cs; ++j) all_commodities[static_cast<std::size_t>(j)] = j;
+
+  // Source groups of a sweep: a counting pass over source switches buckets
+  // the listed indices (in listed order within a bucket) into `grouped`;
+  // group k is grouped[group_first[k], group_first[k + 1]). Returns the
+  // number of groups, i.e. of distinct sources.
+  const std::size_t num_nodes = static_cast<std::size_t>(a.num_nodes);
+  auto src_of = [&](int j) { return cs[static_cast<std::size_t>(j)].src_switch; };
+  std::vector<int> bucket(num_nodes + 1);
+  std::vector<int> grouped;
+  std::vector<int> group_first;
+  auto group_by_source = [&](const std::vector<int>& js) {
+    std::fill(bucket.begin(), bucket.end(), 0);
+    for (int j : js) ++bucket[static_cast<std::size_t>(src_of(j)) + 1];
+    group_first.clear();
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      if (bucket[v + 1] > 0) group_first.push_back(bucket[v]);
+      bucket[v + 1] += bucket[v];
+    }
+    const int num_groups = static_cast<int>(group_first.size());
+    group_first.push_back(static_cast<int>(js.size()));
+    grouped.resize(js.size());
+    for (int j : js) grouped[static_cast<std::size_t>(bucket[src_of(j)]++)] = j;
+    return num_groups;
+  };
+
   // Workers borrowed for the whole solve: every round's Dijkstra sweep runs
-  // on 1 + extra threads (extra may be 0 — same schedule, serial execution).
-  // Per-slot scratch keeps the sweeps allocation-free after the first round;
-  // per-commodity outputs (dists, paths) land in index-addressed slots, so
-  // nothing depends on which worker computed what.
-  parallel::WorkerTeam team(budget, num_cs - 1);
-  std::vector<std::vector<double>> dist_scratch(static_cast<std::size_t>(team.size()));
-  std::vector<std::vector<int>> parent_scratch(static_cast<std::size_t>(team.size()));
+  // one search per distinct source on 1 + extra threads (extra may be 0 —
+  // same schedule, serial execution). Per-slot scratch keeps the sweeps
+  // allocation-free after the first round; per-commodity outputs (dists,
+  // paths) land in index-addressed slots, so nothing depends on which worker
+  // computed what.
+  parallel::WorkerTeam team(budget, group_by_source(all_commodities) - 1);
+  std::vector<SearchScratch> scratch(static_cast<std::size_t>(team.size()));
+  for (SearchScratch& w : scratch) w.pending.assign(num_nodes, 0);
   std::vector<double> dists(cs.size(), 0.0);
   std::vector<std::vector<int>> paths(cs.size());
 
   // Shortest path for every listed commodity against the *current* lengths,
-  // which the caller must keep frozen for the duration of the sweep.
+  // which the caller must keep frozen for the duration of the sweep: one
+  // search per distinct source, stopping once its distinct targets settle.
   auto sweep = [&](const std::vector<int>& js) {
     obs::ScopedTimer sweep_timer(obs_sweep_ns);
-    team.run(static_cast<int>(js.size()), [&](int k, int slot) {
-      const int j = js[static_cast<std::size_t>(k)];
-      const Commodity& c = cs[static_cast<std::size_t>(j)];
-      auto& parent = parent_scratch[static_cast<std::size_t>(slot)];
-      const double d =
-          dijkstra(a, c.src_switch, c.dst_switch, dist_scratch[static_cast<std::size_t>(slot)],
-                   parent);
-      dists[static_cast<std::size_t>(j)] = d;
-      auto& path = paths[static_cast<std::size_t>(j)];
-      path.clear();
-      if (std::isfinite(d)) {
-        for (int cur = c.dst_switch; parent[cur] != -1; cur = arc_src[parent[cur]]) {
-          path.push_back(parent[cur]);
+    const int num_groups = group_by_source(js);
+    searches += num_groups;
+    obs_searches.add(num_groups);
+
+    team.run(num_groups, [&](int k, int slot) {
+      const auto members = std::span<const int>(grouped).subspan(
+          static_cast<std::size_t>(group_first[k]),
+          static_cast<std::size_t>(group_first[k + 1] - group_first[k]));
+      SearchScratch& w = scratch[static_cast<std::size_t>(slot)];
+      int num_targets = 0;
+      for (int j : members) {
+        const int t = cs[static_cast<std::size_t>(j)].dst_switch;
+        char& mark = w.pending[static_cast<std::size_t>(t)];
+        if (!mark) {
+          mark = 1;
+          ++num_targets;
+        }
+      }
+      dijkstra(a, src_of(members.front()), num_targets, w);
+      for (int j : members) {
+        const int t = cs[static_cast<std::size_t>(j)].dst_switch;
+        w.pending[static_cast<std::size_t>(t)] = 0;  // the search leaves unreached marks set
+        const double d = w.dist[static_cast<std::size_t>(t)];
+        dists[static_cast<std::size_t>(j)] = d;
+        auto& path = paths[static_cast<std::size_t>(j)];
+        path.clear();
+        if (std::isfinite(d)) {
+          for (int cur = t; w.parent_arc[cur] != -1; cur = arc_src[w.parent_arc[cur]]) {
+            path.push_back(w.parent_arc[cur]);
+          }
         }
       }
     });
   };
-
-  std::vector<int> all_commodities(cs.size());
-  for (int j = 0; j < num_cs; ++j) all_commodities[static_cast<std::size_t>(j)] = j;
 
   // Certified primal value: scale all accumulated flow down by the worst
   // arc overload; the result is feasible, so lambda >= min_j routed_j/(ovl*d_j).
@@ -232,13 +311,7 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
       still_active.clear();
       for (int j : active) {
         const std::size_t ji = static_cast<std::size_t>(j);
-        if (!std::isfinite(dists[ji])) {
-          // Disconnected commodity: no concurrent flow is possible.
-          result.lambda = 0.0;
-          result.lambda_upper = 0.0;
-          result.decided_below = opts.decide_threshold >= 0;
-          return result;
-        }
+        if (!std::isfinite(dists[ji])) return disconnected();
         const auto& path = paths[ji];
         double bottleneck = std::numeric_limits<double>::infinity();
         for (int arc : path) bottleneck = std::min(bottleneck, a.cap[arc]);
@@ -259,7 +332,7 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
 
     if (opts.decide_threshold >= 0 && result.lambda >= opts.decide_threshold) {
       result.decided_above = true;
-      return result;
+      return finish();
     }
     const bool check_dual =
         opts.decide_threshold >= 0 || (phase + 1) % dual_check_every == 0;
@@ -267,7 +340,7 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
       result.lambda_upper = std::min(result.lambda_upper, dual_upper());
       if (opts.decide_threshold >= 0 && result.lambda_upper < opts.decide_threshold) {
         result.decided_below = true;
-        return result;
+        return finish();
       }
       if (result.lambda_upper <= result.lambda * (1.0 + kRelativeDualGap)) break;
       // Plateau detection: the certified primal improves ~lambda/phase per
@@ -283,8 +356,7 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
     }
   }
   result.lambda_upper = std::min(result.lambda_upper, dual_upper());
-  span.arg("phases", result.phases);
-  return result;
+  return finish();
 }
 
 }  // namespace jf::flow

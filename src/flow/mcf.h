@@ -14,9 +14,12 @@
 //
 // The routing loop is epoch-batched (Fleischer-style): each round freezes
 // the arc lengths, computes every active commodity's shortest path — an
-// embarrassingly parallel Dijkstra sweep executed on workers borrowed from
-// an optional parallel::WorkBudget — and then applies flow and length
-// updates in canonical commodity order on one thread. Both certificates
+// embarrassingly parallel Dijkstra sweep with one search per distinct
+// source switch, stopping once that source's targets are settled, executed
+// on workers borrowed from an optional parallel::WorkBudget — and then
+// applies flow and length updates in canonical commodity order on one
+// thread. A target's distance and parent arc are final once it is settled,
+// so sharing a search across commodities changes no path. Both certificates
 // hold for *any* length function, so batching never invalidates the bounds,
 // and because the schedule of rounds is independent of the worker count the
 // solver returns bit-identical results at every thread count.
@@ -65,10 +68,13 @@ double gk_initial_length(std::size_t num_arcs, double epsilon, double capacity);
 // Solves max concurrent flow for switch-level commodities on the switch
 // graph; every cable is two directed arcs of `link_capacity` each.
 // Commodities with zero demand are ignored; an empty commodity set yields
-// lambda = infinity clamped to 1e9.
+// lambda = infinity clamped to 1e9. If any positive-demand commodity is
+// disconnected (including on a graph with no links), lambda = lambda_upper
+// = 0 and, with decide_threshold >= 0, decided_below is set.
 //
 // `budget` (optional) lends extra worker threads to the per-round Dijkstra
-// sweeps; results are bit-identical with or without it.
+// sweeps (at most one per distinct source); results are bit-identical with
+// or without it.
 McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> commodities,
                               const McfOptions& opts = {},
                               parallel::WorkBudget* budget = nullptr);

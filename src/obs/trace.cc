@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -20,8 +21,8 @@ struct TraceEvent {
   const char* cat = nullptr;
   std::int64_t start_ns = 0;
   std::int64_t dur_ns = 0;
-  const char* arg_keys[2] = {nullptr, nullptr};
-  std::int64_t arg_vals[2] = {0, 0};
+  const char* arg_keys[kMaxSpanArgs] = {};
+  std::int64_t arg_vals[kMaxSpanArgs] = {};
 };
 
 constexpr std::size_t kRingCapacity = 1 << 16;  // per thread
@@ -81,7 +82,7 @@ Span::Span(const char* name, const char* category) : name_(name), cat_(category)
 
 void Span::arg(const char* key, std::int64_t value) {
   if (start_ns_ < 0) return;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
     if (arg_keys_[i] == nullptr) {
       arg_keys_[i] = key;
       arg_vals_[i] = value;
@@ -97,10 +98,8 @@ Span::~Span() {
   ev.cat = cat_;
   ev.start_ns = start_ns_;
   ev.dur_ns = monotonic_ns() - start_ns_;
-  ev.arg_keys[0] = arg_keys_[0];
-  ev.arg_keys[1] = arg_keys_[1];
-  ev.arg_vals[0] = arg_vals_[0];
-  ev.arg_vals[1] = arg_vals_[1];
+  std::copy(std::begin(arg_keys_), std::end(arg_keys_), ev.arg_keys);
+  std::copy(std::begin(arg_vals_), std::end(arg_vals_), ev.arg_vals);
   this_thread_buffer().push(ev);
 }
 
@@ -144,7 +143,7 @@ json::Value trace_to_json() {
     o.emplace_back("tid", k.tid);
     if (k.ev->arg_keys[0] != nullptr) {
       json::Object args;
-      for (int i = 0; i < 2; ++i) {
+      for (int i = 0; i < kMaxSpanArgs; ++i) {
         if (k.ev->arg_keys[i] != nullptr) args.emplace_back(k.ev->arg_keys[i], k.ev->arg_vals[i]);
       }
       o.emplace_back("args", json::Value(std::move(args)));

@@ -40,9 +40,12 @@ inline bool trace_enabled() {
 }
 void set_trace_enabled(bool on);
 
-// A scoped trace span ("X" complete event in the Chrome format). Up to two
-// integer args may be attached before destruction; they render in the
-// viewer's detail pane.
+// Integer args one span may carry.
+inline constexpr int kMaxSpanArgs = 3;
+
+// A scoped trace span ("X" complete event in the Chrome format). Up to
+// kMaxSpanArgs integer args may be attached before destruction; they render
+// in the viewer's detail pane.
 class Span {
  public:
   explicit Span(const char* name, const char* category = "jf");
@@ -56,8 +59,8 @@ class Span {
   const char* name_;
   const char* cat_;
   std::int64_t start_ns_ = -1;  // -1: tracing was disabled at construction
-  const char* arg_keys_[2] = {nullptr, nullptr};
-  std::int64_t arg_vals_[2] = {0, 0};
+  const char* arg_keys_[kMaxSpanArgs] = {};
+  std::int64_t arg_vals_[kMaxSpanArgs] = {};
 };
 
 // Events currently buffered across all threads (post-wrap, the ring

@@ -1,17 +1,22 @@
 // flow/mcf: decision mode (decide_threshold certificates), disconnected
-// commodities, the log-space initial-length fix for tiny epsilon, and
-// bit-identity of the parallel solver vs the serial path at several thread
-// counts.
+// commodities and edgeless graphs, the log-space initial-length fix for tiny
+// epsilon, bit-identity of the parallel solver vs the serial path at several
+// thread counts, golden results pinned as hex-float literals, and the exact
+// search counter and span args.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "flow/mcf.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -61,6 +66,11 @@ TEST(McfParallel, DecisionModeBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.phases, parallel.phases);
   EXPECT_EQ(serial.decided_above, parallel.decided_above);
   EXPECT_EQ(serial.decided_below, parallel.decided_below);
+}
+
+std::vector<Commodity> permutation_commodities(const topo::Topology& topo, Rng& rng) {
+  const auto tm = traffic::random_permutation(topo.num_servers(), rng);
+  return traffic::to_switch_commodities(topo, tm);
 }
 
 // A path 0 - 1 - 2 with both 0->2 and 1->2 at unit demand: arc 1->2 carries
@@ -177,6 +187,207 @@ TEST(McfOptionsChecks, RejectsDegenerateRanges) {
   opts = {};
   opts.convergence_tol = -1.0;
   EXPECT_THROW(max_concurrent_flow(g, cs, opts), std::invalid_argument);
+}
+
+// --- golden results ---
+//
+// Exact results of the solver as it stood when every round ran one
+// early-exit Dijkstra per commodity, recorded as hex-float literals. A sweep
+// that runs one search per distinct source must settle every target with
+// the same distance and parent arc, and the epoch-batched round schedule is
+// the same at any worker count, so every floating-point operation happens
+// in the same order: each result is bit-identical at every thread count.
+
+struct Golden {
+  double lambda;
+  double lambda_upper;
+  int phases;
+  bool decided_above;
+  bool decided_below;
+};
+
+void expect_golden(const graph::Graph& g, const std::vector<Commodity>& cs,
+                   const McfOptions& opts, const Golden& want) {
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    const McfResult got = solve_with_threads(g, cs, opts, threads);
+    EXPECT_EQ(got.lambda, want.lambda);
+    EXPECT_EQ(got.lambda_upper, want.lambda_upper);
+    EXPECT_EQ(got.phases, want.phases);
+    EXPECT_EQ(got.decided_above, want.decided_above);
+    EXPECT_EQ(got.decided_below, want.decided_below);
+  }
+}
+
+McfOptions decide_at(double threshold) {
+  McfOptions opts;
+  opts.decide_threshold = threshold;
+  return opts;
+}
+
+TEST(McfGolden, FatTreeK4Permutation) {
+  const auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  const auto cs = permutation_commodities(ft, rng);
+  expect_golden(ft.switches(), cs, {},
+                {0x1.f89467e2519f9p-1, 0x1.133c97c78fa42p+0, 70, false, false});
+}
+
+TEST(McfGolden, FatTreeK6Permutation) {
+  const auto ft = topo::build_fattree(6);
+  Rng rng(11);
+  const auto cs = permutation_commodities(ft, rng);
+  expect_golden(ft.switches(), cs, {},
+                {0x1.ca1af286bca1bp-1, 0x1.287f940aa664ep+0, 30, false, false});
+}
+
+TEST(McfGolden, JellyfishPermutation) {
+  Rng rng(42);
+  const auto topo = topo::build_jellyfish(
+      {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
+  const auto cs = permutation_commodities(topo, rng);
+  expect_golden(topo.switches(), cs, {},
+                {0x1.4f0f0f0f0f0f1p-1, 0x1.6baee258b43c5p-1, 100, false, false});
+}
+
+// Sources interleaved in the list, and (0, 3) listed twice: grouping must
+// not assume sorted input and must count a repeated target once.
+TEST(McfGolden, InterleavedSourcesAndRepeatedPair) {
+  graph::Graph g(6);
+  for (int v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6);
+  g.add_edge(0, 3);
+  g.add_edge(1, 4);
+  const std::vector<Commodity> cs = {{0, 3, 1.0}, {2, 5, 0.5}, {0, 4, 1.0}, {1, 3, 2.0},
+                                     {2, 0, 1.0}, {0, 3, 1.0}, {5, 1, 1.5}, {1, 5, 1.0}};
+  expect_golden(g, cs, {}, {0x1.38a65d38a65d3p-1, 0x1.48d441f700751p-1, 120, false, false});
+}
+
+TEST(McfGolden, DecideAbove) {
+  const auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  const auto cs = permutation_commodities(ft, rng);
+  expect_golden(ft.switches(), cs, decide_at(0.9),
+                {0x1.d1745d1745d17p-1, 0x1.1af60faf07999p+0, 10, true, false});
+}
+
+TEST(McfGolden, DecideBelow) {
+  const auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  const auto cs = permutation_commodities(ft, rng);
+  expect_golden(ft.switches(), cs, decide_at(1.1),
+                {0x1.ef7bdef7bdef8p-1, 0x1.17a3b76dc5262p+0, 30, false, true});
+}
+
+// The smoke instance `bench_mcf_scaling --switches 80 --degree 8` solves.
+TEST(McfGolden, McfScalingSmokeInstance) {
+  Rng rng(1);
+  const auto topo = topo::build_jellyfish(
+      {.num_switches = 80, .ports_per_switch = 12, .network_degree = 8}, rng);
+  const auto cs = permutation_commodities(topo, rng);
+  ASSERT_EQ(cs.size(), 312u);
+  expect_golden(topo.switches(), cs, {},
+                {0x1.7c93d9ab1f7c9p-1, 0x1.9be63ecca793ep-1, 140, false, false});
+}
+
+// --- edgeless graphs ---
+
+TEST(McfEdgeless, PositiveDemandOnNoLinksDecidesBelow) {
+  graph::Graph g(3);
+  const std::vector<Commodity> cs = {{0, 1, 1.0}, {2, 0, 0.5}};
+  const auto res = max_concurrent_flow(g, cs, {});
+  EXPECT_EQ(res.lambda, 0.0);
+  EXPECT_EQ(res.lambda_upper, 0.0);
+  EXPECT_FALSE(res.decided_above);
+  EXPECT_FALSE(res.decided_below);  // no threshold: no decision claimed
+
+  const auto decided = max_concurrent_flow(g, cs, decide_at(0.5));
+  EXPECT_EQ(decided.lambda, 0.0);
+  EXPECT_EQ(decided.lambda_upper, 0.0);
+  EXPECT_FALSE(decided.decided_above);
+  EXPECT_TRUE(decided.decided_below);
+}
+
+// --- search counter and span args ---
+
+// Metrics and tracing on for one test; both off again afterwards.
+struct ObsOn {
+  ObsOn() {
+    obs::set_metrics_enabled(true);
+    obs::set_trace_enabled(true);
+    obs::reset_metrics();
+    obs::reset_trace();
+  }
+  ~ObsOn() {
+    obs::set_metrics_enabled(false);
+    obs::set_trace_enabled(false);
+  }
+};
+
+std::int64_t counter_value(const char* name) { return obs::counter(name).value(); }
+
+TEST(McfSearches, OneSearchPerDistinctSourcePerSweep) {
+  // One link; three commodities from two sources. Every commodity fits in
+  // one round, so each of the 5 phases is one round of 2 searches. With 5
+  // phases no periodic dual check fires, and the final dual bound adds one
+  // more sweep: 2 x (5 + 1) = 12 searches, at any thread count.
+  graph::Graph g(2);
+  g.add_edge(0, 1);
+  const std::vector<Commodity> cs = {{0, 1, 1.0}, {1, 0, 1.0}, {0, 1, 0.5}};
+  McfOptions opts;
+  opts.max_phases = 5;
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    ObsOn on;
+    const auto res = solve_with_threads(g, cs, opts, threads);
+    EXPECT_EQ(res.phases, 5);
+    EXPECT_EQ(counter_value("mcf.rounds"), 5);
+    EXPECT_EQ(counter_value("mcf.searches"), 12);
+  }
+}
+
+// The mcf.solve span carries phases and searches on every exit: normal,
+// decided above, decided below, disconnected and edgeless.
+TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
+  const auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  const auto cs = permutation_commodities(ft, rng);
+  graph::Graph split(4);
+  split.add_edge(0, 1);
+  split.add_edge(2, 3);
+  const std::vector<Commodity> cut = {{0, 1, 1.0}, {0, 2, 1.0}};
+  const graph::Graph edgeless(2);
+  const std::vector<Commodity> one = {{0, 1, 1.0}};
+  struct Case {
+    const char* name;
+    const graph::Graph& g;
+    const std::vector<Commodity>& cs;
+    McfOptions opts;
+  };
+  const std::vector<Case> cases = {{"normal", ft.switches(), cs, {}},
+                                   {"above", ft.switches(), cs, decide_at(0.9)},
+                                   {"below", ft.switches(), cs, decide_at(1.1)},
+                                   {"disconnected", split, cut, decide_at(0.5)},
+                                   {"edgeless", edgeless, one, decide_at(0.5)}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::int64_t searches = 0;
+    for (int threads : {1, 8}) {
+      ObsOn on;
+      const auto res = solve_with_threads(c.g, c.cs, c.opts, threads);
+      const json::Value trace = obs::trace_to_json();
+      const json::Value* args = nullptr;
+      for (const json::Value& ev : trace.find("traceEvents")->as_array()) {
+        if (ev.find("name")->as_string() == "mcf.solve") args = ev.find("args");
+      }
+      ASSERT_NE(args, nullptr);
+      ASSERT_NE(args->find("phases"), nullptr);
+      ASSERT_NE(args->find("searches"), nullptr);
+      EXPECT_EQ(args->find("phases")->as_int(), res.phases);
+      EXPECT_EQ(args->find("searches")->as_int(), counter_value("mcf.searches"));
+      if (threads == 1) searches = counter_value("mcf.searches");
+      EXPECT_EQ(counter_value("mcf.searches"), searches) << threads;
+    }
+  }
 }
 
 }  // namespace
