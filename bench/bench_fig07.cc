@@ -43,10 +43,11 @@ void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
   if (jf_bis.empty() || clos_bis.empty() || jf_cost.size() != jf_bis.size()) return;
 
   // Cost-to-match: what each design pays to reach the Clos baseline's final
-  // bisection bandwidth. Note (DESIGN.md §3): this baseline is an *idealized*
-  // LEGUP — exhaustive search, perfect foresight, no reserved ports — so it
-  // is strictly stronger than the tool the paper measured against; the
-  // paper's "40% of LEGUP's expense" compares against real LEGUP topologies.
+  // bisection bandwidth. Note: LEGUP's code is not public, and this baseline
+  // models an *idealized* LEGUP — exhaustive search, perfect foresight, no
+  // reserved ports — so it is strictly stronger than the tool the paper
+  // measured against; the paper's "40% of LEGUP's expense" compares against
+  // real LEGUP topologies.
   const double clos_final = clos_bis.back();
   const double clos_total = clos_cost.back();
   for (std::size_t s = 0; s < jf_bis.size(); ++s) {

@@ -18,14 +18,7 @@ void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
   os << "\npaper shape: packet-level throughput ~86-90% of the fluid optimum:\n";
   for (const auto& point : report.points) {
     const double fluid = jf::eval::mean_for(point, "jellyfish", "throughput");
-    double packet = std::numeric_limits<double>::quiet_NaN();
-    for (const auto& row : point.report.aggregates()) {
-      if (row.metric == "sim_goodput" && row.topology.starts_with("jellyfish") &&
-          row.routing.starts_with("ksp")) {
-        packet = row.summary.mean;
-        break;
-      }
-    }
+    const double packet = jf::eval::mean_for(point, "jellyfish", "sim_goodput", "ksp");
     if (std::isnan(fluid) || std::isnan(packet) || fluid <= 0.0) continue;
     os << "  " << point.label << ": packet " << packet << " vs fluid " << fluid
        << " -> ratio " << packet / fluid << "\n";

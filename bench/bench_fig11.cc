@@ -17,25 +17,15 @@
 
 namespace {
 
-double routed_mean(const jf::eval::SweepPointResult& point, std::string_view topo,
-                   std::string_view routing, std::string_view metric) {
-  for (const auto& row : point.report.aggregates()) {
-    if (row.metric == metric && row.topology.starts_with(topo) &&
-        row.routing.starts_with(routing)) {
-      return row.summary.mean;
-    }
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
 void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  using jf::eval::mean_for;
   os << "\npaper shape: jellyfish (8-SP) >= fat-tree (ECMP) goodput on the same"
         " equipment and flows:\n";
   for (const auto& point : report.points) {
-    const double ft = routed_mean(point, "fattree", "ecmp", "sim_goodput");
-    const double jf = routed_mean(point, "jellyfish", "ksp", "sim_goodput");
-    const double ft_min = routed_mean(point, "fattree", "ecmp", "flow_tput_min");
-    const double jf_min = routed_mean(point, "jellyfish", "ksp", "flow_tput_min");
+    const double ft = mean_for(point, "fattree", "sim_goodput", "ecmp");
+    const double jf = mean_for(point, "jellyfish", "sim_goodput", "ksp");
+    const double ft_min = mean_for(point, "fattree", "flow_tput_min", "ecmp");
+    const double jf_min = mean_for(point, "jellyfish", "flow_tput_min", "ksp");
     if (std::isnan(ft) || std::isnan(jf) || ft <= 0.0) continue;
     os << "  " << point.label << ": jellyfish " << jf << " vs fat-tree " << ft
        << " -> headroom " << 100.0 * (jf / ft - 1.0) << "%";

@@ -1,59 +1,47 @@
 // Figure 13: per-flow fairness of routing + congestion control.
 //
-// Distribution of normalized per-flow throughput (ascending rank) for a
-// same-equipment fat-tree / Jellyfish pair, plus Jain's fairness index.
-// Paper shape: both topologies are similarly fair (Jain ~0.99), Jellyfish
-// simply has more flows because it hosts more servers.
-#include <algorithm>
-#include <iostream>
+// scenarios/fig1x.json runs the same-equipment fat-tree/Jellyfish pairs
+// under MPTCP with 8 subflows, the fat-tree on ECMP-8 and Jellyfish on
+// 8-shortest-paths (the pairing Figs. 10-12 read too). This bench reads
+// Jain's fairness index (sim_fairness) and the per-flow normalized
+// throughput percentiles (flow_tput_*, from the flow_stats telemetry) for
+// each pair. Paper shape: both topologies are similarly fair (Jain ~0.99:
+// 0.991 fat-tree, 0.988 Jellyfish).
+#include <ostream>
+#include <string>
 
-#include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
-#include "sim/workload.h"
-#include "topo/fattree.h"
-#include "topo/jellyfish.h"
+#include "eval/bench_driver.h"
 
-int main() {
-  using namespace jf;
-  const int k = 8;
-  const int switches = topo::fattree_switches(k);
-  [[maybe_unused]] const int ft_servers = topo::fattree_servers(k);
-  const int jf_servers = 146;
-  Rng rng(1313);
+namespace {
 
-  sim::WorkloadConfig cfg;
-  cfg.transport = sim::Transport::kMptcp;
-  cfg.subflows = 8;
-
-  Rng fr = rng.fork(1);
-  auto ft = topo::build_fattree(k);
-  cfg.routing = {routing::Scheme::kEcmp, 8};
-  auto ft_res = sim::run_permutation_workload(ft, cfg, fr);
-
-  Rng jr = rng.fork(2);
-  auto jelly = topo::build_jellyfish_with_servers(switches, k, jf_servers, jr);
-  cfg.routing = {routing::Scheme::kKsp, 8};
-  auto jf_res = sim::run_permutation_workload(jelly, cfg, jr);
-
-  auto ft_sorted = ft_res.per_flow;
-  auto jf_sorted = jf_res.per_flow;
-  std::sort(ft_sorted.begin(), ft_sorted.end());
-  std::sort(jf_sorted.begin(), jf_sorted.end());
-
-  print_banner(std::cout, "Figure 13: normalized flow throughput by rank + Jain fairness");
-  std::cout << "fat-tree flows: " << ft_sorted.size() << ", jellyfish flows: "
-            << jf_sorted.size() << "\n";
-  Table table({"rank_pct", "fattree", "jellyfish"});
-  for (int pct = 0; pct <= 100; pct += 10) {
-    auto at = [&](const std::vector<double>& v) {
-      return v[std::min(v.size() - 1, v.size() * pct / 100)];
-    };
-    table.add_row({Table::fmt(pct), Table::fmt(at(ft_sorted)), Table::fmt(at(jf_sorted))});
+void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  struct Pair {
+    const char* topology;
+    const char* routing;
+  };
+  const Pair pairs[] = {{"fattree", "ecmp"}, {"jellyfish", "ksp"}};
+  os << "\npaper shape: both topologies similarly fair (Jain fat-tree 0.991,"
+        " jellyfish 0.988):\n";
+  jf::Table table({"point", "topology", "routing", "jain", "flow_min", "flow_p10", "flow_p50",
+                   "flow_p90"});
+  for (const auto& point : report.points) {
+    for (const Pair& p : pairs) {
+      auto mean = [&](const char* metric) {
+        return jf::Table::fmt(jf::eval::mean_for(point, p.topology, metric, p.routing));
+      };
+      table.add_row({point.label, p.topology, p.routing, mean("sim_fairness"),
+                     mean("flow_tput_min"), mean("flow_tput_p10"), mean("flow_tput_p50"),
+                     mean("flow_tput_p90")});
+    }
   }
-  table.print(std::cout);
-  table.print_csv(std::cout);
-  std::cout << "\nJain fairness: fat-tree " << ft_res.jain_fairness << ", jellyfish "
-            << jf_res.jain_fairness << " (paper: 0.991 / 0.988)\n";
-  return 0;
+  table.print(os);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return jf::eval::sweep_bench_main(
+      argc, argv, "Figure 13: per-flow throughput spread + Jain fairness",
+      JF_SCENARIO_DIR "/fig1x.json", shape_note);
 }

@@ -1,67 +1,54 @@
 // Figure 14: two-layer (container-localized) Jellyfish — throughput vs.
 // fraction of links kept inside the pod/container.
 //
+// scenarios/fig14.json sweeps the twolayer row's local_fraction at three
+// sizes (~160 / ~375 / ~720 servers, 16-port switches with 5 servers each),
+// zipped with an unrestricted Jellyfish on the same equipment. No axis
+// changes the reference row within a size, so cell memoization evaluates it
+// once per size. This bench prints each point's throughput normalized to
+// that reference.
+//
 // Paper shape: normalized to the unrestricted Jellyfish, capacity loses <3%
 // with 50% of links localized and <6% at 60%, then falls off steeply as
 // localization approaches 90%. (A fat-tree's local-link fraction is
 // 0.5(1 + 1/k), ~53.6% — Jellyfish can localize more and still win.)
-#include <iostream>
+#include <cmath>
+#include <limits>
+#include <ostream>
+#include <string_view>
 
-#include "common/rng.h"
 #include "common/table.h"
-#include "flow/throughput.h"
-#include "topo/jellyfish.h"
-#include "topo/twolayer.h"
+#include "eval/bench_driver.h"
 
-int main() {
-  using namespace jf;
-  struct Size {
-    int containers;
-    int per_container;
-  };
-  // ~160 / ~375 / ~720 servers at 5 servers per switch.
-  const Size sizes[] = {{4, 8}, {5, 15}, {6, 24}};
-  const int ports = 16, servers_per_switch = 5;
-  const int degree = ports - servers_per_switch;  // r = 11
-  const int runs = 2;
-  Rng rng(1414);
+namespace {
 
-  print_banner(std::cout, "Figure 14: 2-layer Jellyfish throughput vs local-link fraction");
-  Table table({"servers", "local_frac", "throughput", "vs_unrestricted"});
-
-  for (const auto& size : sizes) {
-    const int n = size.containers * size.per_container;
-    // Baseline: unrestricted Jellyfish on the same equipment.
-    double unrestricted = 0.0;
-    for (int run = 0; run < runs; ++run) {
-      Rng r = rng.fork(static_cast<std::uint64_t>(n) * 10 + run);
-      auto topo = topo::build_jellyfish(
-          {.num_switches = n, .ports_per_switch = ports, .network_degree = degree}, r);
-      unrestricted += flow::permutation_throughput(topo, r, {}) / runs;
-    }
-
-    for (double frac : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-      double tput = 0.0;
-      for (int run = 0; run < runs; ++run) {
-        Rng r = rng.fork(static_cast<std::uint64_t>(n) * 100 +
-                         static_cast<std::uint64_t>(frac * 100) + run);
-        topo::TwoLayerParams params;
-        params.num_containers = size.containers;
-        params.switches_per_container = size.per_container;
-        params.ports_per_switch = ports;
-        params.network_degree = degree;
-        params.local_fraction = frac;
-        params.servers_per_switch = servers_per_switch;
-        auto topo = topo::build_two_layer_jellyfish(params, r);
-        tput += flow::permutation_throughput(topo, r, {}) / runs;
-      }
-      table.add_row({Table::fmt(n * servers_per_switch), Table::fmt(frac, 1),
-                     Table::fmt(tput), Table::fmt(unrestricted > 0 ? tput / unrestricted : 0)});
-    }
-    std::cout << "  [" << n * servers_per_switch << " servers done]\n";
+// Value of the axis entry that swept `field` at this point, NaN if none did.
+double coord(const jf::eval::SweepPointResult& point, std::string_view field) {
+  for (const auto& [name, value] : point.coords) {
+    if (name == field) return value;
   }
-  table.print(std::cout);
-  table.print_csv(std::cout);
-  std::cout << "\npaper shape: <6% loss up to ~0.6 local fraction, steep drop by 0.9.\n";
-  return 0;
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+void shape_note(const jf::eval::SweepReport& report, std::ostream& os) {
+  using jf::Table;
+  os << "\npaper shape: <6% loss up to ~0.6 local fraction, steep drop by 0.9.\n";
+  Table table({"servers", "local_frac", "throughput", "vs_unrestricted"});
+  for (const auto& point : report.points) {
+    const double tput = jf::eval::mean_for(point, "twolayer", "throughput");
+    const double unrestricted = jf::eval::mean_for(point, "jellyfish", "throughput");
+    if (std::isnan(tput) || std::isnan(unrestricted) || unrestricted <= 0.0) continue;
+    table.add_row({Table::fmt(coord(point, "topology.servers"), 0),
+                   Table::fmt(coord(point, "topology.local_fraction"), 1), Table::fmt(tput),
+                   Table::fmt(tput / unrestricted)});
+  }
+  table.print(os);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return jf::eval::sweep_bench_main(
+      argc, argv, "Figure 14: 2-layer Jellyfish throughput vs local-link fraction",
+      JF_SCENARIO_DIR "/fig14.json", shape_note);
 }

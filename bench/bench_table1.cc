@@ -4,8 +4,9 @@
 // Paper cells (686-server fat-tree, 780-server Jellyfish): ECMP starves
 // Jellyfish (TCP-8: 73.9% vs 92.3% with 8-shortest-paths); with k-SP every
 // transport does at least as well on Jellyfish as on the fat-tree.
-// Reproduced at reduced scale (DESIGN.md §3): fat-tree k = 8 (128 servers,
-// 80 switches), Jellyfish with +14% servers (146) on identical equipment.
+// Reproduced at reduced scale, since the packet simulator is the cost at
+// the paper's size: fat-tree k = 8 (128 servers, 80 switches), Jellyfish
+// with +14% servers (146) on identical equipment.
 //
 // Ported to jf::eval: each transport row is one Scenario over the full
 // {fat-tree, jellyfish} x {ecmp-8, ksp-8} grid, with 3 seeds as the

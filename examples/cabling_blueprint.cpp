@@ -8,24 +8,29 @@
 // electrical vs optical counts.
 #include <iostream>
 
-#include "core/jellyfish_network.h"
+#include "common/rng.h"
+#include "layout/cabling.h"
+#include "layout/placement.h"
+#include "topo/jellyfish.h"
 
 int main() {
-  using jf::core::JellyfishNetwork;
+  using namespace jf;
 
   // A small cluster: 24 racks of 4 servers on 12-port switches.
-  auto net = JellyfishNetwork::build({.switches = 24, .ports = 12, .servers = 96, .seed = 77});
-  std::cout << "cluster: " << net.num_switches() << " ToR switches, " << net.num_servers()
-            << " servers, " << net.num_links() << " inter-switch cables\n\n";
+  Rng rng(77);
+  const auto topo = topo::build_jellyfish_with_servers(24, 12, 96, rng);
+  std::cout << "cluster: " << topo.num_switches() << " ToR switches, " << topo.num_servers()
+            << " servers, " << topo.switches().num_edges() << " inter-switch cables\n\n";
 
-  auto specs = net.cabling_blueprint();
-  auto lines = jf::layout::render_blueprint(specs);
+  const auto placement = layout::place(topo, layout::PlacementStyle::kCentralCluster);
+  const expansion::CostModel costs;
+  auto lines = layout::render_blueprint(layout::cabling_blueprint(topo, placement, costs));
   std::cout << "blueprint (first 12 of " << lines.size() << " cable runs):\n";
   for (std::size_t i = 0; i < lines.size() && i < 12; ++i) {
     std::cout << "  " << lines[i] << "\n";
   }
 
-  auto stats = net.cabling_stats();
+  const auto stats = layout::analyze_cabling(topo, placement, costs);
   std::cout << "\nsummary:\n";
   std::cout << "  switch-switch cables : " << stats.switch_cables << " (mean "
             << stats.mean_switch_cable_m << " m)\n";

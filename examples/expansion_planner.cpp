@@ -5,49 +5,61 @@
 //   $ ./expansion_planner
 //
 // Scenario: a 480-server cluster (34 x 24-port switches) grows to 720
-// servers, then receives four capacity-only upgrades.
+// servers, then receives four capacity-only upgrades. One GrowthSchedule is
+// evaluated under both growth policies by the engine's expansion metrics;
+// per-stage values come back as "_s<stage>" series (stage 0 is the
+// initial build).
 #include <iostream>
+#include <string>
 
-#include "common/rng.h"
 #include "common/table.h"
-#include "expansion/planner.h"
+#include "eval/engine.h"
 
 int main() {
   using namespace jf;
+  using eval::Metric;
 
-  expansion::InitialBuild initial;  // 34 switches x 24 ports, 480 servers
-  expansion::CostModel costs;
-  std::vector<expansion::ExpansionStage> stages = {
-      {30000.0, 720},  // stage 1: +240 servers plus whatever fits
-      {30000.0, 0},    // stages 2-5: network capacity only
-      {30000.0, 0},
-      {30000.0, 0},
-      {30000.0, 0},
+  eval::Scenario s;
+  s.name = "expansion planner";
+  s.topologies = {{.family = "jellyfish", .label = "jellyfish", .growth_policy = "jellyfish"},
+                  {.family = "jellyfish", .label = "clos", .growth_policy = "clos"}};
+  s.metrics = {Metric::kExpansionCost, Metric::kRewiredCables, Metric::kExpansionBisection};
+  s.seeds = {2024};
+  s.growth.initial = {34, 24, 480};  // 34 switches x 24 ports, 480 servers
+  s.growth.steps = {
+      {.min_servers = 720, .budget = 30000.0},  // stage 1: +240 servers plus whatever fits
+      {.budget = 30000.0},                      // stages 2-5: network capacity only
+      {.budget = 30000.0},
+      {.budget = 30000.0},
+      {.budget = 30000.0},
   };
 
-  Rng rng(2024);
-  Rng jf_rng = rng.fork(1), clos_rng = rng.fork(2);
-  auto jf_plan = expansion::plan_jellyfish_expansion(initial, stages, costs, jf_rng);
-  auto clos_plan = expansion::plan_clos_expansion(initial, stages, costs, clos_rng);
+  const auto report = eval::Engine().run(s);
+  // Row t's value of `metric` at `stage` (one seed, so one sample).
+  auto at = [&](int t, const std::string& metric, std::size_t stage) {
+    return report.series(t, -1, metric + "_s" + std::to_string(stage)).at(0);
+  };
 
   print_banner(std::cout, "Expansion plan: Jellyfish vs structured Clos");
   Table table({"stage", "jf_cost", "jf_switches", "jf_servers", "jf_bisection", "clos_cost",
                "clos_switches", "clos_bisection"});
-  for (std::size_t i = 0; i < jf_plan.stages.size(); ++i) {
-    const auto& j = jf_plan.stages[i];
-    const auto& c = clos_plan.stages[i];
-    table.add_row({Table::fmt(j.stage), Table::fmt(j.cumulative_cost, 0),
-                   Table::fmt(j.switches), Table::fmt(j.servers),
-                   Table::fmt(j.normalized_bisection), Table::fmt(c.cumulative_cost, 0),
-                   Table::fmt(c.switches), Table::fmt(c.normalized_bisection)});
+  for (std::size_t i = 0; i <= s.growth.steps.size(); ++i) {
+    table.add_row({Table::fmt(i), Table::fmt(at(0, "expansion_cost", i), 0),
+                   Table::fmt(at(0, "expansion_switches", i), 0),
+                   Table::fmt(at(0, "expansion_servers", i), 0),
+                   Table::fmt(at(0, "expansion_bisection", i)),
+                   Table::fmt(at(1, "expansion_cost", i), 0),
+                   Table::fmt(at(1, "expansion_switches", i), 0),
+                   Table::fmt(at(1, "expansion_bisection", i))});
   }
   table.print(std::cout);
 
-  const auto& last = jf_plan.stages.back();
-  std::cout << "\nfinal Jellyfish network: " << last.switches << " switches hosting "
-            << last.servers << " servers, normalized bisection bandwidth "
-            << last.normalized_bisection << "\n";
-  std::cout << "cables touched in the last stage: " << last.cables_touched
+  const std::size_t last = s.growth.steps.size();
+  std::cout << "\nfinal Jellyfish network: " << at(0, "expansion_switches", last)
+            << " switches hosting " << at(0, "expansion_servers", last)
+            << " servers, normalized bisection bandwidth " << at(0, "expansion_bisection", last)
+            << "\n";
+  std::cout << "cables touched in the last stage: " << at(0, "cables_touched", last)
             << " (expansion rewiring is local and incremental)\n";
   return 0;
 }

@@ -23,9 +23,7 @@
 // processed files move to <queue>/done/ (or <queue>/failed/), and one
 // status line per job goes to stdout.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -37,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/fs.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -280,19 +279,6 @@ void export_observability(const std::string& trace_out, const std::string& metri
     common::write_file_atomic(fs::path(metrics_out),
                               obs::metrics_to_json(obs::collect_metrics()).dump(2) + "\n");
   }
-}
-
-// Parses an integer flag value. Non-numeric text, trailing characters and
-// values below `min` are errors naming the flag.
-int int_flag(const std::string& flag, const char* text, int min) {
-  int v = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || ptr != end || v < min) {
-    throw std::invalid_argument(flag + " needs an integer value >= " + std::to_string(min) +
-                                ", got '" + text + "'");
-  }
-  return v;
 }
 
 std::unique_ptr<store::ResultStore> open_store(const std::string& dir, int budget_mb) {

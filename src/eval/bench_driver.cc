@@ -1,19 +1,21 @@
 #include "eval/bench_driver.h"
 
-#include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
+#include "common/flags.h"
 #include "common/table.h"
 #include "eval/serialize.h"
 
 namespace jf::eval {
 
 double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric) {
+                std::string_view metric, std::string_view routing_prefix) {
   for (const auto& row : point.report.aggregates()) {
-    if (row.metric == metric && row.topology.starts_with(label_prefix)) {
+    if (row.metric == metric && row.topology.starts_with(label_prefix) &&
+        row.routing.starts_with(routing_prefix)) {
       return row.summary.mean;
     }
   }
@@ -24,6 +26,7 @@ int sweep_bench_main(int argc, char** argv, std::string_view banner,
                      std::string_view default_scenario_path,
                      const BenchEpilogue& epilogue) {
   std::string path(default_scenario_path);
+  bool path_given = false;
   int threads = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -32,7 +35,12 @@ int sweep_bench_main(int argc, char** argv, std::string_view banner,
         std::cerr << argv[0] << ": error: --threads needs a value\n";
         return 2;
       }
-      threads = std::atoi(argv[++i]);
+      try {
+        threads = int_flag(arg, argv[++i], 0);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << argv[0] << ": error: " << e.what() << "\n";
+        return 2;
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0] << " [scenario.json] [--threads N]\n"
                 << "default scenario: " << default_scenario_path << "\n";
@@ -40,11 +48,12 @@ int sweep_bench_main(int argc, char** argv, std::string_view banner,
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << argv[0] << ": error: unknown option '" << arg << "'\n";
       return 2;
-    } else if (path != default_scenario_path) {
+    } else if (path_given) {
       std::cerr << argv[0] << ": error: unexpected argument '" << arg << "'\n";
       return 2;
     } else {
       path = arg;
+      path_given = true;
     }
   }
 

@@ -12,6 +12,8 @@
 // Usage: bench_figXX [scenario.json] [--threads N]
 //   scenario.json  overrides the default scenario file (zero-recompilation
 //                  what-if runs)
+//   --threads N    worker budget, an integer >= 0 (0 = every core)
+// Malformed arguments exit with status 2 before any sweep runs.
 #pragma once
 
 #include <functional>
@@ -34,9 +36,11 @@ int sweep_bench_main(int argc, char** argv, std::string_view banner,
 
 // Mean of one metric's aggregate across a point's report, restricted to
 // topology labels starting with `label_prefix` (sweep suffixes make exact
-// labels point-dependent). Returns NaN when no row matches — epilogues
-// should degrade gracefully on custom scenario overrides.
+// labels point-dependent) and routing labels starting with `routing_prefix`
+// (routing-free rows are labelled "-"; empty matches any row). Returns NaN
+// when no row matches — epilogues should degrade gracefully on custom
+// scenario overrides.
 double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric);
+                std::string_view metric, std::string_view routing_prefix = {});
 
 }  // namespace jf::eval

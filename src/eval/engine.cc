@@ -965,22 +965,6 @@ graph::PathLengthStats Engine::path_stats(const topo::Topology& t) {
   return graph::path_length_stats(t.switches());
 }
 
-double Engine::throughput(const topo::Topology& t, Rng& rng, int samples,
-                          const flow::McfOptions& mcf) {
-  return flow::mean_permutation_throughput(t, rng, samples, mcf);
-}
-
-double Engine::routed_throughput(const topo::Topology& t, const routing::RoutingSpec& routing,
-                                 Rng& rng, int samples, const flow::McfOptions& mcf) {
-  check(samples >= 1, "Engine::routed_throughput: need >= 1 sample");
-  auto routes = routing::make_path_provider(t.switches(), routing);
-  double sum = 0.0;
-  for (int i = 0; i < samples; ++i) {
-    sum += flow::restricted_permutation_throughput(t, *routes, rng, mcf);
-  }
-  return sum / samples;
-}
-
 double Engine::bisection_bandwidth(const topo::Topology& t, Rng& rng) {
   // Uniform network degree: use the analytic RRG bound; otherwise fall back
   // to the KL heuristic cut.
@@ -997,11 +981,6 @@ double Engine::bisection_bandwidth(const topo::Topology& t, Rng& rng) {
     return flow::rrg_normalized_bisection(g.num_nodes(), r0, t.num_servers());
   }
   return flow::estimated_normalized_bisection(t, rng, /*restarts=*/5);
-}
-
-sim::WorkloadResult Engine::packet_sim(const topo::Topology& t, const sim::WorkloadConfig& cfg,
-                                       Rng& rng) {
-  return sim::run_permutation_workload(t, cfg, rng);
 }
 
 std::map<int, double> Engine::server_path_cdf(const topo::Topology& t) {

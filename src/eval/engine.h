@@ -16,8 +16,8 @@
 // Neither level affects results: cell RNG streams are index-derived and the
 // solver's round schedule is worker-count independent.
 //
-// The static measurement kernels are the single implementation behind both
-// scenario cells and the core::JellyfishNetwork facade.
+// The static measurement kernels below are what scenario cells evaluate;
+// they are public so benches and tests can score a topology directly.
 #pragma once
 
 #include <functional>
@@ -28,7 +28,6 @@
 #include "eval/scenario.h"
 #include "graph/algorithms.h"
 #include "sim/telemetry.h"
-#include "sim/workload.h"
 #include "topo/topology.h"
 
 namespace jf::store {
@@ -131,27 +130,13 @@ class Engine {
       std::span<const Scenario> scenarios,
       const std::function<void(std::size_t, Report&)>& on_done = {}) const;
 
-  // --- measurement kernels (shared with core::JellyfishNetwork) ---
+  // --- measurement kernels ---
 
   static graph::PathLengthStats path_stats(const topo::Topology& t);
-
-  // Mean normalized fluid throughput over `samples` random permutations
-  // under optimal (unrestricted MCF) routing.
-  static double throughput(const topo::Topology& t, Rng& rng, int samples,
-                           const flow::McfOptions& mcf = {});
-
-  // Same, restricted to the routing scheme's path sets.
-  static double routed_throughput(const topo::Topology& t, const routing::RoutingSpec& routing,
-                                  Rng& rng, int samples, const flow::McfOptions& mcf = {});
 
   // Analytic RRG bound when the network degree is uniform, else a KL cut
   // estimate; normalized to server capacity per partition.
   static double bisection_bandwidth(const topo::Topology& t, Rng& rng);
-
-  // Packet-level goodput; cfg.routing selects the scheme via the provider
-  // registry.
-  static sim::WorkloadResult packet_sim(const topo::Topology& t,
-                                        const sim::WorkloadConfig& cfg, Rng& rng);
 
   // Weighted server-pair path-length CDF: P[server-to-server hops <= L],
   // where hops = switch distance + 2 host links (Fig. 1(c)).

@@ -1,11 +1,11 @@
 // Structured folded-Clos baseline for the LEGUP comparison (paper Fig. 7).
 //
 // LEGUP (Curtis et al., CoNEXT 2010) finds cost-optimal *Clos-preserving*
-// upgrades. Its implementation is not public, so per DESIGN.md §3 we model
-// the essential constraint it operates under: at every stage the network
-// must remain a legal two-level folded Clos (E edge switches with d server
-// ports and u = k - d uplinks; S spine switches; uplinks spread round-robin
-// over spines), and any cable whose (edge, spine) assignment changes between
+// upgrades. Its implementation is not public, so we model the essential
+// constraint it operates under: at every stage the network must remain a
+// legal two-level folded Clos (E edge switches with d server ports and
+// u = k - d uplinks; S spine switches; uplinks spread round-robin over
+// spines), and any cable whose (edge, spine) assignment changes between
 // stages must be paid for again (detach + attach labor). The per-stage
 // planner exhaustively searches feasible (E, S, d) configurations and keeps
 // the best bisection bandwidth affordable within the stage budget — an

@@ -4,7 +4,7 @@
 // cables cost per meter plus connectors; cables longer than the electrical
 // limit (10 m) need optical transceivers at both ends (~$200 each, §6);
 // cabling labor is ~10% of cabling cost, modeled as a flat per-cable-touched
-// fee. Absolute dollars are arbitrary — both planners in the Fig. 7
+// fee. Absolute dollars are arbitrary — both growth policies in the Fig. 7
 // comparison use the same model, so only ratios matter.
 #pragma once
 

@@ -16,11 +16,10 @@
 //     keeps a legal folded Clos, and rewire_limit bounds the cables the
 //     upgrade may move.
 //
-// This is the single growth implementation behind the legacy Fig. 7 planners
-// (plan_jellyfish_expansion / plan_clos_expansion are thin wrappers), the
-// `jellyfish-incr` topology family (a pure fixed-step schedule), and the
-// engine's expansion metrics (eval::Metric::kExpansionCost /
-// kRewiredCables / kExpansionBisection).
+// This is the single growth implementation behind the `jellyfish-incr`
+// topology family (a pure fixed-step schedule) and the engine's expansion
+// metrics (eval::Metric::kExpansionCost / kRewiredCables /
+// kExpansionBisection), which run the Fig. 7 arcs.
 //
 // RNG discipline: plan_growth threads ONE stream through the initial build
 // and every splice, in schedule order — the historical jellyfish-incr

@@ -90,7 +90,7 @@ struct Subflow {
   // Loss detection is oracle-precise (the simulator signals each dropped
   // data packet to its sender), which reproduces the macroscopic behavior
   // of SACK TCP: exactly the lost segments are resent, with one window
-  // reduction per flight of data. See DESIGN.md §3.
+  // reduction per flight of data, without modelling SACK blocks on the wire.
   std::set<std::int32_t> lost_out;
   // One-window-reduction-per-flight guard: the next reduction is allowed
   // only once the cumulative ACK passes the frontier recorded at the last

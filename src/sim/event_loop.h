@@ -34,7 +34,8 @@ template <class Engine>
 struct EngineOps {
   // Appends the packet to the link's drop-tail queue, starting transmission
   // if the link is idle. On overflow, data packets trigger an oracle-SACK
-  // loss notification to the sender (DESIGN.md §3). Real SACK feedback
+  // loss notification to the sender (see lost_out in sim/core.h: exact loss
+  // detection stands in for SACK TCP's scoreboard). Real SACK feedback
   // takes about one round trip — the following segment's dupacks — so the
   // notification is delayed by the packet's experienced one-way delay plus
   // the uncongested ACK return time, every term of which is local to the

@@ -7,9 +7,9 @@
 // (Petersen: 10 nodes / degree 3 / diameter 2; Hoffman-Singleton: 50 nodes /
 // degree 7 / diameter 2 — the paper's (50, 11, 7) row). The remaining
 // best-known graphs are ad-hoc computer-search artifacts that are not
-// reconstructible from the paper; as a documented substitution (DESIGN.md §3)
-// we produce "optimized regular graphs" via simulated-annealing edge swaps
-// minimizing (diameter, mean path length) — the same "carefully optimized
+// reconstructible from the paper, so as a substitution we produce
+// "optimized regular graphs" via simulated-annealing edge swaps minimizing
+// (diameter, mean path length) — the same "carefully optimized
 // low-path-length benchmark" role, and a conservative one: any shortfall of
 // the annealer vs. the true optimum only makes Jellyfish look better.
 #pragma once

@@ -1,11 +1,11 @@
-// jf::eval engine: scenario execution, thread-count determinism, parity with
-// the legacy per-call facade API, and registry extensibility.
+// jf::eval engine: scenario execution, thread-count determinism, failure and
+// fluid-vs-packet sanity on single networks, and registry extensibility.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <stdexcept>
 
-#include "core/jellyfish_network.h"
+#include "common/stats.h"
 #include "eval/engine.h"
 #include "eval/topology_factory.h"
 #include "flow/restricted.h"
@@ -63,29 +63,6 @@ TEST(EvalEngine, RunsRepeatIdentically) {
   }
 }
 
-// Engine kernels are the implementation behind the facade: wrap() a fixed
-// topology at a fixed seed and the two APIs must agree exactly.
-TEST(EvalEngine, KernelsMatchLegacyFacade) {
-  Rng build_rng(7);
-  auto topo = topo::build_jellyfish_with_servers(20, 8, 60, build_rng);
-  const std::uint64_t seed = 99;
-
-  auto net = core::JellyfishNetwork::wrap(topo, seed);
-  Rng engine_rng(seed);
-
-  EXPECT_EQ(net.throughput(2), eval::Engine::throughput(topo, engine_rng, 2));
-
-  const auto facade_stats = net.path_stats();
-  const auto engine_stats = eval::Engine::path_stats(topo);
-  EXPECT_EQ(facade_stats.mean, engine_stats.mean);
-  EXPECT_EQ(facade_stats.diameter, engine_stats.diameter);
-  EXPECT_EQ(facade_stats.connected, engine_stats.connected);
-
-  Rng bis_rng(seed);
-  auto net2 = core::JellyfishNetwork::wrap(topo, seed);
-  EXPECT_EQ(net2.bisection_bandwidth(), eval::Engine::bisection_bandwidth(topo, bis_rng));
-}
-
 TEST(EvalEngine, CrossProductCoversEveryCell) {
   auto s = small_scenario();
   s.seeds = {5, 6};
@@ -132,6 +109,59 @@ TEST(EvalEngine, SameTopologyAcrossRoutingCells) {
   const double routed = report.series(0, 0, "routed_throughput").at(0);
   EXPECT_GT(optimal, 0.9);
   EXPECT_GT(routed, 0.75);
+}
+
+// Paper Fig. 8: failing 15% of a Jellyfish's links degrades throughput
+// gracefully. Both rows share seeds, so they start from the same wiring.
+TEST(EvalEngine, FailureInjection) {
+  eval::Scenario s;
+  s.topologies = {
+      {.family = "jellyfish", .switches = 30, .ports = 10, .servers = 90},
+      {.family = "jellyfish", .label = "failed", .switches = 30, .ports = 10, .servers = 90,
+       .fail_links = 0.15},
+  };
+  s.metrics = {eval::Metric::kThroughput, eval::Metric::kCabling};
+  s.seeds = {5};
+  s.samples_per_seed = 2;
+  const auto report = eval::Engine({.threads = 2}).run(s);
+  EXPECT_LT(report.series(1, -1, "cable_switch_count").at(0),
+            report.series(0, -1, "cable_switch_count").at(0));
+  const double before = summarize(report.series(0, -1, "throughput")).mean;
+  const double after = summarize(report.series(1, -1, "throughput")).mean;
+  EXPECT_GT(after, before * 0.6);
+  EXPECT_LE(after, before + 0.1);
+}
+
+// A well-provisioned network outperforms an oversubscribed one on the same
+// switches under both the fluid optimum and the packet simulator.
+TEST(EvalEngine, FluidAndPacketAgreeOnOrdering) {
+  eval::Scenario s;
+  s.topologies = {
+      {.family = "jellyfish", .label = "rich", .switches = 12, .ports = 10, .servers = 24},
+      {.family = "jellyfish", .label = "poor", .switches = 12, .ports = 10, .servers = 84},
+  };
+  s.routings = {{"ksp", 4}};
+  s.metrics = {eval::Metric::kThroughput, eval::Metric::kPacketSim};
+  s.seeds = {8};
+  s.samples_per_seed = 2;
+  s.sim.transport = sim::Transport::kMptcp;
+  s.sim.subflows = 4;
+  s.sim.warmup_ns = 2 * sim::kMillisecond;
+  s.sim.measure_ns = 8 * sim::kMillisecond;
+  const auto report = eval::Engine({.threads = 2}).run(s);
+  EXPECT_GT(summarize(report.series(0, -1, "throughput")).mean,
+            summarize(report.series(1, -1, "throughput")).mean);
+  EXPECT_GT(summarize(report.series(0, 0, "sim_goodput")).mean,
+            summarize(report.series(1, 0, "sim_goodput")).mean);
+}
+
+TEST(EvalEngine, FatTreeRowThroughput) {
+  eval::Scenario s;
+  s.topologies = {{.family = "fattree", .fattree_k = 4}};
+  s.metrics = {eval::Metric::kThroughput};
+  s.seeds = {3};
+  const auto report = eval::Engine({.threads = 1}).run(s);
+  EXPECT_GT(report.series(0, -1, "throughput").at(0), 0.5);
 }
 
 TEST(EvalEngine, UnknownFamilyAndSchemeThrow) {

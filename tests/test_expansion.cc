@@ -1,10 +1,15 @@
-// Tests for the expansion cost model, Clos baseline, and the Fig. 7 planners.
+// Tests for the expansion cost model, Clos baseline, and Fig. 7-style
+// budgeted growth arcs under both plan_growth policies.
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "expansion/clos.h"
 #include "expansion/cost_model.h"
-#include "expansion/planner.h"
+#include "expansion/schedule.h"
 #include "graph/algorithms.h"
 
 namespace jf::expansion {
@@ -76,51 +81,63 @@ TEST(Clos, UpgradeSearchImprovesWithinBudget) {
   EXPECT_DOUBLE_EQ(spent, 0.0);
 }
 
+// A Fig. 7 arc: each stage has a budget and a server obligation, with no
+// fixed switch adds and no rewiring cap.
+GrowthSchedule arc(InitialBuild initial, const std::string& policy,
+                   std::initializer_list<std::pair<double, int>> stages) {
+  GrowthSchedule sched;
+  sched.initial = initial;
+  sched.policy = policy;
+  for (const auto& [budget, min_servers] : stages) {
+    sched.steps.push_back(GrowthStep{0, min_servers, budget, -1});
+  }
+  return sched;
+}
+
 TEST(Planner, JellyfishArcMeetsServerObligations) {
-  InitialBuild initial{10, 12, 40};
-  std::vector<ExpansionStage> stages{{8000.0, 60}, {8000.0, 0}};
   CostModel costs;
   Rng rng(1);
-  auto plan = plan_jellyfish_expansion(initial, stages, costs, rng);
-  ASSERT_EQ(plan.stages.size(), 3u);
-  EXPECT_EQ(plan.stages[0].servers, 40);
-  EXPECT_GE(plan.stages[1].servers, 60);
+  auto plan = plan_growth(arc({10, 12, 40}, "jellyfish", {{8000.0, 60}, {8000.0, 0}}), costs,
+                          rng);
+  ASSERT_EQ(plan.steps.size(), 3u);
+  EXPECT_EQ(plan.steps[0].servers, 40);
+  EXPECT_GE(plan.steps[1].servers, 60);
   // Stage budgets respected (allow the rack-obligation overshoot).
-  EXPECT_LE(plan.stages[2].spent, 8000.0 + 1e-9);
+  EXPECT_LE(plan.steps[2].spent, 8000.0 + 1e-9);
   // Cumulative cost increases monotonically.
-  EXPECT_GT(plan.stages[1].cumulative_cost, plan.stages[0].cumulative_cost);
-  plan.final_topology.validate();
-  EXPECT_TRUE(graph::is_connected(plan.final_topology.switches()));
+  EXPECT_GT(plan.steps[1].cumulative_cost, plan.steps[0].cumulative_cost);
+  plan.topology.validate();
+  EXPECT_TRUE(graph::is_connected(plan.topology.switches()));
 }
 
 TEST(Planner, ClosArcStaysLegal) {
-  InitialBuild initial{10, 12, 40};
-  std::vector<ExpansionStage> stages{{8000.0, 60}, {8000.0, 0}, {8000.0, 0}};
   CostModel costs;
   Rng rng(2);
-  auto plan = plan_clos_expansion(initial, stages, costs, rng);
-  ASSERT_EQ(plan.stages.size(), 4u);
-  EXPECT_GE(plan.stages[1].servers, 60);
-  EXPECT_TRUE(plan.final_config.feasible());
+  auto plan = plan_growth(
+      arc({10, 12, 40}, "clos", {{8000.0, 60}, {8000.0, 0}, {8000.0, 0}}), costs, rng);
+  ASSERT_EQ(plan.steps.size(), 4u);
+  EXPECT_GE(plan.steps[1].servers, 60);
+  EXPECT_TRUE(plan.clos.feasible());
   // Bisection never decreases across switch-only stages.
-  for (std::size_t i = 2; i < plan.stages.size(); ++i) {
-    EXPECT_GE(plan.stages[i].normalized_bisection + 1e-12,
-              plan.stages[i - 1].normalized_bisection);
+  for (std::size_t i = 2; i < plan.steps.size(); ++i) {
+    EXPECT_GE(plan.steps[i].normalized_bisection + 1e-12,
+              plan.steps[i - 1].normalized_bisection);
   }
 }
 
 TEST(Planner, JellyfishBeatsClosOnBisectionPerBudget) {
   // The Fig. 7 headline at miniature scale: same arc, same cost model,
   // Jellyfish ends with at least the Clos baseline's bisection bandwidth.
-  InitialBuild initial{12, 12, 48};
-  std::vector<ExpansionStage> stages{{6000.0, 72}, {6000.0, 0}, {6000.0, 0}};
+  const InitialBuild initial{12, 12, 48};
+  const std::initializer_list<std::pair<double, int>> stages{
+      {6000.0, 72}, {6000.0, 0}, {6000.0, 0}};
   CostModel costs;
   Rng rng(3);
   Rng r1 = rng.fork(1), r2 = rng.fork(2);
-  auto jf = plan_jellyfish_expansion(initial, stages, costs, r1);
-  auto clos = plan_clos_expansion(initial, stages, costs, r2);
-  EXPECT_GE(jf.stages.back().normalized_bisection + 0.05,
-            clos.stages.back().normalized_bisection);
+  auto jf = plan_growth(arc(initial, "jellyfish", stages), costs, r1);
+  auto clos = plan_growth(arc(initial, "clos", stages), costs, r2);
+  EXPECT_GE(jf.steps.back().normalized_bisection + 0.05,
+            clos.steps.back().normalized_bisection);
 }
 
 }  // namespace

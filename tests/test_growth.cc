@@ -1,8 +1,8 @@
 // Growth-planning subsystem: schedule resolution, the unified planner
-// (determinism, rewiring caps, jellyfish-incr parity, legacy Fig. 7 parity),
-// the engine's expansion metrics, growth JSON round trips and loader error
-// paths, growth sweep fields, link-failure topology specs, and cross-point
-// cell memoization.
+// (determinism, rewiring caps, jellyfish-incr parity), the engine's
+// expansion metrics, growth JSON round trips and loader error paths, growth
+// sweep fields, link-failure topology specs, and cross-point cell
+// memoization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "eval/serialize.h"
 #include "eval/sweep.h"
 #include "eval/topology_factory.h"
-#include "expansion/planner.h"
 #include "expansion/schedule.h"
 #include "topo/jellyfish.h"
 
@@ -222,9 +221,9 @@ TEST(GrowthPlanner, RewireLimitCapsDetaches) {
 }
 
 // The engine's expansion metrics must report exactly what the growth kernel
-// plans (same schedule, same seed-and-index-derived stream), and the clos
-// policy — being rng-free — must also match the legacy Fig. 7 wrapper.
-TEST(GrowthMetrics, EngineMatchesKernelAndLegacyClos) {
+// plans (same schedule, same seed-and-index-derived stream), under both
+// growth policies.
+TEST(GrowthMetrics, EngineMatchesKernel) {
   eval::Scenario s;
   s.name = "growth";
   s.topologies = {{.family = "jellyfish", .label = "jf"},
@@ -250,18 +249,6 @@ TEST(GrowthMetrics, EngineMatchesKernelAndLegacyClos) {
               std::vector<double>{plan.steps.back().cumulative_cost});
   }
 
-  // Legacy clos wrapper parity (deterministic planner, identical arc).
-  Rng rng(999);  // unused by the clos policy
-  const auto legacy = expansion::plan_clos_expansion(
-      s.growth.initial, {{6000.0, 30}, {6000.0, 0}}, expansion::CostModel{}, rng);
-  ASSERT_EQ(legacy.stages.size(), 3u);
-  for (const auto& stage : legacy.stages) {
-    const std::string suffix = "_s" + std::to_string(stage.stage);
-    EXPECT_EQ(report.series(1, -1, "expansion_cost" + suffix),
-              std::vector<double>{stage.cumulative_cost});
-    EXPECT_EQ(report.series(1, -1, "expansion_bisection" + suffix),
-              std::vector<double>{stage.normalized_bisection});
-  }
 }
 
 TEST(GrowthMetrics, ReportsByteIdenticalAtAnyThreadCount) {

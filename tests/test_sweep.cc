@@ -1,11 +1,15 @@
 // eval/sweep: axis expansion (cartesian, zipped, filtered), label
-// auto-suffixing, run_sweep determinism at any thread count, and the shared
-// PathCache fast path for deterministic topology families.
+// auto-suffixing, run_sweep determinism at any thread count, the shared
+// PathCache fast path for deterministic topology families, and the bench
+// driver's argument parsing.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "eval/bench_driver.h"
 #include "eval/engine.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
@@ -326,6 +330,28 @@ TEST(Sweep, SweepReportTableHasPointColumn) {
   report.to_table().print(os);
   EXPECT_NE(os.str().find("point"), std::string::npos);
   EXPECT_NE(os.str().find("servers=24"), std::string::npos);
+}
+
+// Malformed bench-driver arguments exit 2 before any sweep runs. The
+// default scenario path does not exist, so a command line that got past
+// parsing would fail on the load with 1 instead.
+TEST(BenchDriver, RejectsMalformedArgumentsBeforeRunning) {
+  const std::string missing = "no-such-dir/default.json";
+  auto run = [&](std::vector<std::string> args) {
+    args.insert(args.begin(), "bench_test");
+    std::vector<char*> argv;
+    for (auto& a : args) argv.push_back(a.data());
+    return eval::sweep_bench_main(static_cast<int>(argv.size()), argv.data(), "test", missing);
+  };
+  EXPECT_EQ(run({"--threads", "abc"}), 2);
+  EXPECT_EQ(run({"--threads", "3x"}), 2);
+  EXPECT_EQ(run({"--threads", "-1"}), 2);
+  EXPECT_EQ(run({"a.json", "b.json"}), 2);
+  // The first positional equal to the default path still takes the slot.
+  EXPECT_EQ(run({missing, "b.json"}), 2);
+  // Well-formed arguments get past parsing and fail on the missing file.
+  EXPECT_EQ(run({"--threads", "2"}), 1);
+  EXPECT_EQ(run({missing}), 1);
 }
 
 }  // namespace
