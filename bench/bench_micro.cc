@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the core computational kernels:
-// RRG construction, expansion splicing, APSP, Yen k-shortest paths, Dinic
-// max-flow, Garg-Könemann MCF, and the packet simulator's event throughput.
+// RRG construction, expansion splicing, APSP, Yen k-shortest paths, ECMP
+// path enumeration, Dinic max-flow, Garg-Könemann MCF, and the packet
+// simulator's event throughput.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -9,10 +10,13 @@
 #include "common/rng.h"
 #include "flow/mcf.h"
 #include "flow/throughput.h"
+#include "graph/adjacency.h"
 #include "graph/algorithms.h"
+#include "graph/ecmp.h"
 #include "graph/maxflow.h"
 #include "graph/yen.h"
 #include "sim/workload.h"
+#include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
 
@@ -54,18 +58,52 @@ void BM_PathLengthStats(benchmark::State& state) {
 }
 BENCHMARK(BM_PathLengthStats)->Arg(200)->Arg(800);
 
-void BM_YenKShortest(benchmark::State& state) {
+// The 245-switch Jellyfish of the ksp_routed e2e workload (k = 14 ports).
+jf::graph::Graph jellyfish_245() {
   jf::Rng rng(4);
-  auto topo = jf::topo::build_jellyfish(
-      {.num_switches = 245, .ports_per_switch = 14, .network_degree = 11}, rng);
+  return jf::topo::build_jellyfish(
+             {.num_switches = 245, .ports_per_switch = 14, .network_degree = 11}, rng)
+      .switches();
+}
+
+// Fat-tree k=14 over the same switch count: every pair has many equal-cost
+// paths, so spur searches and the ECMP DAG walk are tie-heavy.
+jf::graph::Graph fattree_k14() { return jf::topo::build_fattree(14).switches(); }
+
+// One path set per iteration, computed the way a PathCache does: one sorted
+// adjacency and one scratch reused across pairs. Targets cycle through every
+// other switch from source 0.
+template <typename Kernel>
+void path_sets(benchmark::State& state, const jf::graph::Graph& g, Kernel kernel) {
+  const jf::graph::SortedAdjacency adj(g);
+  jf::graph::SearchScratch scratch;
+  const int n = g.num_nodes();
   int t = 1;
   for (auto _ : state) {
-    auto paths = jf::graph::k_shortest_paths(topo.switches(), 0, t, 8);
+    auto paths = kernel(adj, t, scratch);
     benchmark::DoNotOptimize(paths.size());
-    t = 1 + (t + 37) % 244;
+    t = 1 + (t + 37) % (n - 1);
   }
 }
+
+auto yen8 = [](const jf::graph::SortedAdjacency& adj, int t, jf::graph::SearchScratch& sc) {
+  return jf::graph::k_shortest_paths(adj, 0, t, 8, sc);
+};
+auto ecmp8 = [](const jf::graph::SortedAdjacency& adj, int t, jf::graph::SearchScratch& sc) {
+  return jf::graph::equal_cost_paths(adj, 0, t, 8, sc);
+};
+
+void BM_YenKShortest(benchmark::State& state) { path_sets(state, jellyfish_245(), yen8); }
 BENCHMARK(BM_YenKShortest);
+
+void BM_YenKShortestFatTree(benchmark::State& state) { path_sets(state, fattree_k14(), yen8); }
+BENCHMARK(BM_YenKShortestFatTree);
+
+void BM_EcmpPaths(benchmark::State& state) { path_sets(state, jellyfish_245(), ecmp8); }
+BENCHMARK(BM_EcmpPaths);
+
+void BM_EcmpPathsFatTree(benchmark::State& state) { path_sets(state, fattree_k14(), ecmp8); }
+BENCHMARK(BM_EcmpPathsFatTree);
 
 void BM_DinicMaxflow(benchmark::State& state) {
   jf::Rng rng(5);

@@ -761,27 +761,23 @@ std::vector<Report> Engine::run_batch(
   parallel::WorkBudget budget(parallel::resolve_threads(opts_.threads) - 1);
   obs::gauge("parallel.budget_total_slots").set(budget.total());
 
-  // Phase 1 — warm shared providers, interleaved across scenarios.
-  struct WarmRef {
-    std::size_t run;
-    int t, r;
-  };
-  std::vector<WarmRef> warm;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    for (const auto& [t, r] : runs[i].warm_jobs) warm.push_back({i, t, r});
-  }
+  // Phase 1 — warm shared providers, one job after another, each spreading
+  // its pairs over every worker the budget holds (one big job, the shared
+  // fat-tree KSP cache, dominates; per-pair slots balance it far better
+  // than one worker per job would).
   {
     obs::ScopedTimer warm_timer(obs_warm_ns);
     obs::Span warm_span("engine.warm_providers", "engine");
-    warm_span.arg("jobs", static_cast<std::int64_t>(warm.size()));
-    parallel::parallel_for(static_cast<int>(warm.size()), &budget, [&](int i) {
-      const WarmRef& w = warm[static_cast<std::size_t>(i)];
-      auto& st = runs[w.run].shared[static_cast<std::size_t>(w.t)];
-      auto& provider = *st.providers[static_cast<std::size_t>(w.r)];
-      for (const auto& [a, b] : runs[w.run].query_pairs[static_cast<std::size_t>(w.t)]) {
-        provider.paths(a, b);
+    std::int64_t jobs = 0;
+    for (auto& p : runs) {
+      for (const auto& [t, r] : p.warm_jobs) {
+        auto& st = p.shared[static_cast<std::size_t>(t)];
+        st.providers[static_cast<std::size_t>(r)]->warm(
+            p.query_pairs[static_cast<std::size_t>(t)], &budget);
+        ++jobs;
       }
-    });
+    }
+    warm_span.arg("jobs", jobs);
   }
 
   // Phase 2 — every cell of every scenario on one dynamic queue. The queue

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/check.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "traffic/traffic.h"
 
 namespace jf::flow {
@@ -20,25 +22,23 @@ struct PathCommodity {
   std::vector<std::vector<int>> paths;  // link-id sequences
 };
 
-// Index of the cheapest allowed path under current arc lengths.
-std::size_t cheapest(const PathCommodity& c, const std::vector<double>& len) {
-  std::size_t best = 0;
-  double best_len = kInf;
+struct Cheapest {
+  std::size_t index = 0;
+  double length = kInf;
+};
+
+// The cheapest allowed path under current arc lengths (first on ties).
+// Prices every path of the set; `evals` counts them.
+Cheapest cheapest(const PathCommodity& c, const std::vector<double>& len,
+                  std::int64_t& evals) {
+  Cheapest best;
   for (std::size_t p = 0; p < c.paths.size(); ++p) {
     double l = 0.0;
     for (int arc : c.paths[p]) l += len[arc];
-    if (l < best_len) {
-      best_len = l;
-      best = p;
-    }
+    if (l < best.length) best = {p, l};
   }
+  evals += static_cast<std::int64_t>(c.paths.size());
   return best;
-}
-
-double path_len(const std::vector<int>& path, const std::vector<double>& len) {
-  double l = 0.0;
-  for (int arc : path) l += len[arc];
-  return l;
 }
 
 }  // namespace
@@ -51,7 +51,23 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
         "restricted_max_concurrent_flow: epsilon in (0, 0.5)");
   check(opts.link_capacity > 0, "restricted_max_concurrent_flow: capacity must be positive");
 
+  // Telemetry: exact, schedule-independent counts (the solve is serial).
+  // path_evals counts allowed-path pricings, in the routing loop and in
+  // the dual bound alike.
+  static obs::Counter& obs_solves = obs::counter("restricted.solves");
+  static obs::Counter& obs_phases = obs::counter("restricted.phases");
+  static obs::Counter& obs_path_evals = obs::counter("restricted.path_evals");
+  obs_solves.increment();
+  obs::Span span("restricted.solve", "flow");
   McfResult result;
+  std::int64_t path_evals = 0;
+  // Every exit from here on reports its phase count.
+  auto finish = [&]() {
+    span.arg("phases", result.phases);
+    obs_path_evals.add(path_evals);
+    return result;
+  };
+
   LinkIndex links(g);
   const std::size_t m = static_cast<std::size_t>(links.num_links());
 
@@ -71,17 +87,18 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
       result.lambda = 0.0;
       result.lambda_upper = 0.0;
       result.decided_below = opts.decide_threshold >= 0;
-      return result;
+      return finish();
     }
     cs.push_back(std::move(pc));
   }
+  span.arg("commodities", static_cast<std::int64_t>(cs.size()));
   if (cs.empty()) {
     result.lambda = 1e9;
     result.lambda_upper = 1e9;
     result.decided_above = opts.decide_threshold >= 0;
-    return result;
+    return finish();
   }
-  if (m == 0) return result;
+  if (m == 0) return finish();
 
   const double eps = opts.epsilon;
   // Log-space initial length: the naive pow underflows for small epsilon on
@@ -109,9 +126,7 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
     double D = 0.0;
     for (std::size_t i = 0; i < m; ++i) D += len[i] * opts.link_capacity;
     double alpha = 0.0;
-    for (const auto& c : cs) {
-      alpha += c.demand * path_len(c.paths[cheapest(c, len)], len);
-    }
+    for (const auto& c : cs) alpha += c.demand * cheapest(c, len, path_evals).length;
     return alpha > 0 ? D / alpha : kInf;
   };
 
@@ -123,7 +138,7 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
       PathCommodity& c = cs[j];
       double remaining = c.demand;
       while (remaining > 1e-12) {
-        const auto& path = c.paths[cheapest(c, len)];
+        const auto& path = c.paths[cheapest(c, len, path_evals).index];
         // Uniform arc capacities: the bottleneck of any path is link_capacity.
         const double f = std::min(remaining, opts.link_capacity);
         for (int arc : path) {
@@ -135,11 +150,12 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
       }
     }
     result.phases = phase + 1;
+    obs_phases.increment();
     result.lambda = std::max(result.lambda, primal_lambda());
 
     if (opts.decide_threshold >= 0 && result.lambda >= opts.decide_threshold) {
       result.decided_above = true;
-      return result;
+      return finish();
     }
     const bool check_dual =
         opts.decide_threshold >= 0 || (phase + 1) % dual_check_every == 0;
@@ -147,7 +163,7 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
       result.lambda_upper = std::min(result.lambda_upper, dual_upper());
       if (opts.decide_threshold >= 0 && result.lambda_upper < opts.decide_threshold) {
         result.decided_below = true;
-        return result;
+        return finish();
       }
       constexpr double kRelativeDualGap = 0.05;
       if (result.lambda_upper <= result.lambda * (1.0 + kRelativeDualGap)) break;
@@ -160,7 +176,7 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
     }
   }
   result.lambda_upper = std::min(result.lambda_upper, dual_upper());
-  return result;
+  return finish();
 }
 
 double restricted_permutation_throughput(const topo::Topology& topo,

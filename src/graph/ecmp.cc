@@ -1,32 +1,54 @@
 #include "graph/ecmp.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "graph/algorithms.h"
 
 namespace jf::graph {
 
 namespace {
 
-// Depth-first enumeration over the shortest-path DAG induced by distances to
-// t: an edge u->v is in the DAG iff dist_t[v] == dist_t[u] - 1. Neighbors are
-// visited in ascending id order, so enumeration order is lexicographic.
-void enumerate(const Graph& g, NodeId t, const std::vector<int>& dist_t,
+// BFS from t that stops once s is discovered (see the header for why the
+// distances it leaves are enough). Returns dist_t(s), or -1 if s is cut off.
+int distances_to(const SortedAdjacency& adj, NodeId t, NodeId s, SearchScratch& sc) {
+  sc.begin(adj.num_nodes());
+  sc.mark(t);
+  sc.dist[static_cast<std::size_t>(t)] = 0;
+  sc.queue[0] = t;
+  std::size_t tail = 1;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId u = sc.queue[head];
+    const int d = sc.dist[static_cast<std::size_t>(u)] + 1;
+    for (NodeId v : adj.neighbors(u)) {
+      if (sc.seen(v)) continue;
+      sc.mark(v);
+      sc.dist[static_cast<std::size_t>(v)] = d;
+      sc.queue[tail++] = v;
+      if (v == s) return d;
+    }
+  }
+  return -1;
+}
+
+// True iff v is a DAG successor of a node at distance d + 1.
+bool on_dag(const SearchScratch& sc, NodeId v, int d) {
+  return sc.seen(v) && sc.dist[static_cast<std::size_t>(v)] == d;
+}
+
+// Depth-first enumeration over the shortest-path DAG. Neighbors are visited
+// in ascending id order, so enumeration order is lexicographic.
+void enumerate(const SortedAdjacency& adj, NodeId t, const SearchScratch& sc,
                std::vector<NodeId>& prefix, std::size_t limit,
                std::vector<std::vector<NodeId>>& out) {
   if (out.size() >= limit) return;
-  NodeId u = prefix.back();
+  const NodeId u = prefix.back();
   if (u == t) {
     out.push_back(prefix);
     return;
   }
-  std::vector<NodeId> nbrs(g.neighbors(u).begin(), g.neighbors(u).end());
-  std::sort(nbrs.begin(), nbrs.end());
-  for (NodeId v : nbrs) {
-    if (dist_t[v] != dist_t[u] - 1) continue;
+  const int next = sc.dist[static_cast<std::size_t>(u)] - 1;
+  for (NodeId v : adj.neighbors(u)) {
+    if (!on_dag(sc, v, next)) continue;
     prefix.push_back(v);
-    enumerate(g, t, dist_t, prefix, limit, out);
+    enumerate(adj, t, sc, prefix, limit, out);
     prefix.pop_back();
     if (out.size() >= limit) return;
   }
@@ -34,18 +56,24 @@ void enumerate(const Graph& g, NodeId t, const std::vector<int>& dist_t,
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> equal_cost_paths(const Graph& g, NodeId s, NodeId t,
-                                                  std::size_t limit) {
-  check(s >= 0 && s < g.num_nodes() && t >= 0 && t < g.num_nodes(),
+std::vector<std::vector<NodeId>> equal_cost_paths(const SortedAdjacency& adj, NodeId s,
+                                                  NodeId t, std::size_t limit,
+                                                  SearchScratch& sc) {
+  check(s >= 0 && s < adj.num_nodes() && t >= 0 && t < adj.num_nodes(),
         "equal_cost_paths: bad endpoints");
   check(limit >= 1, "equal_cost_paths: limit must be >= 1");
   if (s == t) return {{s}};
-  auto dist_t = bfs_distances(g, t);
-  if (dist_t[s] == kUnreachable) return {};
+  if (distances_to(adj, t, s, sc) < 0) return {};
   std::vector<std::vector<NodeId>> out;
   std::vector<NodeId> prefix{s};
-  enumerate(g, t, dist_t, prefix, limit, out);
+  enumerate(adj, t, sc, prefix, limit, out);
   return out;
+}
+
+std::vector<std::vector<NodeId>> equal_cost_paths(const Graph& g, NodeId s, NodeId t,
+                                                  std::size_t limit) {
+  SearchScratch sc;
+  return equal_cost_paths(SortedAdjacency(g), s, t, limit, sc);
 }
 
 std::size_t count_shortest_paths(const Graph& g, NodeId s, NodeId t, std::size_t cap) {
@@ -61,32 +89,44 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 }  // namespace
 
-std::vector<NodeId> ecmp_walk(const Graph& g, NodeId s, NodeId t, std::uint64_t flow_key,
-                              int width) {
-  check(s >= 0 && s < g.num_nodes() && t >= 0 && t < g.num_nodes(), "ecmp_walk: bad endpoints");
+std::vector<NodeId> ecmp_walk(const SortedAdjacency& adj, NodeId s, NodeId t,
+                              std::uint64_t flow_key, int width, SearchScratch& sc) {
+  check(s >= 0 && s < adj.num_nodes() && t >= 0 && t < adj.num_nodes(),
+        "ecmp_walk: bad endpoints");
   check(width >= 1, "ecmp_walk: width must be >= 1");
   if (s == t) return {s};
-  auto dist_t = bfs_distances(g, t);
-  if (dist_t[s] == kUnreachable) return {};
+  if (distances_to(adj, t, s, sc) < 0) return {};
 
   std::vector<NodeId> path{s};
   NodeId u = s;
   while (u != t) {
     // Successors on the shortest-path DAG, in id order (hardware installs a
     // deterministic subset of at most `width` next hops per destination).
-    std::vector<NodeId> succ;
-    for (NodeId v : g.neighbors(u)) {
-      if (dist_t[v] == dist_t[u] - 1) succ.push_back(v);
+    const int d = sc.dist[static_cast<std::size_t>(u)] - 1;
+    const auto nbrs = adj.neighbors(u);
+    std::uint64_t usable = 0;
+    for (NodeId v : nbrs) {
+      if (on_dag(sc, v, d) && ++usable == static_cast<std::uint64_t>(width)) break;
     }
-    std::sort(succ.begin(), succ.end());
-    const std::size_t usable = std::min<std::size_t>(succ.size(), static_cast<std::size_t>(width));
     ensure(usable > 0, "ecmp_walk: DAG descent failed");
     // Per-hop hash over (flow, current switch), as ECMP hardware computes.
-    const NodeId next = succ[mix64(flow_key ^ (static_cast<std::uint64_t>(u) << 32)) % usable];
-    path.push_back(next);
-    u = next;
+    std::uint64_t pick = mix64(flow_key ^ (static_cast<std::uint64_t>(u) << 32)) % usable;
+    for (NodeId v : nbrs) {
+      if (!on_dag(sc, v, d)) continue;
+      if (pick-- == 0) {
+        u = v;
+        break;
+      }
+    }
+    path.push_back(u);
   }
   return path;
+}
+
+std::vector<NodeId> ecmp_walk(const Graph& g, NodeId s, NodeId t, std::uint64_t flow_key,
+                              int width) {
+  SearchScratch sc;
+  return ecmp_walk(SortedAdjacency(g), s, t, flow_key, width, sc);
 }
 
 }  // namespace jf::graph

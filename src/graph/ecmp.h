@@ -5,11 +5,27 @@
 // 64-way ECMP, §5.1 Fig. 9). This module enumerates the shortest-path set
 // between two nodes, deterministically and with an enumeration cap, so the
 // routing layer can model w-way ECMP faithfully.
+//
+// Every function first runs a BFS from t for distances to t, then follows
+// the shortest-path DAG (u -> v iff dist_t(v) == dist_t(u) - 1) from s.
+// Tie-breaking is by node id: the DAG is walked in ascending neighbor order,
+// read from a SortedAdjacency (graph/adjacency.h) built once per graph
+// rather than sorted at every DFS step or hop; the order, and so every
+// path, is the same as before that change.
+//
+// The BFS stops as soon as it discovers s. At that moment every node closer
+// to t than s is already discovered with its final distance, and every
+// undiscovered node lies at least as far from t as s. A node u on a
+// shortest s-t path has dist_t(u) <= dist_t(s), so its DAG successors (at
+// dist_t(u) - 1) are all discovered, and no undiscovered node can pass for
+// one. The distances live in a SearchScratch, stamped by epoch, so repeated
+// calls allocate nothing.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "graph/adjacency.h"
 #include "graph/graph.h"
 
 namespace jf::graph {
@@ -17,6 +33,11 @@ namespace jf::graph {
 // Up to `limit` distinct shortest paths from s to t, enumerated in
 // lexicographic order over the BFS shortest-path DAG. Empty if unreachable;
 // {{s}} if s == t.
+std::vector<std::vector<NodeId>> equal_cost_paths(const SortedAdjacency& adj, NodeId s,
+                                                  NodeId t, std::size_t limit,
+                                                  SearchScratch& scratch);
+
+// One-off form: builds the sorted view and scratch for this call only.
 std::vector<std::vector<NodeId>> equal_cost_paths(const Graph& g, NodeId s, NodeId t,
                                                   std::size_t limit);
 
@@ -32,6 +53,10 @@ std::size_t count_shortest_paths(const Graph& g, NodeId s, NodeId t, std::size_t
 // whole shortest-path DAG (crucial in Clos fabrics, where one pair has
 // (k/2)^2 equal-cost paths). Deterministic per (graph, flow_key).
 // Returns the node sequence; empty if t is unreachable.
+std::vector<NodeId> ecmp_walk(const SortedAdjacency& adj, NodeId s, NodeId t,
+                              std::uint64_t flow_key, int width, SearchScratch& scratch);
+
+// One-off form: builds the sorted view and scratch for this call only.
 std::vector<NodeId> ecmp_walk(const Graph& g, NodeId s, NodeId t, std::uint64_t flow_key,
                               int width);
 

@@ -1,7 +1,6 @@
 #include "graph/yen.h"
 
 #include <algorithm>
-#include <queue>
 #include <set>
 #include <utility>
 
@@ -11,50 +10,61 @@ namespace jf::graph {
 
 namespace {
 
-// BFS shortest path from s to t avoiding blocked nodes and blocked edges.
-// Parent choice is smallest-id-first for determinism. Returns {} if none.
-std::vector<NodeId> masked_shortest_path(const Graph& g, NodeId s, NodeId t,
-                                         const std::vector<char>& node_blocked,
-                                         const std::set<std::pair<NodeId, NodeId>>& edge_blocked) {
-  auto blocked = [&](NodeId u, NodeId v) {
-    return edge_blocked.count({std::min(u, v), std::max(u, v)}) > 0;
+using Path = std::vector<NodeId>;
+
+// BFS from `src` to `t` over the nodes the current scratch epoch has not
+// seen (the caller stamps blocked nodes first), never taking a first hop
+// marked in hop_blocked. Neighbors come in id order and the first parent
+// wins, so the path found is the lexicographically smallest shortest one.
+// Returns its hop count, or -1 if t is cut off.
+int search(const SortedAdjacency& adj, NodeId src, NodeId t, SearchScratch& sc) {
+  std::size_t tail = 0;
+  auto discover = [&](NodeId v, NodeId from) {
+    sc.mark(v);
+    sc.parent[static_cast<std::size_t>(v)] = from;
+    sc.dist[static_cast<std::size_t>(v)] = sc.dist[static_cast<std::size_t>(from)] + 1;
+    sc.queue[tail++] = v;
+    return v == t;
   };
-  const int n = g.num_nodes();
-  std::vector<int> dist(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId> parent(static_cast<std::size_t>(n), -1);
-  std::queue<NodeId> q;
-  dist[s] = 0;
-  q.push(s);
-  while (!q.empty() && dist[t] == -1) {
-    NodeId u = q.front();
-    q.pop();
-    // Sort neighbor visitation by id so parents (and thus paths) are
-    // deterministic regardless of adjacency-list mutation history.
-    std::vector<NodeId> nbrs(g.neighbors(u).begin(), g.neighbors(u).end());
-    std::sort(nbrs.begin(), nbrs.end());
-    for (NodeId v : nbrs) {
-      if (node_blocked[v] || blocked(u, v) || dist[v] != -1) continue;
-      dist[v] = dist[u] + 1;
-      parent[v] = u;
-      q.push(v);
+  sc.mark(src);
+  sc.dist[static_cast<std::size_t>(src)] = 0;
+  bool found = false;
+  for (NodeId v : adj.neighbors(src)) {
+    if (sc.seen(v) || sc.hop_blocked[static_cast<std::size_t>(v)]) continue;
+    if ((found = discover(v, src))) break;
+  }
+  for (std::size_t head = 0; !found && head < tail; ++head) {
+    const NodeId u = sc.queue[head];
+    for (NodeId v : adj.neighbors(u)) {
+      if (sc.seen(v)) continue;
+      if ((found = discover(v, u))) break;
     }
   }
-  if (dist[t] == -1) return {};
-  std::vector<NodeId> path;
-  for (NodeId cur = t; cur != -1; cur = parent[cur]) path.push_back(cur);
-  std::reverse(path.begin(), path.end());
-  return path;
+  return found ? sc.dist[static_cast<std::size_t>(t)] : -1;
+}
+
+// Appends the path src..t of the last search (`hops` long) to `out`. Paths
+// are sized exactly: the cache keeps them for the provider's lifetime.
+void append_path(const SearchScratch& sc, NodeId t, int hops, Path& out) {
+  const std::size_t first = out.size();
+  out.resize(first + static_cast<std::size_t>(hops) + 1);
+  NodeId cur = t;
+  for (std::size_t j = out.size() - 1; j > first; --j) {
+    out[j] = cur;
+    cur = sc.parent[static_cast<std::size_t>(cur)];
+  }
+  out[first] = cur;  // the search's source
 }
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId s, NodeId t, int k) {
-  check(s >= 0 && s < g.num_nodes() && t >= 0 && t < g.num_nodes(),
-        "k_shortest_paths: bad endpoints");
+std::vector<std::vector<NodeId>> k_shortest_paths(const SortedAdjacency& adj, NodeId s,
+                                                  NodeId t, int k, SearchScratch& sc) {
+  const int n = adj.num_nodes();
+  check(s >= 0 && s < n && t >= 0 && t < n, "k_shortest_paths: bad endpoints");
   check(k >= 1, "k_shortest_paths: k must be >= 1");
   if (s == t) return {{s}};
 
-  using Path = std::vector<NodeId>;
   auto path_less = [](const Path& x, const Path& y) {
     if (x.size() != y.size()) return x.size() < y.size();
     return x < y;  // lexicographic tiebreak
@@ -64,47 +74,51 @@ std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId s, Node
   // Candidate pool ordered by (length, lex); a set both orders and dedupes.
   std::set<Path, decltype(path_less)> candidates(path_less);
 
-  std::vector<char> node_blocked(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::set<std::pair<NodeId, NodeId>> edge_blocked;
-
-  Path first = masked_shortest_path(g, s, t, node_blocked, edge_blocked);
-  if (first.empty()) return {};
-  result.push_back(std::move(first));
+  sc.begin(n);
+  const int first_hops = search(adj, s, t, sc);
+  if (first_hops < 0) return {};
+  result.emplace_back();
+  append_path(sc, t, first_hops, result.back());
 
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
     // Spur node ranges over all but the last node of the previous path.
     for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
       const NodeId spur = prev[i];
-      const Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      const auto root_end = prev.begin() + static_cast<std::ptrdiff_t>(i) + 1;
 
-      edge_blocked.clear();
-      std::fill(node_blocked.begin(), node_blocked.end(), 0);
-
-      // Block the next edge of every accepted path sharing this root.
+      sc.begin(n);
+      // Block root nodes except the spur to keep paths loopless.
+      for (std::size_t j = 0; j < i; ++j) sc.mark(prev[j]);
+      // Block the next edge of every accepted path sharing this root; each
+      // such edge leaves the spur (see the header).
       for (const Path& p : result) {
-        if (p.size() > i && std::equal(root.begin(), root.end(), p.begin())) {
-          NodeId u = p[i], v = p[i + 1];
-          edge_blocked.insert({std::min(u, v), std::max(u, v)});
+        if (p.size() > i + 1 && std::equal(prev.begin(), root_end, p.begin())) {
+          sc.hop_blocked[static_cast<std::size_t>(p[i + 1])] = 1;
         }
       }
-      // Block root nodes except the spur to keep paths loopless.
-      for (std::size_t j = 0; j < i; ++j) node_blocked[root[j]] = 1;
 
-      Path spur_path = masked_shortest_path(g, spur, t, node_blocked, edge_blocked);
-      if (spur_path.empty()) continue;
-
-      Path total(root.begin(), root.end() - 1);
-      total.insert(total.end(), spur_path.begin(), spur_path.end());
+      ++sc.spur_searches;
+      const int hops = search(adj, spur, t, sc);
+      for (NodeId v : adj.neighbors(spur)) sc.hop_blocked[static_cast<std::size_t>(v)] = 0;
+      if (hops < 0) continue;
+      Path total;
+      total.reserve(i + static_cast<std::size_t>(hops) + 1);
+      total.assign(prev.begin(), root_end - 1);
+      append_path(sc, t, hops, total);
       if (std::find(result.begin(), result.end(), total) == result.end()) {
         candidates.insert(std::move(total));
       }
     }
     if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
+    result.push_back(std::move(candidates.extract(candidates.begin()).value()));
   }
   return result;
+}
+
+std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId s, NodeId t, int k) {
+  SearchScratch sc;
+  return k_shortest_paths(SortedAdjacency(g), s, t, k, sc);
 }
 
 }  // namespace jf::graph

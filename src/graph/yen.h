@@ -5,10 +5,32 @@
 // ECMP cannot use. Paths are simple (loopless), returned sorted by
 // (hop count, lexicographic node sequence), and deterministic for a given
 // graph, which makes routing tables reproducible.
+//
+// Tie-breaking. Every search is a BFS that visits neighbors in ascending id
+// order and keeps the first parent that discovers a node, so it returns the
+// lexicographically smallest shortest path of the masked graph. The
+// neighbor order comes from a SortedAdjacency (graph/adjacency.h) built
+// once per graph, not from sorting each neighbor list per visit; the order,
+// and so every path, is the same as before that change. A search stops as
+// soon as it discovers t: later discoveries cannot change t's parent chain.
+//
+// Scratch. Searches reuse one SearchScratch: "seen" is an epoch stamp, the
+// queue is a flat array, and nothing is allocated per spur search.
+//
+// Blocked edges. For spur node p[i] of the previous path, Yen blocks the
+// edge {p[i], p[i+1]} of every accepted path p that shares the root
+// p[0..i]. Each such edge has the spur itself as one endpoint, and the spur
+// is the BFS source. Its direction spur -> p[i+1] is the only one a search
+// could use: the reverse p[i+1] -> spur ends at a node already seen at
+// distance 0. So the blocked set is exactly a set of forbidden first hops
+// out of the spur, kept as per-node marks (SearchScratch::hop_blocked) that
+// are cleared after the search. The root nodes p[0..i-1] are blocked by
+// stamping them seen before the search starts.
 #pragma once
 
 #include <vector>
 
+#include "graph/adjacency.h"
 #include "graph/graph.h"
 
 namespace jf::graph {
@@ -16,6 +38,11 @@ namespace jf::graph {
 // Up to `k` distinct loopless shortest paths from s to t (node sequences
 // including both endpoints). Fewer are returned when fewer exist. s == t
 // yields one trivial path {s}. Unreachable t yields an empty result.
+// Adds the number of spur searches run to scratch.spur_searches.
+std::vector<std::vector<NodeId>> k_shortest_paths(const SortedAdjacency& adj, NodeId s,
+                                                  NodeId t, int k, SearchScratch& scratch);
+
+// One-off form: builds the sorted view and scratch for this call only.
 std::vector<std::vector<NodeId>> k_shortest_paths(const Graph& g, NodeId s, NodeId t, int k);
 
 }  // namespace jf::graph

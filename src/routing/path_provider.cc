@@ -19,6 +19,11 @@ class CachedProvider : public PathProvider {
     return cache_.paths(s, t);
   }
 
+  void warm(std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+            parallel::WorkBudget* budget) override {
+    cache_.warm(pairs, budget);
+  }
+
   // Once every pair is cached the unordered_map is only ever probed, never
   // mutated, so concurrent lookups are safe. (Determinism audit: probes and
   // size() are this file's only unordered accesses — iteration order can
@@ -26,6 +31,9 @@ class CachedProvider : public PathProvider {
   // provider registry below is a std::map precisely because
   // path_provider_schemes() *does* iterate it into user-visible output.)
   bool concurrent_after_warm() const override { return true; }
+
+ protected:
+  const graph::SortedAdjacency& adjacency() const { return cache_.adjacency(); }
 
  private:
   PathCache cache_;
@@ -45,16 +53,18 @@ class KspProvider final : public CachedProvider {
 class EcmpProvider final : public CachedProvider {
  public:
   EcmpProvider(const graph::Graph& g, int width)
-      : CachedProvider(g, {Scheme::kEcmp, width}), g_(g), width_(width) {}
+      : CachedProvider(g, {Scheme::kEcmp, width}), width_(width) {}
 
   std::string name() const override { return "ecmp-" + std::to_string(width_); }
 
   // ECMP hardware forwards by per-hop hashing over the shortest-path DAG
   // (truncated to the way-width at each switch) — it never enumerates
-  // end-to-end paths, so route() must not either.
+  // end-to-end paths, so route() must not either. Concurrent callers each
+  // get their own scratch; the sorted adjacency is shared read-only.
   Path route(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key) override {
     if (s == t) return {s};
-    return graph::ecmp_walk(g_, s, t, flow_key, width_);
+    graph::SearchScratch sc;
+    return graph::ecmp_walk(adjacency(), s, t, flow_key, width_, sc);
   }
 
   // Subflows are distinct flows to the hash: the caller mixes the subflow
@@ -67,7 +77,6 @@ class EcmpProvider final : public CachedProvider {
   bool routes_via_paths() const override { return false; }
 
  private:
-  const graph::Graph& g_;
   int width_;
 };
 
@@ -79,6 +88,11 @@ std::map<std::string, PathProviderFactory>& registry() {
 }  // namespace
 
 std::string RoutingSpec::label() const { return scheme + "-" + std::to_string(width); }
+
+void PathProvider::warm(std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+                        parallel::WorkBudget* /*budget*/) {
+  for (const auto& [s, t] : pairs) paths(s, t);
+}
 
 Path PathProvider::route(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key) {
   const PathSet& ps = paths(s, t);

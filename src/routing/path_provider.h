@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -52,6 +54,15 @@ class PathProvider {
   // valid for the provider's lifetime.
   virtual const PathSet& paths(graph::NodeId s, graph::NodeId t) = 0;
 
+  // Computes the path sets of `pairs` ahead of their first paths() call,
+  // borrowing idle workers from `budget` (may be null) where the provider
+  // can. Results are the ones paths() would compute. Default: paths() for
+  // each pair, in order, on the calling thread. The built-ins compute on
+  // the borrowed workers and insert in canonical pair order
+  // (PathCache::warm).
+  virtual void warm(std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+                    parallel::WorkBudget* budget);
+
   // The single path a flow with this hash key takes. Default: deterministic
   // hash-select over paths() (per-flow ECMP-style pinning).
   virtual Path route(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key);
@@ -61,7 +72,7 @@ class PathProvider {
   virtual Path route_subflow(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key,
                              int index);
 
-  // True when, after paths() has been called once for every (s, t) pair
+  // True when, after paths() (or warm()) has covered every (s, t) pair
   // that will subsequently be queried, all methods are safe to call
   // concurrently from multiple threads on that pair set. The built-ins
   // qualify (their lazily filled cache is only ever probed, never grown,

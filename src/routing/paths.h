@@ -10,10 +10,17 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "graph/adjacency.h"
 #include "graph/graph.h"
+
+namespace jf::parallel {
+class WorkBudget;
+}
 
 namespace jf::routing {
 
@@ -38,6 +45,11 @@ std::vector<std::vector<graph::NodeId>> compute_paths(const graph::Graph& g, gra
 std::size_t select_path(std::size_t num_paths, std::uint64_t flow_key);
 
 // Demand-driven path cache: computes each pair's path set once.
+//
+// The cache sorts the graph's neighbor lists once, into the SortedAdjacency
+// every Yen/ECMP search reads, and keeps one SearchScratch for paths().
+// Every path set it computes counts in the exact obs counters
+// routing.pairs, routing.paths and routing.spur_searches.
 class PathCache {
  public:
   PathCache(const graph::Graph& g, RoutingOptions opts);
@@ -45,7 +57,23 @@ class PathCache {
   // Paths for (s, t); computed on first use.
   const std::vector<std::vector<graph::NodeId>>& paths(graph::NodeId s, graph::NodeId t);
 
+  // Computes the path set of every listed pair that is not cached yet, on
+  // the calling thread plus whatever workers `budget` (may be null) can
+  // lend. The cache first reserves one empty entry per such pair, in
+  // first-listed (canonical) order; workers then share the read-only
+  // adjacency, each worker slot with its own scratch, and each writes its
+  // pair's set straight into that pair's entry (no copy, no second table).
+  // If a computation throws, every reserved entry is erased again. Records
+  // one routing.warm span with `pairs` (sets computed) and `paths` (their
+  // total size). Afterwards paths() for those pairs only probes, so it may
+  // run concurrently.
+  void warm(std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+            parallel::WorkBudget* budget);
+
   std::size_t pairs_cached() const { return cache_.size(); }
+
+  // The id-sorted adjacency the searches read (also ECMP's per-hop walk).
+  const graph::SortedAdjacency& adjacency() const { return adj_; }
 
  private:
   // Node ids are 32-bit, so an (s, t) pair packs losslessly into one 64-bit
@@ -53,21 +81,26 @@ class PathCache {
   // per-flow lookup path.
   //
   // Determinism audit (detlint `unordered-iter`): the unordered_map is legal
-  // here because it is only ever *probed* by key — paths() does a find/emplace
-  // and pairs_cached() reads size(); nothing iterates the table, so its
-  // hash- and insertion-order-dependent layout cannot reach a Report,
-  // serializer, or digest. The path sets themselves come from compute_paths,
-  // a pure function of (graph, pair, options). Any future range-for or
-  // begin() over `cache_` is flagged by detlint and must either go through a
-  // sorted key copy or carry an annotated proof. Locked by the
+  // here because it is only ever *probed* by key — paths() does a
+  // find/emplace, warm() a try_emplace (and an erase on failure), and
+  // pairs_cached() reads size(); nothing iterates the table, so its hash-
+  // and insertion-order-dependent layout cannot reach a Report, serializer,
+  // or digest. The path sets themselves come from the Yen/ECMP kernels, a
+  // pure function of (graph, pair, options), whichever thread or scratch
+  // computes them. warm() inserts its entries in canonical pair order
+  // before any worker starts, so even the table's layout does not depend
+  // on how the workers were scheduled. Any future range-for or begin() over
+  // `cache_` is flagged by detlint and must either go through a sorted key
+  // copy or carry an annotated proof. Locked by the
   // PathCacheTest.WarmOrderNeverReachesResults regression test.
   static std::uint64_t pack(graph::NodeId s, graph::NodeId t) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)) << 32) |
            static_cast<std::uint32_t>(t);
   }
 
-  const graph::Graph& g_;
+  graph::SortedAdjacency adj_;
   RoutingOptions opts_;
+  graph::SearchScratch scratch_;  // paths()' own; warm() gives slot 0 this one
   std::unordered_map<std::uint64_t, std::vector<std::vector<graph::NodeId>>> cache_;
 };
 

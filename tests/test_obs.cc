@@ -3,6 +3,7 @@
 // observability off or on, at any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -13,8 +14,12 @@
 #include "common/json.h"
 #include "common/parallel.h"
 #include "eval/engine.h"
+#include "flow/restricted.h"
+#include "graph/graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "routing/path_provider.h"
+#include "routing/paths.h"
 
 namespace jf {
 namespace {
@@ -222,6 +227,93 @@ TEST(ObsParallel, BudgetTotalAndTeamAccounting) {
   EXPECT_EQ(budget.total(), 3);
   EXPECT_EQ(obs::counter("parallel.team_rounds").value(), rounds0 + 1);
   EXPECT_GT(obs::counter("parallel.team_busy_ns").value(), busy0);
+}
+
+// --- routing and restricted-MCF counters: exact on hand-counted inputs ---
+
+// The events named `name` in the current trace.
+std::vector<json::Value> trace_events(const std::string& name) {
+  std::vector<json::Value> out;
+  const json::Value trace = json::Value::parse(obs::trace_to_json().dump());
+  for (const json::Value& ev : trace.find("traceEvents")->as_array()) {
+    if (ev.find("name")->as_string() == name) out.push_back(ev);
+  }
+  return out;
+}
+
+// The 4-cycle 0-1-2-3-0, counted by hand. KSP-4 from 0 to 2 accepts
+// [0,1,2], then spurs at 0 (first hop 1 blocked: finds [0,3,2]) and at 1
+// (node 0 and hop 2 blocked: nothing); it accepts [0,3,2], then spurs at 0
+// (hops 1 and 3 blocked) and at 3 (node 0 and hop 2 blocked), both empty.
+// So: 1 pair, 2 paths, 4 spur searches. ECMP's (0,2) and (1,3) add 2 pairs,
+// 2 paths each, and no spur search.
+TEST(ObsRouting, CountersExactOnFourCycle) {
+  ObsGuard on(/*metrics=*/true, /*trace=*/true);
+  obs::reset_metrics();
+  obs::reset_trace();
+  graph::Graph g(4);
+  for (graph::NodeId v = 0; v < 4; ++v) g.add_edge(v, (v + 1) % 4);
+
+  routing::PathCache ksp(g, {routing::Scheme::kKsp, 4});
+  EXPECT_EQ(ksp.paths(0, 2).size(), 2u);
+  EXPECT_EQ(ksp.paths(0, 2).size(), 2u);  // cached: counts nothing
+  EXPECT_EQ(obs::counter("routing.pairs").value(), 1);
+  EXPECT_EQ(obs::counter("routing.paths").value(), 2);
+  EXPECT_EQ(obs::counter("routing.spur_searches").value(), 4);
+
+  // warm() computes each uncached pair once, however often it is listed.
+  routing::PathCache ecmp(g, {routing::Scheme::kEcmp, 8});
+  const std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs = {{0, 2}, {0, 2}, {1, 3}};
+  parallel::WorkBudget budget(2);
+  ecmp.warm(pairs, &budget);
+  ecmp.warm(pairs, &budget);  // all cached: a span with zero counts
+  EXPECT_EQ(obs::counter("routing.pairs").value(), 3);
+  EXPECT_EQ(obs::counter("routing.paths").value(), 6);
+  EXPECT_EQ(obs::counter("routing.spur_searches").value(), 4);
+
+  const std::vector<json::Value> warms = trace_events("routing.warm");
+  ASSERT_EQ(warms.size(), 2u);
+  EXPECT_EQ(warms[0].find("args")->find("pairs")->as_int(), 2);
+  EXPECT_EQ(warms[0].find("args")->find("paths")->as_int(), 4);
+  EXPECT_EQ(warms[1].find("args")->find("pairs")->as_int(), 0);
+  EXPECT_EQ(warms[1].find("args")->find("paths")->as_int(), 0);
+  obs::reset_trace();
+}
+
+// One commodity on one link with one allowed path and demand equal to the
+// capacity: each phase prices the path once, and so does each dual bound
+// (every max(4, convergence_window) phases, plus the final one).
+TEST(ObsRestricted, CountersAndSpanExactOnOneLink) {
+  ObsGuard on(/*metrics=*/true, /*trace=*/true);
+  obs::reset_metrics();
+  obs::reset_trace();
+  graph::Graph g(2);
+  g.add_edge(0, 1);
+  auto routes = routing::make_path_provider(g, routing::RoutingSpec{"ksp", 1});
+  const flow::McfOptions opts;
+  const std::vector<traffic::Commodity> one = {{0, 1, 1.0}};
+  const flow::McfResult r = flow::restricted_max_concurrent_flow(g, one, *routes, opts);
+  ASSERT_GT(r.phases, 0);
+  const int dual_every = std::max(4, opts.convergence_window);
+  EXPECT_EQ(obs::counter("restricted.solves").value(), 1);
+  EXPECT_EQ(obs::counter("restricted.phases").value(), r.phases);
+  EXPECT_EQ(obs::counter("restricted.path_evals").value(), r.phases + r.phases / dual_every + 1);
+
+  // An early exit (a commodity with no allowed path) still closes its span
+  // with the phase count.
+  graph::Graph cut(3);
+  cut.add_edge(0, 1);
+  auto cut_routes = routing::make_path_provider(cut, routing::RoutingSpec{"ksp", 1});
+  const std::vector<traffic::Commodity> unroutable = {{0, 2, 1.0}};
+  EXPECT_EQ(flow::restricted_max_concurrent_flow(cut, unroutable, *cut_routes, opts).lambda, 0.0);
+  EXPECT_EQ(obs::counter("restricted.solves").value(), 2);
+  EXPECT_EQ(obs::counter("restricted.phases").value(), r.phases);
+
+  const std::vector<json::Value> solves = trace_events("restricted.solve");
+  ASSERT_EQ(solves.size(), 2u);
+  EXPECT_EQ(solves[0].find("args")->find("phases")->as_int(), r.phases);
+  EXPECT_EQ(solves[1].find("args")->find("phases")->as_int(), 0);
+  obs::reset_trace();
 }
 
 // --- the invariant: observability cannot change results ---

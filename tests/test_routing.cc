@@ -2,10 +2,15 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
+#include "common/digest.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "flow/maxmin.h"
+#include "graph/ecmp.h"
 #include "routing/diversity.h"
 #include "routing/path_provider.h"
 #include "routing/paths.h"
@@ -117,6 +122,42 @@ TEST(PathCacheTest, WarmOrderNeverReachesResults) {
   }
 }
 
+// warm() computes on borrowed workers with per-slot scratch and inserts in
+// canonical order; whatever the budget (none, an empty pot, 1 or 3 slots),
+// the cache it leaves must answer paths() exactly like a serially filled
+// one, and every borrowed slot must go back to the pot.
+TEST(PathCacheTest, WarmMatchesSerialFillAtEveryBudget) {
+  Rng rng(8);
+  auto topo = topo::build_jellyfish(
+      {.num_switches = 40, .ports_per_switch = 10, .network_degree = 6}, rng);
+  const auto& g = topo.switches();
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (graph::NodeId s = 0; s < 10; ++s) {
+    for (graph::NodeId t = 39; t >= 0; --t) pairs.emplace_back(s, t);  // s == t included
+  }
+  pairs.emplace_back(3, 17);  // a repeat
+
+  for (const RoutingOptions opts : {RoutingOptions{Scheme::kKsp, 8},
+                                    RoutingOptions{Scheme::kEcmp, 8}}) {
+    PathCache serial(g, opts);
+    for (const auto& [s, t] : pairs) serial.paths(s, t);
+    for (int slots : {-1, 0, 1, 3}) {
+      parallel::WorkBudget budget(std::max(slots, 0));
+      PathCache warmed(g, opts);
+      warmed.paths(5, 9);  // already cached pairs are skipped
+      warmed.warm(pairs, slots < 0 ? nullptr : &budget);
+      EXPECT_EQ(budget.available(), budget.total());
+      EXPECT_EQ(warmed.pairs_cached(), serial.pairs_cached());
+      auto provider = make_path_provider(g, opts);
+      provider->warm(pairs, slots < 0 ? nullptr : &budget);
+      for (const auto& [s, t] : pairs) {
+        EXPECT_EQ(warmed.paths(s, t), serial.paths(s, t)) << "budget " << slots;
+        EXPECT_EQ(provider->paths(s, t), serial.paths(s, t)) << "budget " << slots;
+      }
+    }
+  }
+}
+
 TEST(Diversity, CountsPathsPerLink) {
   // Line graph 0-1-2: one pair (0,2), one path, both directed links on it.
   graph::Graph g(3);
@@ -170,6 +211,137 @@ TEST(Diversity, FattreeEcmpIsDiverse) {
   int on_some_path = 0;
   for (int c : counts) on_some_path += c > 0 ? 1 : 0;
   EXPECT_GT(on_some_path, 0);
+}
+
+// --- Path-set goldens ---
+//
+// Digests of the canonical text of every path set over all ordered pairs
+// (s, t), s in 0..15, t != s. The digests were recorded from the original
+// per-call-sort Yen/ECMP kernels, so they pin the exact path sets and their
+// order — tie-breaking included — across any rewrite of the kernels.
+
+graph::Graph jellyfish_245() {
+  Rng rng(11);
+  return topo::build_jellyfish(
+             {.num_switches = 245, .ports_per_switch = 14, .network_degree = 11}, rng)
+      .switches();
+}
+
+// A Jellyfish whose neighbor lists are out of id order: every third node
+// drops its two oldest links and re-adds them, so they move to the back of
+// both endpoints' lists.
+graph::Graph rewired_jellyfish() {
+  Rng rng(12);
+  graph::Graph g = topo::build_jellyfish(
+                       {.num_switches = 60, .ports_per_switch = 10, .network_degree = 7}, rng)
+                       .switches();
+  for (graph::NodeId v = 0; v < g.num_nodes(); v += 3) {
+    const std::vector<graph::NodeId> nbrs = g.neighbors(v);
+    for (std::size_t i = 0; i < 2 && i < nbrs.size(); ++i) {
+      g.remove_edge(v, nbrs[i]);
+      g.add_edge(nbrs[i], v);
+    }
+  }
+  return g;
+}
+
+std::string path_text(const PathSet& ps) {
+  std::string out;
+  for (const Path& p : ps) {
+    for (graph::NodeId v : p) out += std::to_string(v) + " ";
+    out += ";";
+  }
+  return out;
+}
+
+std::string path_sets_digest(const graph::Graph& g, const RoutingOptions& opts) {
+  std::string text;
+  for (graph::NodeId s = 0; s < 16; ++s) {
+    for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
+      if (s == t) continue;
+      text += std::to_string(s) + ">" + std::to_string(t) + ":" +
+              path_text(compute_paths(g, s, t, opts)) + "\n";
+    }
+  }
+  return common::sha256_hex(text);
+}
+
+// Per-hop-hashed ECMP routes for four flow keys per pair.
+std::string ecmp_walk_digest(const graph::Graph& g, int width) {
+  std::string text;
+  for (graph::NodeId s = 0; s < 16; ++s) {
+    for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
+      if (s == t) continue;
+      for (std::uint64_t key = 0; key < 4; ++key) {
+        text += path_text({graph::ecmp_walk(g, s, t, key * 0x9e3779b97f4a7c15ULL, width)});
+      }
+      text += "\n";
+    }
+  }
+  return common::sha256_hex(text);
+}
+
+struct GoldenRow {
+  int width;
+  const char* ksp;
+  const char* ecmp;
+  const char* walk;
+};
+
+void expect_goldens(const graph::Graph& g, const std::vector<GoldenRow>& rows) {
+  for (const GoldenRow& row : rows) {
+    EXPECT_EQ(path_sets_digest(g, {Scheme::kKsp, row.width}), row.ksp) << "ksp-" << row.width;
+    EXPECT_EQ(path_sets_digest(g, {Scheme::kEcmp, row.width}), row.ecmp) << "ecmp-" << row.width;
+    EXPECT_EQ(ecmp_walk_digest(g, row.width), row.walk) << "ecmp walk, width " << row.width;
+  }
+}
+
+TEST(PathGolden, Jellyfish245) {
+  expect_goldens(jellyfish_245(), {
+      {1, "114921e6202c64d9a2a78f062cca3c73f2ccb2ebe437dace92f4ca6cab57d269",
+       "114921e6202c64d9a2a78f062cca3c73f2ccb2ebe437dace92f4ca6cab57d269",
+       "00c09374bb72e86abfa5d02db84e378b3a3418352be0b6a787d926010f535e54"},
+      {2, "1138bbcd75dae14f30116613f2b12e9b7a2cd3935a5bbc092b7e31142bfff7b1",
+       "49ac50bdc51d6c6002a991244dc7eba99964ce27b92a6032bd7fd33106813f1d",
+       "73f0eb37210c7e9efeeddf589bb9eaccd5d545ae19db881d7f1e2271494de52b"},
+      {8, "ecb425160e952108c5854171243f4e681bf75ba9d1b16a1c5a9e7b9c67dd7aa9",
+       "863ca4b0d52d59bcf920c78fbe50dacadd3213fd3669df8bf4856c1dbf46a399",
+       "ebf38903afdc74c89cfe5472660603e1f3804f3151a19b5d07c5c8753f46bc48"},
+  });
+}
+
+TEST(PathGolden, FatTreeK8) {
+  expect_goldens(topo::build_fattree(8).switches(), {
+      {1, "d288e1c11ad333b06a6d878fd4bec9c5569e2e14a17c7b226d9991cb07ac1da2",
+       "d288e1c11ad333b06a6d878fd4bec9c5569e2e14a17c7b226d9991cb07ac1da2",
+       "e95f40b95263e0666d62d41cede56055599cdff43a5fe4260c7d22177e79c4ca"},
+      {2, "eff557cccd5ecff7b3f0237d92fcd4ba5dd1c2e1d2228cd3e13ac43af9d4b3f8",
+       "1e69d9222e2c0974579815e65afcb04292861cad6636a66ac324eea2288f4a37",
+       "b4fff4e4b942655809c5f29e821049d6ee0b92524de4353c7e5f7c73ba1ac1c6"},
+      {8, "c50971b5e2690bde38acdb7038108fcbe39f19257456a3f081320a21dc4b8d93",
+       "bccb676b058e73b376ee6085ceb5c2d2ec134f0d698145121f4d6c6cfcf97230",
+       "4ef2d87f99f29abdc1e6b329b51a88ed0450cbdb105422d67ed79c0939ffe50e"},
+  });
+}
+
+TEST(PathGolden, RewiredJellyfishUnsortedNeighbors) {
+  const graph::Graph g = rewired_jellyfish();
+  bool unsorted = false;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    unsorted = unsorted || !std::is_sorted(g.neighbors(v).begin(), g.neighbors(v).end());
+  }
+  ASSERT_TRUE(unsorted) << "the fixture must exercise out-of-order neighbor lists";
+  expect_goldens(g, {
+      {1, "092034e6f939d118a2e11ea1cf887c0fc132b532aca65ed054d4934b30680b23",
+       "092034e6f939d118a2e11ea1cf887c0fc132b532aca65ed054d4934b30680b23",
+       "223593cf18374f8bbe7c81835a419d5d7d9c0cd4dba21a29187bc33c19902555"},
+      {2, "5652bea3ba412f638e38c2e3a04a281c63a80b87abb3eeeed177c84061c807ca",
+       "2b9d040f2ef38b80d81fc569b347f664cb64212e29b11d1c262d685ba4f0121b",
+       "f5ddd5e085e5648349c727e43711cdad22317439f5e5abe45423e8589e015623"},
+      {8, "a54f7131c77d4e5983f57583a1fe7088f88e8e8cb3fe613b018b356b599decaf",
+       "a89b15c055290034ebe664a2d0e5e9436c91666fc7ba03d0be5cda42a86ad380",
+       "42b923401b195cb141c5263ced321f133c3e827f18b97c9f6a60f4c18aee6778"},
+  });
 }
 
 }  // namespace

@@ -150,10 +150,12 @@ TEST(TopologyIo, DotContainsAllEdges) {
   const std::string dot = os.str();
   EXPECT_NE(dot.find("graph jellyfish {"), std::string::npos);
   for (const auto& e : topo.switches().edges()) {
-    // Seed the concat with a std::string lvalue: `"s" + std::to_string(...)`
-    // trips GCC 12's bogus -Wrestrict on the rvalue operator+ (PR105651).
-    const std::string line =
-        std::string("s") + std::to_string(e.a) + " -- s" + std::to_string(e.b);
+    // Appended piecewise: any rvalue operator+ chain here trips GCC 12's
+    // bogus -Wrestrict (PR105651), depending on what else the TU inlines.
+    std::string line = "s";
+    line += std::to_string(e.a);
+    line += " -- s";
+    line += std::to_string(e.b);
     EXPECT_NE(dot.find(line), std::string::npos) << line;
   }
 }
