@@ -522,8 +522,8 @@ std::vector<Cell> build_cells(const Scenario& s) {
 // Deterministic families (fattree): build the topology once and — when the
 // provider supports read-only concurrent use after a full warm — enumerate
 // each routing scheme's paths once, instead of per seed. Fills
-// shared/query_pairs/warm_jobs; the (parallelizable) warming itself is the
-// caller's job so a batch can interleave warm jobs across scenarios.
+// shared/query_pairs/warm_jobs; the warming itself (PathProvider::warm, on
+// the batch's borrowed workers) is the caller's job, once per batch.
 void prepare_shared(PreparedScenario& p, bool share_path_cache) {
   const Scenario& s = *p.s;
   p.shared.resize(s.topologies.size());

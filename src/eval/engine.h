@@ -73,10 +73,10 @@ struct EngineOptions {
   // For deterministic topology families (fattree, or families registered as
   // deterministic), build the topology once and warm one PathProvider per
   // routing scheme with the union of switch pairs the scenario's traffic
-  // will query, then share both read-only across seed cells — pairs
-  // repeated across seeds/samples run Yen/ECMP enumeration once instead of
-  // once per seed. Results are identical either way; this is purely a
-  // time/memory trade.
+  // will query (PathProvider::warm, on the batch's borrowed workers), then
+  // share both read-only across seed cells — pairs repeated across
+  // seeds/samples run Yen/ECMP enumeration once instead of once per seed.
+  // Results are identical either way; this is purely a time/memory trade.
   bool share_path_cache = true;
   // Across a batch (typically one sweep), cells whose full configuration —
   // the spec slice the cell reads plus its topology/routing indices and

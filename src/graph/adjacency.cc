@@ -20,14 +20,18 @@ void SearchScratch::begin(int num_nodes) {
   const auto n = static_cast<std::size_t>(num_nodes);
   if (stamp.size() != n) {
     stamp.assign(n, 0);
-    parent.assign(n, -1);
-    dist.assign(n, 0);
     queue.assign(n, -1);
-    hop_blocked.assign(n, 0);
     epoch = 0;
+    dist.clear();
+    parent.clear();
+    hop_blocked.clear();
+    to_t.clear();
+    dead_stamp.clear();
+    dead_bits.clear();
   }
   if (++epoch == 0) {  // wrapped: stale stamps could alias the new epoch
     std::fill(stamp.begin(), stamp.end(), 0);
+    std::fill(dead_stamp.begin(), dead_stamp.end(), 0);
     epoch = 1;
   }
 }

@@ -40,18 +40,31 @@ class SortedAdjacency {
   std::vector<NodeId> nbr_;
 };
 
-// Per-thread BFS state for repeated searches over one node count.
+// Per-thread search state for repeated searches over one node count.
+// begin() sizes the arrays every search uses; each kernel sizes the arrays
+// only it reads (resize is a no-op once they fit), so a one-off ECMP walk
+// allocates three arrays, not Yen's whole set.
 struct SearchScratch {
   std::vector<std::uint32_t> stamp;  // stamp[v] == epoch <=> v seen this search
-  std::vector<NodeId> parent;        // BFS parent, valid where seen
-  std::vector<int> dist;             // BFS distance, valid where seen
   std::vector<NodeId> queue;         // flat FIFO: every node enters at most once
-  std::vector<char> hop_blocked;     // Yen: next hops out of the spur it may not take
   std::uint32_t epoch = 0;
+
+  std::vector<int> dist;  // ECMP: distance to t, valid where seen
+
+  std::vector<NodeId> parent;     // Yen: BFS parent, valid where seen
+  std::vector<char> hop_blocked;  // Yen: first hops out of the spur it may not take
+  std::vector<int> to_t;          // Yen: unmasked distance to the pair's target
+  // Yen: bit r of dead_bits[v] is set (while dead_stamp[v] == epoch) once no
+  // r-step walk is known to lead from v to the target in the masked graph.
+  std::vector<std::uint32_t> dead_stamp;
+  std::vector<std::uint64_t> dead_bits;
+  std::vector<NodeId> path;  // Yen: the last spur search's path
   // Spur searches Yen has run with this scratch (routing.spur_searches).
   std::int64_t spur_searches = 0;
 
   // Starts a new search over `num_nodes` nodes: every node becomes unseen.
+  // A new node count also drops the kernel-specific arrays, so no stale
+  // stamp can outlive the graph it was made for.
   void begin(int num_nodes);
   bool seen(NodeId v) const { return stamp[static_cast<std::size_t>(v)] == epoch; }
   void mark(NodeId v) { stamp[static_cast<std::size_t>(v)] = epoch; }

@@ -10,6 +10,7 @@ namespace {
 // distances it leaves are enough). Returns dist_t(s), or -1 if s is cut off.
 int distances_to(const SortedAdjacency& adj, NodeId t, NodeId s, SearchScratch& sc) {
   sc.begin(adj.num_nodes());
+  sc.dist.resize(static_cast<std::size_t>(adj.num_nodes()));
   sc.mark(t);
   sc.dist[static_cast<std::size_t>(t)] = 0;
   sc.queue[0] = t;

@@ -10,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "flow/maxmin.h"
+#include "graph/adjacency.h"
 #include "graph/ecmp.h"
 #include "routing/diversity.h"
 #include "routing/path_provider.h"
@@ -217,8 +218,9 @@ TEST(Diversity, FattreeEcmpIsDiverse) {
 //
 // Digests of the canonical text of every path set over all ordered pairs
 // (s, t), s in 0..15, t != s. The digests were recorded from the original
-// per-call-sort Yen/ECMP kernels, so they pin the exact path sets and their
-// order — tie-breaking included — across any rewrite of the kernels.
+// kernels (a fresh BFS per search over neighbor lists sorted at every
+// visit), so they pin the exact path sets and their order — tie-breaking
+// included — across any rewrite of the kernels.
 
 graph::Graph jellyfish_245() {
   Rng rng(11);
@@ -255,12 +257,13 @@ std::string path_text(const PathSet& ps) {
 }
 
 std::string path_sets_digest(const graph::Graph& g, const RoutingOptions& opts) {
+  PathCache cache(g, opts);
   std::string text;
   for (graph::NodeId s = 0; s < 16; ++s) {
     for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
       if (s == t) continue;
-      text += std::to_string(s) + ">" + std::to_string(t) + ":" +
-              path_text(compute_paths(g, s, t, opts)) + "\n";
+      text += std::to_string(s) + ">" + std::to_string(t) + ":" + path_text(cache.paths(s, t)) +
+              "\n";
     }
   }
   return common::sha256_hex(text);
@@ -268,12 +271,15 @@ std::string path_sets_digest(const graph::Graph& g, const RoutingOptions& opts) 
 
 // Per-hop-hashed ECMP routes for four flow keys per pair.
 std::string ecmp_walk_digest(const graph::Graph& g, int width) {
+  const graph::SortedAdjacency adj(g);
+  graph::SearchScratch scratch;
   std::string text;
   for (graph::NodeId s = 0; s < 16; ++s) {
     for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
       if (s == t) continue;
       for (std::uint64_t key = 0; key < 4; ++key) {
-        text += path_text({graph::ecmp_walk(g, s, t, key * 0x9e3779b97f4a7c15ULL, width)});
+        text += path_text(
+            {graph::ecmp_walk(adj, s, t, key * 0x9e3779b97f4a7c15ULL, width, scratch)});
       }
       text += "\n";
     }
