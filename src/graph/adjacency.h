@@ -1,15 +1,15 @@
 // Shared inputs of the path kernels (graph/yen.h, graph/ecmp.h): a sorted,
 // read-only adjacency view built once per graph, and reusable BFS scratch.
 //
-// Both kernels break ties by node id: a BFS visits neighbors in ascending id
-// order, and ECMP enumerates the shortest-path DAG lexicographically. A
-// Graph keeps its neighbor lists in insertion order (expansion and rewiring
-// reorder them), so the kernels used to copy and sort a neighbor list at
-// every visit. SortedAdjacency does that sort once, into a CSR array that
-// any number of threads may read at the same time.
+// Both kernels break ties by node id: a search visits neighbors in
+// ascending id order, and ECMP enumerates the shortest-path DAG
+// lexicographically. A Graph keeps its neighbor lists in insertion order
+// (expansion and rewiring reorder them), so SortedAdjacency sorts them
+// once, into a CSR array that any number of threads may read at the same
+// time.
 //
-// SearchScratch replaces the per-search dist/parent/queue allocations with
-// arrays that live as long as the scratch. A search "clears" them in O(1) by
+// SearchScratch holds a search's per-node arrays for as long as the scratch
+// lives, so a search allocates nothing. A search "clears" them in O(1) by
 // bumping an epoch: v counts as seen only while stamp[v] == epoch. One
 // scratch serves one thread; parallel callers keep one per worker slot.
 #pragma once

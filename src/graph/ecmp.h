@@ -9,17 +9,16 @@
 // Every function first runs a BFS from t for distances to t, then follows
 // the shortest-path DAG (u -> v iff dist_t(v) == dist_t(u) - 1) from s.
 // Tie-breaking is by node id: the DAG is walked in ascending neighbor order,
-// read from a SortedAdjacency (graph/adjacency.h) built once per graph
-// rather than sorted at every DFS step or hop; the order, and so every
-// path, is the same as before that change.
+// read from a SortedAdjacency (graph/adjacency.h) built once per graph. That
+// order fixes every path set and route; the PathGolden.* tests pin them.
 //
 // The BFS stops as soon as it discovers s. At that moment every node closer
 // to t than s is already discovered with its final distance, and every
 // undiscovered node lies at least as far from t as s. A node u on a
 // shortest s-t path has dist_t(u) <= dist_t(s), so its DAG successors (at
 // dist_t(u) - 1) are all discovered, and no undiscovered node can pass for
-// one. The distances live in a SearchScratch, stamped by epoch, so repeated
-// calls allocate nothing.
+// one. The distances live in a SearchScratch, stamped by epoch, so the
+// search itself allocates nothing once the scratch fits the graph.
 #pragma once
 
 #include <cstdint>

@@ -9,11 +9,10 @@
 // Tie-breaking. Every search returns the lexicographically smallest
 // shortest path of its masked graph. A BFS that visits neighbors in
 // ascending id order and keeps the first parent that discovers a node
-// returns exactly that path (by induction over BFS levels, each node's
-// tree path is its smallest shortest path, and queue order is the order of
-// those paths), and this is what Yen's searches have always returned. The
-// id order comes from a SortedAdjacency (graph/adjacency.h) built once per
-// graph, not from sorting each neighbor list at every visit.
+// returns exactly that path: by induction over BFS levels, each node's tree
+// path is its smallest shortest path, and queue order is the order of those
+// paths. The id order comes from a SortedAdjacency (graph/adjacency.h)
+// built once per graph. The PathGolden.* tests pin the resulting path sets.
 //
 // Spur searches run depth-first first. One full BFS from t per pair gives
 // every node's unmasked distance to t. For the spur's unmasked distance d
