@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the core computational kernels:
 // RRG construction, expansion splicing, APSP, Yen k-shortest paths, ECMP
-// path enumeration, Dinic max-flow, Garg-Könemann MCF, and the packet
-// simulator's event throughput.
+// path enumeration, Dinic max-flow, Garg-Könemann MCF, the packet
+// simulator's event queue, and its event throughput.
 #include <benchmark/benchmark.h>
 
+#include <queue>
 #include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -15,6 +17,7 @@
 #include "graph/ecmp.h"
 #include "graph/maxflow.h"
 #include "graph/yen.h"
+#include "sim/event_queue.h"
 #include "sim/workload.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
@@ -154,6 +157,53 @@ BENCHMARK(BM_GargKonemannMcfParallel)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// The binary heap the calendar queue replaced, behind the same interface:
+// the hold benchmark's baseline.
+struct HeapQueue {
+  std::priority_queue<jf::sim::Event, std::vector<jf::sim::Event>, jf::sim::EventAfter> heap;
+  void push(jf::sim::Event&& ev) { heap.push(std::move(ev)); }
+  jf::sim::TimeNs top_time() const { return heap.top().time; }
+  jf::sim::Event pop() {
+    jf::sim::Event ev = heap.top();
+    heap.pop();
+    return ev;
+  }
+};
+
+// Hold model of one simulator shard: ~1000 pending events; each step pops
+// the minimum and pushes one event ahead of it with the simulator's time
+// mix (a 320 ns ACK serialization, a 5 us wire delay, a 12 us MTU
+// serialization, and now and then an RTO timer 8 ms or more out).
+template <class Queue>
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr int kPending = 1000;
+  jf::Rng rng(5);
+  std::vector<jf::sim::TimeNs> delays(4096);
+  for (auto& d : delays) {
+    const double u = rng.uniform();
+    d = u < 0.3 ? 320 : u < 0.6 ? 5'000 : u < 0.98 ? 12'000 : 8'000'000 + rng.uniform_int(0, 8'000'000);
+  }
+  Queue q;
+  std::uint64_t seq = 0;
+  auto push_at = [&](jf::sim::TimeNs t) {
+    jf::sim::Event ev;
+    ev.time = t;
+    ev.order = jf::sim::make_order(seq % 64, seq);
+    ++seq;
+    q.push(std::move(ev));
+  };
+  for (int i = 0; i < kPending; ++i) push_at(delays[static_cast<std::size_t>(i)] + i * 20);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(q.top_time());
+    const jf::sim::Event ev = q.pop();
+    push_at(ev.time + delays[next++ & 4095]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_EventQueueHold, jf::sim::EventQueue<>);
+BENCHMARK_TEMPLATE(BM_EventQueueHold, HeapQueue);
 
 void BM_PacketSim(benchmark::State& state) {
   jf::Rng rng(7);

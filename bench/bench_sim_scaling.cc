@@ -3,7 +3,7 @@
 //
 // Runs one permutation workload (the shape behind Table 1 / Figs. 10-13) on
 // a jellyfish topology: once at one shard as the reference (one round over
-// one heap), then at several (shards, threads) points. Every run's per-flow
+// one event queue), then at several (shards, threads) points. Every run's per-flow
 // goodput, drop count, and retransmit count must be byte-identical to the
 // one-shard reference — the benchmark doubles as a determinism check —
 // and the output is a schema-v1 perf record (src/obs/perfrec.h) with every

@@ -1,12 +1,13 @@
 // Shared state types for the packet-level simulator.
 //
 // One engine executes the simulation: sim::sharded::ShardedSimulator, with
-// one event heap per link shard advanced in conservative-lookahead rounds.
+// one event queue per link shard (sim/event_queue.h, a calendar queue)
+// advanced in conservative-lookahead rounds.
 // Every shard is a thin driver around the same link mechanics
 // (sim/event_loop.h) and the same transport state machines
 // (sim/transport_ops.h), operating on the types defined here — which is
 // what makes results bit-identical at any shard count. With one shard the
-// run is a single canonical heap: the reference every partition matches.
+// run is a single canonical queue: the reference every partition matches.
 //
 // Determinism contract. Events are processed in (time, order) order, where
 // `order` is NOT a global arrival counter (that would encode the scheduler's
@@ -101,7 +102,7 @@ struct Subflow {
   TimeNs rto_ns = 0;
   // Lazy retransmission timer: the deadline slides forward on new ACKs; a
   // fired event that finds now < deadline simply reschedules itself, so at
-  // most one timeout event per subflow is ever in the heap.
+  // most one timeout event per subflow is ever in the queue.
   bool timer_armed = false;
   TimeNs timer_deadline = 0;
   std::uint32_t timer_gen = 0;
@@ -220,11 +221,13 @@ struct Event {
   Packet pkt;               // payload for kArrive/kLossNotify
 };
 
-// Min-heap comparator over the canonical (time, order) total order: mixed
-// rank first, raw (src, seq) as the collision backstop. The full key is
-// collision-free by construction (per-entity counters never repeat), so
-// the pop sequence is independent of heap insertion order — the property
-// the sharded engine's mailbox merges lean on.
+// "Pops after" comparator over the canonical (time, order) total order:
+// mixed rank first, raw (src, seq) as the collision backstop. The full key
+// is collision-free by construction (per-entity counters never repeat), so
+// the pop sequence is independent of insertion order — the property the
+// sharded engine's mailbox merges lean on, and the one that lets the
+// calendar queue (sim/event_queue.h) pop exactly what a binary heap over
+// this comparator would.
 struct EventAfter {
   bool operator()(const Event& x, const Event& y) const {
     if (x.time != y.time) return x.time > y.time;

@@ -16,7 +16,7 @@
 // link's transmissions complete in its own shard; timers fire where the
 // sender lives), while dispatch_arrival/dispatch_loss may stage the event
 // in a mailbox for another shard; with one shard every hook pushes the one
-// heap. Nothing in this file knows which is which — that is the point:
+// queue. Nothing in this file knows which is which — that is the point:
 // identical mechanics, identical event-order keys, identical results at any
 // shard count.
 #pragma once

@@ -46,16 +46,16 @@ void Shard::route(Event&& ev, int dest) {
     events_.push(std::move(ev));
   } else {
     ++handoffs_;
+    ++staged_;
     outbox_[static_cast<std::size_t>(dest)].push_back(std::move(ev));
   }
 }
 
 void Shard::run_round(TimeNs horizon, TimeNs t_end) {
   while (!events_.empty()) {
-    const Event& top = events_.top();
-    if (top.time >= horizon || top.time > t_end) break;
-    Event ev = top;
-    events_.pop();
+    const TimeNs t = events_.top_time();
+    if (t >= horizon || t > t_end) break;
+    const Event ev = events_.pop();
     ensure(ev.time >= now_, "run_round: time went backwards");
     now_ = ev.time;
     ++events_processed_;
@@ -223,7 +223,8 @@ void ShardedSimulator::finalize() {
 void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
   // Round telemetry: counts are exact and schedule-independent (the round
   // structure is decided by timestamps and the lookahead, never by worker
-  // scheduling); barrier_wait_ns is the per-shard slack within each round —
+  // scheduling); barrier_wait_ns is each worker slot's slack within each
+  // round (round wall minus the busy time of the shards that slot ran) —
   // the load-imbalance signal ROADMAP's sharded-sim speedup item needs.
   static obs::Counter& obs_runs = obs::counter("sim.runs");
   static obs::Counter& obs_rounds = obs::counter("sim.rounds");
@@ -245,22 +246,25 @@ void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
   const bool obs_on = obs::metrics_enabled();
   const int num = num_shards();
   parallel::WorkerTeam team(budget, num - 1);
+  // Busy time per worker slot this round; each slot is one thread, so every
+  // element has a single writer, read after the round's join.
+  std::vector<std::int64_t> slot_busy_ns(static_cast<std::size_t>(team.size()), 0);
   while (true) {
     // Barrier section: deliver staged hand-offs in canonical shard order,
     // then restart from the global minimum pending timestamp. (Mailboxes
     // written during round k are only read here, after the round's join.)
-    for (int src = 0; src < num; ++src) {
-      auto& boxes = shards_[static_cast<std::size_t>(src)].outbox_;
+    for (Shard& src : shards_) {
+      if (src.staged_ == 0) continue;
+      src.staged_ = 0;
       for (int dst = 0; dst < num; ++dst) {
-        for (Event& ev : boxes[static_cast<std::size_t>(dst)]) {
-          shards_[static_cast<std::size_t>(dst)].events_.push(std::move(ev));
-        }
-        boxes[static_cast<std::size_t>(dst)].clear();
+        auto& box = src.outbox_[static_cast<std::size_t>(dst)];
+        for (Event& ev : box) shards_[static_cast<std::size_t>(dst)].events_.push(std::move(ev));
+        box.clear();
       }
     }
     TimeNs t = kMaxTime;
-    for (const Shard& sh : shards_) {
-      if (!sh.events_.empty()) t = std::min(t, sh.events_.top().time);
+    for (Shard& sh : shards_) {
+      if (!sh.events_.empty()) t = std::min(t, sh.events_.top_time());
     }
     if (t == kMaxTime || t > t_end) break;
     const TimeNs horizon = lookahead_ns_ >= kMaxTime - t ? kMaxTime : t + lookahead_ns_;
@@ -272,13 +276,13 @@ void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
         round_events -= sh.events_processed_;
         round_handoffs -= sh.handoffs_;
       }
+      std::fill(slot_busy_ns.begin(), slot_busy_ns.end(), 0);
     }
     const std::int64_t round_t0 = obs_on ? obs::monotonic_ns() : 0;
-    team.run(num, [&](int s, int) {
-      Shard& sh = shards_[static_cast<std::size_t>(s)];
+    team.run(num, [&](int s, int slot) {
       const std::int64_t t0 = obs_on ? obs::monotonic_ns() : 0;
-      sh.run_round(horizon, t_end);
-      if (obs_on) sh.round_busy_ns_ = obs::monotonic_ns() - t0;
+      shards_[static_cast<std::size_t>(s)].run_round(horizon, t_end);
+      if (obs_on) slot_busy_ns[static_cast<std::size_t>(slot)] += obs::monotonic_ns() - t0;
     });
     if (obs_on) {
       // Shards joined: single-threaded barrier section reads their totals.
@@ -286,7 +290,9 @@ void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
       for (const Shard& sh : shards_) {
         round_events += sh.events_processed_;
         round_handoffs += sh.handoffs_;
-        obs_barrier_wait_ns.record(std::max<std::int64_t>(0, round_wall - sh.round_busy_ns_));
+      }
+      for (std::int64_t busy : slot_busy_ns) {
+        obs_barrier_wait_ns.record(std::max<std::int64_t>(0, round_wall - busy));
       }
       obs_events.add(round_events);
       obs_handoffs.add(round_handoffs);

@@ -13,7 +13,8 @@
 // per-switch domains from graph/partition's recursive KL bisection, servers
 // pinned with their ToR). Each shard owns the links and flow endpoints
 // assigned to it and runs the shared event mechanics (sim/event_loop.h)
-// over its own (time, EventOrder) heap. Shards advance in
+// over its own event queue: a calendar queue (sim/event_queue.h) that pops
+// in the canonical (time, EventOrder) order. Shards advance in
 // barrier-synchronous rounds:
 //
 //   round k:  every shard processes its events with time in [T, T + L)
@@ -31,7 +32,7 @@
 // sender/receiver halves of Subflow state (see sim/core.h).
 //
 // With one shard nothing is cut: the lookahead is kMaxTime and the whole run
-// is one round over one canonical (time, EventOrder) heap — the reference
+// is one round over one canonical (time, EventOrder) queue — the reference
 // run every partition reproduces.
 //
 // Determinism: results are bit-identical to the one-shard run at any shard
@@ -41,18 +42,19 @@
 // (pre-shard global state), not arrival interleaving, and same-time events
 // in different shards commute because they share no mutable state. Staged
 // hand-offs are merged at the barrier in canonical shard order; since the
-// order keys are collision-free, heap insertion order cannot influence the
-// pop sequence anyway.
+// order keys are collision-free, insertion order cannot influence the pop
+// sequence anyway. A shard that staged no hand-off in a round skips the
+// merge.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "sim/core.h"
+#include "sim/event_queue.h"
 #include "sim/telemetry.h"
 
 namespace jf::sim {
@@ -108,16 +110,17 @@ class Shard {
   // the flow's sender endpoint), mirroring the engine's own discipline.
   Telemetry* telemetry_ = nullptr;
   TimeNs now_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
+  EventQueue<> events_;
   // Cross-shard hand-offs staged during a round (dest shard -> events),
-  // merged serially at the barrier.
+  // merged serially at the barrier; `staged_` counts them, so a shard that
+  // staged nothing skips the merge.
   std::vector<std::vector<Event>> outbox_;
+  std::int64_t staged_ = 0;
   // Telemetry (shard-local, single-writer; read at the barrier): lifetime
-  // event/hand-off totals and this round's busy wall time. Plain counters —
-  // they never feed back into the simulation.
+  // event/hand-off totals. Plain counters — they never feed back into the
+  // simulation.
   std::int64_t events_processed_ = 0;
   std::int64_t handoffs_ = 0;
-  std::int64_t round_busy_ns_ = 0;
 };
 
 class ShardedSimulator {

@@ -8,7 +8,7 @@
 // {ECMP-w, KSP-k} routing.
 //
 // Every workload runs on sharded::ShardedSimulator. With cfg.shards == 1 it
-// uses one shard and no plan: one round over one canonical heap, the
+// uses one shard and no plan: one round over one canonical queue, the
 // reference run. With shards > 1 the link set is partitioned
 // (sharded::ShardPlan — per-switch KL domains, servers pinned with their
 // ToR) and the conservative-lookahead rounds run on workers borrowed from
@@ -40,7 +40,7 @@ struct WorkloadConfig {
   int parallel_connections = 1;  // TCP connections per traffic-matrix flow
   int subflows = 8;              // MPTCP subflows per flow
   SimConfig sim;
-  // Event-loop sharding: 1 runs the engine on one shard (the single-heap
+  // Event-loop sharding: 1 runs the engine on one shard (the single-queue
   // reference run); N > 1 partitions the links into (up to) N shards run in
   // parallel rounds. Purely a speed knob — goodput, drops, and retransmit
   // counts are byte-identical at any value.

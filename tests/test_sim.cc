@@ -1,6 +1,6 @@
 // Tests for the packet-level simulator: link/queue mechanics, TCP behavior,
 // MPTCP pooling, and conservation properties. Every test drives the engine
-// directly with one shard — the single-heap reference run.
+// directly with one shard — the single-queue reference run.
 #include <gtest/gtest.h>
 
 #include "sim/sharded/sharded_sim.h"

@@ -1,10 +1,11 @@
 // Tests for the sharded conservative-lookahead packet-sim engine: exact
 // (byte-identical) agreement with the one-shard reference run (a single
-// canonical heap) across shard and thread counts, exact work counters, the
+// canonical queue) across shard and thread counts, exact work counters, the
 // lookahead bound, and the Link-through-config contract.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -122,9 +123,101 @@ TEST(ShardedSim, WorkCountersExactAtOneShard) {
   obs::set_metrics_enabled(false);
 }
 
+// sim.barrier_wait_ns takes one sample per worker slot per round: the
+// round's wall time minus the busy time of the shards that slot ran. With
+// more shards than slots, one sample per shard would count a slot's time on
+// its other shards as waiting.
+TEST(ShardedSim, BarrierWaitIsRecordedPerWorkerSlot) {
+  Rng rng(42);
+  auto topo = topo::build_jellyfish(
+      {.num_switches = 12, .ports_per_switch = 8, .network_degree = 5}, rng);
+  WorkloadConfig cfg;
+  cfg.routing = {routing::Scheme::kKsp, 4};
+  cfg.warmup_ns = 1 * kMillisecond;
+  cfg.measure_ns = 2 * kMillisecond;
+
+  obs::set_metrics_enabled(true);
+  const std::pair<int, int> runs[] = {{3, 2}, {8, 1}};  // (shards, threads)
+  for (const auto& [shards, threads] : runs) {
+    obs::reset_metrics();
+    (void)run_at(topo, cfg, shards, threads, 3);
+    const obs::MetricsSnapshot snap = obs::collect_metrics();
+    const obs::DistributionSnapshot* wait = snap.find_distribution("sim.barrier_wait_ns");
+    ASSERT_NE(wait, nullptr);
+    EXPECT_GT(snap.counter_value("sim.rounds"), 1);
+    EXPECT_EQ(wait->count, threads * snap.counter_value("sim.rounds"))
+        << "shards=" << shards << " threads=" << threads;
+  }
+  obs::reset_metrics();
+  obs::set_metrics_enabled(false);
+}
+
+// --- goldens ---
+//
+// Every other test here compares a shard count against the one-shard run,
+// and both sides pop through the same event queue: a queue that broke the
+// canonical (time, EventOrder) order the same way at every shard count
+// would pass them all. These pin exact results, recorded as hex-float
+// literals from the binary-heap queue that defined the canonical order, at
+// several shard counts (three shards on two workers: one worker runs two
+// shards per round).
+
+struct SimGolden {
+  double mean_flow_throughput;
+  double jain_fairness;
+  std::int64_t packet_drops;
+  std::int64_t total_retransmits;
+  std::int64_t events;
+};
+
+void expect_sim_golden(const topo::Topology& topo, const WorkloadConfig& cfg,
+                       std::uint64_t seed, const SimGolden& want) {
+  const std::pair<int, int> runs[] = {{1, 1}, {3, 2}, {8, 4}};  // (shards, threads)
+  obs::set_metrics_enabled(true);
+  for (const auto& [shards, threads] : runs) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
+    obs::reset_metrics();
+    const WorkloadResult got = run_at(topo, cfg, shards, threads, seed);
+    EXPECT_EQ(got.mean_flow_throughput, want.mean_flow_throughput)
+        << std::hexfloat << got.mean_flow_throughput;
+    EXPECT_EQ(got.jain_fairness, want.jain_fairness) << std::hexfloat << got.jain_fairness;
+    EXPECT_EQ(got.packet_drops, want.packet_drops);
+    EXPECT_EQ(got.total_retransmits, want.total_retransmits);
+    EXPECT_EQ(obs::collect_metrics().counter_value("sim.events"), want.events);
+  }
+  obs::reset_metrics();
+  obs::set_metrics_enabled(false);
+}
+
+TEST(SimGolden, FatTreeK4Mptcp) {
+  auto topo = topo::build_fattree(4);
+  WorkloadConfig cfg;
+  cfg.routing = {routing::Scheme::kEcmp, 8};
+  cfg.transport = Transport::kMptcp;
+  cfg.subflows = 4;
+  cfg.sim.queue_capacity_pkts = 16;
+  cfg.warmup_ns = 2 * kMillisecond;
+  cfg.measure_ns = 6 * kMillisecond;
+  expect_sim_golden(topo, cfg, 11,
+                    {0x1.80f5c28f5c28fp-1, 0x1.eeb6ef6f642ccp-1, 783, 609, 168933});
+}
+
+TEST(SimGolden, JellyfishTcp) {
+  Rng rng(42);
+  auto topo = topo::build_jellyfish(
+      {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
+  WorkloadConfig cfg;
+  cfg.routing = {routing::Scheme::kKsp, 4};
+  cfg.sim.queue_capacity_pkts = 16;
+  cfg.warmup_ns = 2 * kMillisecond;
+  cfg.measure_ns = 6 * kMillisecond;
+  expect_sim_golden(topo, cfg, 7,
+                    {0x1.83b874df5e584p-2, 0x1.70b160710b798p-1, 1420, 985, 247925});
+}
+
 // Hand-built dumbbell. With two shards, shard 0 owns host A's side (uplink
 // and the forward cross link) and shard 1 owns host B's side; with one shard
-// it is the single-heap twin, with identical link ids and parameters.
+// it is the single-queue twin, with identical link ids and parameters.
 // Returns the engine ready to run; `cross_delay` is the delay of both cross
 // links.
 struct DumbbellNet {
@@ -165,7 +258,7 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
     // window has work.
     EXPECT_GE(net.sim.rounds(), 300);
     EXPECT_LE(net.sim.rounds(), t_end / net.sim.lookahead_ns() + 1);
-    // One shard cuts nothing: the whole run is one round over one heap.
+    // One shard cuts nothing: the whole run is one round over one queue.
     EXPECT_EQ(twin.sim.lookahead_ns(), sharded::ShardedSimulator::kMaxTime);
     EXPECT_EQ(twin.sim.rounds(), 1);
 
