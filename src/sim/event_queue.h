@@ -198,12 +198,7 @@ class EventQueue {
     ensure(size_ > 0, "EventQueue: pop/top on an empty queue");
     while (true) {
       pull_far();
-      if (wheel_count_ == 0) {
-        // Nothing within the span: jump straight to the earliest far event.
-        cursor_ = bucket_of(slab_[far_.front()].time);
-        continue;
-      }
-      for (int step = 0; step < kWheel; ++step) {
+      for (int step = 0; step < kWheel && wheel_count_ > 0; ++step) {
         collect();
         if (!run_.empty()) {
           std::sort(run_.begin(), run_.end(), after());
@@ -212,8 +207,10 @@ class EventQueue {
         ++cursor_;
         pull_far();
       }
-      // A full lap of empty buckets: the wheel holds only later-lap events.
-      std::int64_t next = min_wheel_bucket();
+      // An empty wheel, or a full lap of empty buckets (the wheel then holds
+      // only later-lap events): jump straight to the earliest pending bucket.
+      std::int64_t next = wheel_count_ > 0 ? min_wheel_bucket()
+                                           : std::numeric_limits<std::int64_t>::max();
       if (!far_.empty()) next = std::min(next, bucket_of(slab_[far_.front()].time));
       cursor_ = next;
     }
