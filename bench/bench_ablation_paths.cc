@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "flow/throughput.h"
+#include "routing/path_provider.h"
 #include "sim/workload.h"
 #include "topo/jellyfish.h"
 
@@ -26,11 +27,11 @@ int main() {
   Table ka({"k_paths", "packet_throughput", "fraction_of_fluid"});
   for (int k : {1, 2, 4, 8, 16}) {
     sim::WorkloadConfig cfg;
-    cfg.routing = {routing::Scheme::kKsp, k};
     cfg.transport = sim::Transport::kMptcp;
     cfg.subflows = 8;
+    auto routes = routing::make_path_provider(topo.switches(), {"ksp", k});
     Rng r = rng.fork(100 + k);
-    auto res = sim::run_permutation_workload(topo, cfg, r);
+    auto res = sim::run_permutation_workload(topo, cfg, *routes, r);
     ka.add_row({Table::fmt(k), Table::fmt(res.mean_flow_throughput),
                 Table::fmt(res.mean_flow_throughput / fluid)});
     std::cout << "  [k=" << k << " done]\n";
@@ -40,13 +41,13 @@ int main() {
 
   print_banner(std::cout, "Ablation B: MPTCP subflow count (KSP k = 8)");
   Table sa({"subflows", "packet_throughput", "fraction_of_fluid"});
+  auto ksp8 = routing::make_path_provider(topo.switches(), {"ksp", 8});
   for (int s : {1, 2, 4, 8}) {
     sim::WorkloadConfig cfg;
-    cfg.routing = {routing::Scheme::kKsp, 8};
     cfg.transport = sim::Transport::kMptcp;
     cfg.subflows = s;
     Rng r = rng.fork(200 + s);
-    auto res = sim::run_permutation_workload(topo, cfg, r);
+    auto res = sim::run_permutation_workload(topo, cfg, *ksp8, r);
     sa.add_row({Table::fmt(s), Table::fmt(res.mean_flow_throughput),
                 Table::fmt(res.mean_flow_throughput / fluid)});
     std::cout << "  [subflows=" << s << " done]\n";

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the core computational kernels:
 // RRG construction, expansion splicing, APSP, Yen k-shortest paths, ECMP
-// path enumeration, Dinic max-flow, Garg-Könemann MCF, the packet
+// path enumeration, Garg-Könemann MCF, the packet
 // simulator's event queue, and its event throughput.
 #include <benchmark/benchmark.h>
 
@@ -15,8 +15,8 @@
 #include "graph/adjacency.h"
 #include "graph/algorithms.h"
 #include "graph/ecmp.h"
-#include "graph/maxflow.h"
 #include "graph/yen.h"
+#include "routing/path_provider.h"
 #include "sim/event_queue.h"
 #include "sim/workload.h"
 #include "topo/fattree.h"
@@ -107,17 +107,6 @@ BENCHMARK(BM_EcmpPaths);
 
 void BM_EcmpPathsFatTree(benchmark::State& state) { path_sets(state, fattree_k14(), ecmp8); }
 BENCHMARK(BM_EcmpPathsFatTree);
-
-void BM_DinicMaxflow(benchmark::State& state) {
-  jf::Rng rng(5);
-  auto topo = jf::topo::build_jellyfish(
-      {.num_switches = 200, .ports_per_switch = 24, .network_degree = 12}, rng);
-  auto net = jf::graph::FlowNetwork::from_graph(topo.switches(), 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.max_flow(0, 199));
-  }
-}
-BENCHMARK(BM_DinicMaxflow);
 
 void BM_GargKonemannMcf(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -212,12 +201,12 @@ void BM_PacketSim(benchmark::State& state) {
   for (auto _ : state) {
     jf::Rng r = rng.fork(static_cast<std::uint64_t>(state.iterations()));
     jf::sim::WorkloadConfig cfg;
-    cfg.routing = {jf::routing::Scheme::kKsp, 8};
     cfg.transport = jf::sim::Transport::kMptcp;
     cfg.subflows = 4;
     cfg.warmup_ns = 2 * jf::sim::kMillisecond;
     cfg.measure_ns = 5 * jf::sim::kMillisecond;
-    auto res = jf::sim::run_permutation_workload(topo, cfg, r);
+    auto routes = jf::routing::make_path_provider(topo.switches(), {"ksp", 8});
+    auto res = jf::sim::run_permutation_workload(topo, cfg, *routes, r);
     benchmark::DoNotOptimize(res.mean_flow_throughput);
   }
   state.SetLabel("160 servers, 7ms sim");

@@ -101,12 +101,11 @@ int main(int argc, char** argv) {
     auto tm = traffic::random_permutation(topo.num_servers(), build_rng);
 
     sim::WorkloadConfig cfg;
-    cfg.routing = {routing::Scheme::kKsp, 4};
     cfg.warmup_ns = 5 * sim::kMillisecond;
     cfg.measure_ns = static_cast<sim::TimeNs>(measure_ms) * sim::kMillisecond;
     // One provider, fully warmed by the reference run, shared by every
     // timed run so route enumeration stays out of the measurement.
-    auto routes = routing::make_path_provider(topo.switches(), cfg.routing);
+    auto routes = routing::make_path_provider(topo.switches(), {"ksp", 4});
 
     // `rec` (may be null) attaches the telemetry layer for the run — the
     // on-vs-off wall-time gap is the recording overhead, and the result

@@ -11,6 +11,7 @@
 #include "common/table.h"
 #include "flow/maxmin.h"
 #include "routing/diversity.h"
+#include "routing/path_provider.h"
 #include "sim/workload.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -33,11 +34,12 @@ int main() {
 
   print_banner(std::cout, "Per-link path diversity (Fig. 9 metric)");
   Table div({"scheme", "links_on_<=2_paths", "max_paths_on_a_link"});
-  for (auto [name, scheme] : {std::pair{"ecmp-8", routing::Scheme::kEcmp},
-                              std::pair{"ksp-8", routing::Scheme::kKsp}}) {
-    auto counts = routing::link_path_counts(topo.switches(), links, pairs, {scheme, 8});
+  const routing::RoutingSpec schemes[] = {{"ecmp", 8}, {"ksp", 8}};
+  for (const auto& spec : schemes) {
+    auto routes = routing::make_path_provider(topo.switches(), spec);
+    auto counts = routing::link_path_counts(links, pairs, *routes);
     auto r = routing::ranked(counts);
-    div.add_row({name, Table::fmt(routing::fraction_at_or_below(counts, 2) * 100, 1),
+    div.add_row({spec.label(), Table::fmt(routing::fraction_at_or_below(counts, 2) * 100, 1),
                  Table::fmt(r.back())});
   }
   div.print(std::cout);
@@ -45,18 +47,18 @@ int main() {
   // Packet-level goodput.
   print_banner(std::cout, "Packet-level mean goodput (Table 1 metric)");
   Table tput({"routing", "transport", "goodput_pct"});
-  for (auto [rname, scheme] : {std::pair{"ecmp-8", routing::Scheme::kEcmp},
-                               std::pair{"ksp-8", routing::Scheme::kKsp}}) {
+  for (const auto& spec : schemes) {
+    const std::string rname = spec.label();
+    auto routes = routing::make_path_provider(topo.switches(), spec);
     for (auto [tname, transport] : {std::pair{"tcp", sim::Transport::kTcp},
                                     std::pair{"mptcp-8", sim::Transport::kMptcp}}) {
       sim::WorkloadConfig cfg;
-      cfg.routing = {scheme, 8};
       cfg.transport = transport;
       cfg.subflows = 8;
       cfg.warmup_ns = 5 * sim::kMillisecond;
       cfg.measure_ns = 15 * sim::kMillisecond;
-      Rng r = rng.fork(std::hash<std::string>{}(std::string(rname) + tname));
-      auto res = sim::run_permutation_workload(topo, cfg, r);
+      Rng r = rng.fork(std::hash<std::string>{}(rname + tname));
+      auto res = sim::run_permutation_workload(topo, cfg, *routes, r);
       tput.add_row({rname, tname, Table::fmt(res.mean_flow_throughput * 100, 1)});
     }
   }

@@ -310,8 +310,6 @@ constexpr Field<sim::SimConfig> kSimNetRows[] = {
     {"loss_feedback_floor_ns", &sim::SimConfig::loss_feedback_floor_ns},
 };
 
-// WorkloadConfig::routing is deliberately not serialized: the engine routes
-// each cell through its RoutingSpec's provider and ignores that field.
 constexpr Field<sim::WorkloadConfig> kSimRows[] = {
     {"transport", enum_member<&sim::WorkloadConfig::transport>(kTransports)},
     {"parallel_connections", &sim::WorkloadConfig::parallel_connections, Rule::kCount},

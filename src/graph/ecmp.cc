@@ -77,10 +77,6 @@ std::vector<std::vector<NodeId>> equal_cost_paths(const Graph& g, NodeId s, Node
   return equal_cost_paths(SortedAdjacency(g), s, t, limit, sc);
 }
 
-std::size_t count_shortest_paths(const Graph& g, NodeId s, NodeId t, std::size_t cap) {
-  return equal_cost_paths(g, s, t, cap).size();
-}
-
 namespace {
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -122,12 +118,6 @@ std::vector<NodeId> ecmp_walk(const SortedAdjacency& adj, NodeId s, NodeId t,
     path.push_back(u);
   }
   return path;
-}
-
-std::vector<NodeId> ecmp_walk(const Graph& g, NodeId s, NodeId t, std::uint64_t flow_key,
-                              int width) {
-  SearchScratch sc;
-  return ecmp_walk(SortedAdjacency(g), s, t, flow_key, width, sc);
 }
 
 }  // namespace jf::graph

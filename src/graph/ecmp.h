@@ -40,11 +40,6 @@ std::vector<std::vector<NodeId>> equal_cost_paths(const SortedAdjacency& adj, No
 std::vector<std::vector<NodeId>> equal_cost_paths(const Graph& g, NodeId s, NodeId t,
                                                   std::size_t limit);
 
-// Total number of distinct shortest paths from s to t, saturating at `cap`
-// (counting all paths can be exponential; callers only need "how many up to
-// the ECMP width").
-std::size_t count_shortest_paths(const Graph& g, NodeId s, NodeId t, std::size_t cap);
-
 // One ECMP route realized by per-hop hashing, the way w-way ECMP hardware
 // actually forwards: at every switch the flow's hash selects among (up to)
 // `width` next hops that lie on shortest paths to t. Unlike taking the
@@ -54,9 +49,5 @@ std::size_t count_shortest_paths(const Graph& g, NodeId s, NodeId t, std::size_t
 // Returns the node sequence; empty if t is unreachable.
 std::vector<NodeId> ecmp_walk(const SortedAdjacency& adj, NodeId s, NodeId t,
                               std::uint64_t flow_key, int width, SearchScratch& scratch);
-
-// One-off form: builds the sorted view and scratch for this call only.
-std::vector<NodeId> ecmp_walk(const Graph& g, NodeId s, NodeId t, std::uint64_t flow_key,
-                              int width);
 
 }  // namespace jf::graph

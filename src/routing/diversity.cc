@@ -21,13 +21,6 @@ std::vector<int> link_path_counts(const flow::LinkIndex& links,
   return counts;
 }
 
-std::vector<int> link_path_counts(const graph::Graph& g, const flow::LinkIndex& links,
-                                  const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
-                                  const RoutingOptions& opts) {
-  auto routes = make_path_provider(g, opts);
-  return link_path_counts(links, pairs, *routes);
-}
-
 std::vector<int> ranked(std::vector<int> counts) {
   std::sort(counts.begin(), counts.end());
   return counts;

@@ -12,7 +12,6 @@
 
 #include "flow/maxmin.h"
 #include "routing/path_provider.h"
-#include "routing/paths.h"
 
 namespace jf::routing {
 
@@ -23,11 +22,6 @@ namespace jf::routing {
 std::vector<int> link_path_counts(const flow::LinkIndex& links,
                                   const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
                                   PathProvider& routes);
-
-// Legacy entry point: resolves `opts` to a provider and counts with it.
-std::vector<int> link_path_counts(const graph::Graph& g, const flow::LinkIndex& links,
-                                  const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
-                                  const RoutingOptions& opts);
 
 // Sorted ascending copy (the "rank of link" x-axis of Fig. 9).
 std::vector<int> ranked(std::vector<int> counts);

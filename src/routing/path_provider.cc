@@ -118,15 +118,6 @@ std::unique_ptr<PathProvider> make_path_provider(const graph::Graph& g,
   return it->second(g, spec);
 }
 
-std::unique_ptr<PathProvider> make_path_provider(const graph::Graph& g,
-                                                 const RoutingOptions& opts) {
-  return make_path_provider(g, to_spec(opts));
-}
-
-RoutingSpec to_spec(const RoutingOptions& opts) {
-  return {opts.scheme == Scheme::kEcmp ? "ecmp" : "ksp", opts.width};
-}
-
 void register_path_provider(const std::string& scheme, PathProviderFactory factory) {
   check(!scheme.empty(), "register_path_provider: empty scheme name");
   check(scheme != "ecmp" && scheme != "ksp",

@@ -94,12 +94,6 @@ class PathProvider {
 std::unique_ptr<PathProvider> make_path_provider(const graph::Graph& g,
                                                  const RoutingSpec& spec);
 
-// Legacy enum options -> provider (ECMP/KSP built-ins only).
-std::unique_ptr<PathProvider> make_path_provider(const graph::Graph& g,
-                                                 const RoutingOptions& opts);
-
-RoutingSpec to_spec(const RoutingOptions& opts);
-
 using PathProviderFactory =
     std::function<std::unique_ptr<PathProvider>(const graph::Graph&, const RoutingSpec&)>;
 

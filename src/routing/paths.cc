@@ -19,7 +19,7 @@ PathSet compute(const graph::SortedAdjacency& adj, graph::NodeId s, graph::NodeI
   static obs::Counter& obs_pairs = obs::counter("routing.pairs");
   static obs::Counter& obs_paths = obs::counter("routing.paths");
   static obs::Counter& obs_spurs = obs::counter("routing.spur_searches");
-  check(opts.width >= 1, "compute_paths: width must be >= 1");
+  check(opts.width >= 1, "PathCache: width must be >= 1");
   const std::int64_t spurs_before = sc.spur_searches;
   PathSet out;
   switch (opts.scheme) {
@@ -37,13 +37,6 @@ PathSet compute(const graph::SortedAdjacency& adj, graph::NodeId s, graph::NodeI
 }
 
 }  // namespace
-
-std::vector<std::vector<graph::NodeId>> compute_paths(const graph::Graph& g, graph::NodeId s,
-                                                      graph::NodeId t,
-                                                      const RoutingOptions& opts) {
-  graph::SearchScratch sc;
-  return compute(graph::SortedAdjacency(g), s, t, opts, sc);
-}
 
 std::size_t select_path(std::size_t num_paths, std::uint64_t flow_key) {
   check(num_paths >= 1, "select_path: empty path set");

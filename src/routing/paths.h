@@ -24,6 +24,8 @@ class WorkBudget;
 
 namespace jf::routing {
 
+// The kernel a PathCache runs. Above this layer a scheme is named by a
+// RoutingSpec and resolved by make_path_provider (routing/path_provider.h).
 enum class Scheme {
   kEcmp,  // equal-cost shortest paths, capped at `width`
   kKsp,   // Yen's k-shortest paths, k = `width`
@@ -33,12 +35,6 @@ struct RoutingOptions {
   Scheme scheme = Scheme::kKsp;
   int width = 8;  // ECMP ways or KSP k
 };
-
-// Path set for one switch pair under the scheme. Paths are node sequences
-// (both endpoints included); deterministic for a given graph.
-std::vector<std::vector<graph::NodeId>> compute_paths(const graph::Graph& g, graph::NodeId s,
-                                                      graph::NodeId t,
-                                                      const RoutingOptions& opts);
 
 // Deterministic flow-to-path hash (SplitMix64 of the key), mimicking ECMP
 // hardware hashing: stable per flow, uniform across the path set.

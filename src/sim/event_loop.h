@@ -1,36 +1,29 @@
 // Link-layer event mechanics run by every shard of the packet-sim engine.
 //
-// EngineOps<Engine> implements the store-and-forward machinery — drop-tail
-// enqueue, transmission scheduling, hop-by-hop forwarding, and the event
-// dispatch switch — exactly once, as a template over the engine state it
-// runs against (a sharded::Shard). An engine provides:
-//
-//   links_, flows_, cfg_, now_, measure_start_, measure_end_   (state)
-//   telemetry_                    Telemetry* (may be null); purely observed
-//   schedule_self(Event&&)        kLinkDone; the emitting link's own queue
-//   dispatch_arrival(Event&&)     kArrive; routed by the packet's next hop
-//   dispatch_loss(Event&&)        kLossNotify; routed to the sender endpoint
-//   schedule_transport(Event&&)   kTimeout; emitted at the sender endpoint
-//
-// schedule_self and schedule_transport are shard-local by construction (a
-// link's transmissions complete in its own shard; timers fire where the
-// sender lives), while dispatch_arrival/dispatch_loss may stage the event
-// in a mailbox for another shard; with one shard every hook pushes the one
+// EngineOps implements the store-and-forward machinery — drop-tail enqueue,
+// transmission scheduling, hop-by-hop forwarding, and the event dispatch
+// switch — exactly once, over a sharded::Shard's state. It emits events only
+// through the shard's routing hooks: schedule_self (kLinkDone) and
+// schedule_transport (kTimeout) are shard-local by construction (a link's
+// transmissions complete in its own shard; timers fire where the sender
+// lives), while dispatch_arrival/dispatch_loss may stage the event in a
+// mailbox for another shard; with one shard every hook pushes the one
 // queue. Nothing in this file knows which is which — that is the point:
 // identical mechanics, identical event-order keys, identical results at any
-// shard count.
+// shard count. The members are defined here, inline, so that handle()
+// inlines into Shard::run_round.
 #pragma once
 
 #include <algorithm>
 
 #include "common/check.h"
 #include "sim/core.h"
+#include "sim/sharded/sharded_sim.h"
 #include "sim/telemetry.h"
 #include "sim/transport_ops.h"
 
 namespace jf::sim {
 
-template <class Engine>
 struct EngineOps {
   // Appends the packet to the link's drop-tail queue, starting transmission
   // if the link is idle. On overflow, data packets trigger an oracle-SACK
@@ -43,7 +36,7 @@ struct EngineOps {
   // return time is a static property of the path). The floor also keeps a
   // dropped retransmission from livelocking the event loop at one
   // timestamp.
-  static void enqueue_packet(Engine& eng, int link_id, const Packet& pkt) {
+  static void enqueue_packet(sharded::Shard& eng, int link_id, const Packet& pkt) {
     Link& l = eng.links_[static_cast<std::size_t>(link_id)];
     if (static_cast<int>(l.queue.size()) >= l.queue_capacity) {
       ++l.drops;
@@ -69,7 +62,7 @@ struct EngineOps {
     if (!l.busy) start_transmission(eng, link_id);
   }
 
-  static void start_transmission(Engine& eng, int link_id) {
+  static void start_transmission(sharded::Shard& eng, int link_id) {
     Link& l = eng.links_[static_cast<std::size_t>(link_id)];
     ensure(!l.queue.empty(), "start_transmission: empty queue");
     l.busy = true;
@@ -82,7 +75,7 @@ struct EngineOps {
     eng.schedule_self(std::move(ev));
   }
 
-  static void forward_or_deliver(Engine& eng, Packet pkt) {
+  static void forward_or_deliver(sharded::Shard& eng, Packet pkt) {
     Flow& f = eng.flows_[static_cast<std::size_t>(pkt.flow)];
     Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
     const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
@@ -93,11 +86,11 @@ struct EngineOps {
       return;
     }
     // Reached the endpoint: hand to the transport layer.
-    if (pkt.is_ack) TransportOps<Engine>::on_ack(eng, pkt);
-    else TransportOps<Engine>::on_data(eng, pkt);
+    if (pkt.is_ack) TransportOps::on_ack(eng, pkt);
+    else TransportOps::on_data(eng, pkt);
   }
 
-  static void handle(Engine& eng, const Event& ev) {
+  static void handle(sharded::Shard& eng, const Event& ev) {
     switch (ev.type) {
       case EventType::kLinkDone: {
         Link& l = eng.links_[static_cast<std::size_t>(ev.a)];
@@ -122,13 +115,13 @@ struct EngineOps {
         forward_or_deliver(eng, ev.pkt);
         break;
       case EventType::kTimeout:
-        TransportOps<Engine>::on_timeout(eng, ev.a, ev.b, ev.gen);
+        TransportOps::on_timeout(eng, ev.a, ev.b, ev.gen);
         break;
       case EventType::kFlowStart:
-        TransportOps<Engine>::try_send(eng, ev.a, ev.b);
+        TransportOps::try_send(eng, ev.a, ev.b);
         break;
       case EventType::kLossNotify:
-        TransportOps<Engine>::on_loss(eng, ev.pkt);
+        TransportOps::on_loss(eng, ev.pkt);
         break;
     }
   }

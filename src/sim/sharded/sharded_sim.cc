@@ -59,7 +59,7 @@ void Shard::run_round(TimeNs horizon, TimeNs t_end) {
     ensure(ev.time >= now_, "run_round: time went backwards");
     now_ = ev.time;
     ++events_processed_;
-    EngineOps<Shard>::handle(*this, ev);
+    EngineOps::handle(*this, ev);
   }
 }
 

@@ -58,9 +58,7 @@
 #include "sim/telemetry.h"
 
 namespace jf::sim {
-template <class Engine>
 struct TransportOps;
-template <class Engine>
 struct EngineOps;
 }  // namespace jf::sim
 
@@ -68,16 +66,14 @@ namespace jf::sim::sharded {
 
 class ShardedSimulator;
 
-// One shard: the engine-state view TransportOps/EngineOps run against (the
-// member interface sim/event_loop.h documents).
+// One shard: the engine state TransportOps and EngineOps (sim/event_loop.h)
+// run against.
 class Shard {
  public:
   Shard(ShardedSimulator& owner, int id);
 
  private:
-  template <class Engine>
   friend struct jf::sim::TransportOps;
-  template <class Engine>
   friend struct jf::sim::EngineOps;
   friend class ShardedSimulator;
 
@@ -96,10 +92,10 @@ class Shard {
 
   ShardedSimulator& owner_;
   int id_ = 0;
-  // The shared-state view the templated mechanics expect. links_/flows_
-  // alias the owner's global tables; ownership discipline (only handlers in
-  // the owning shard touch a link or an endpoint's half of a Subflow) is
-  // what keeps concurrent rounds race-free.
+  // The shared-state view the mechanics read. links_/flows_ alias the
+  // owner's global tables; ownership discipline (only handlers in the
+  // owning shard touch a link or an endpoint's half of a Subflow) is what
+  // keeps concurrent rounds race-free.
   const SimConfig& cfg_;
   std::vector<Link>& links_;
   std::vector<Flow>& flows_;

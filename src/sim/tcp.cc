@@ -13,8 +13,7 @@ constexpr double kMinSsthresh = 2.0;
 constexpr double kFallbackRttNs = 100.0 * kMicrosecond;
 }  // namespace
 
-template <class Engine>
-double TransportOps<Engine>::increase_per_ack(const Flow& f, const Subflow& sf) {
+double TransportOps::increase_per_ack(const Flow& f, const Subflow& sf) {
   if (!f.mptcp || f.subflows.size() == 1) {
     return 1.0 / std::max(1.0, sf.cwnd);  // Reno: one packet per RTT
   }
@@ -34,8 +33,7 @@ double TransportOps<Engine>::increase_per_ack(const Flow& f, const Subflow& sf) 
   return std::min(alpha / total, 1.0 / std::max(1.0, sf.cwnd));
 }
 
-template <class Engine>
-void TransportOps<Engine>::update_rtt(const Engine& sim, Subflow& sf, std::int64_t sample_ns) {
+void TransportOps::update_rtt(const sharded::Shard& sim, Subflow& sf, std::int64_t sample_ns) {
   if (sample_ns <= 0) return;
   const double r = static_cast<double>(sample_ns);
   if (sf.srtt_ns <= 0) {
@@ -49,9 +47,8 @@ void TransportOps<Engine>::update_rtt(const Engine& sim, Subflow& sf, std::int64
   sf.rto_ns = std::clamp(static_cast<TimeNs>(rto), sim.cfg_.min_rto_ns, sim.cfg_.max_rto_ns);
 }
 
-template <class Engine>
-void TransportOps<Engine>::send_data(Engine& sim, int flow, int subflow, std::int32_t seq,
-                                     bool retransmit) {
+void TransportOps::send_data(sharded::Shard& sim, int flow, int subflow, std::int32_t seq,
+                             bool retransmit) {
   Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   Packet pkt;
@@ -64,11 +61,10 @@ void TransportOps<Engine>::send_data(Engine& sim, int flow, int subflow, std::in
   pkt.ts = sim.now_;
   ++sf.packets_sent;
   if (retransmit) ++sf.retransmits;
-  EngineOps<Engine>::enqueue_packet(sim, sf.data_path.front(), pkt);
+  EngineOps::enqueue_packet(sim, sf.data_path.front(), pkt);
 }
 
-template <class Engine>
-void TransportOps<Engine>::send_ack(Engine& sim, const Packet& data) {
+void TransportOps::send_ack(sharded::Shard& sim, const Packet& data) {
   Flow& f = sim.flows_[static_cast<std::size_t>(data.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(data.subflow)];
   Packet ack;
@@ -79,11 +75,10 @@ void TransportOps<Engine>::send_ack(Engine& sim, const Packet& data) {
   ack.seq = sf.rcv_next;  // cumulative
   ack.size_bytes = sim.cfg_.ack_bytes;
   ack.ts = data.ts;  // echo the sender timestamp for RTT sampling
-  EngineOps<Engine>::enqueue_packet(sim, sf.ack_path.front(), ack);
+  EngineOps::enqueue_packet(sim, sf.ack_path.front(), ack);
 }
 
-template <class Engine>
-void TransportOps<Engine>::arm_timer(Engine& sim, int flow, int subflow, bool rearm) {
+void TransportOps::arm_timer(sharded::Shard& sim, int flow, int subflow, bool rearm) {
   Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   if (sf.snd_una >= sf.snd_next) {
@@ -106,8 +101,7 @@ void TransportOps<Engine>::arm_timer(Engine& sim, int flow, int subflow, bool re
   sim.schedule_transport(std::move(ev));
 }
 
-template <class Engine>
-void TransportOps<Engine>::try_send(Engine& sim, int flow, int subflow) {
+void TransportOps::try_send(sharded::Shard& sim, int flow, int subflow) {
   Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   const auto window = static_cast<std::int32_t>(std::max(1.0, std::floor(sf.cwnd)));
@@ -134,8 +128,7 @@ void TransportOps<Engine>::try_send(Engine& sim, int flow, int subflow) {
   arm_timer(sim, flow, subflow, /*rearm=*/false);
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_data(Engine& sim, const Packet& pkt) {
+void TransportOps::on_data(sharded::Shard& sim, const Packet& pkt) {
   Flow& f = sim.flows_[static_cast<std::size_t>(pkt.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
   if (pkt.seq == sf.rcv_next) {
@@ -160,8 +153,7 @@ void TransportOps<Engine>::on_data(Engine& sim, const Packet& pkt) {
   send_ack(sim, pkt);
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_ack(Engine& sim, const Packet& pkt) {
+void TransportOps::on_ack(sharded::Shard& sim, const Packet& pkt) {
   Flow& f = sim.flows_[static_cast<std::size_t>(pkt.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
   const std::int32_t ack = pkt.seq;
@@ -204,8 +196,7 @@ void TransportOps<Engine>::on_ack(Engine& sim, const Packet& pkt) {
   // SACK; loss signaling arrives via on_loss instead.
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_loss(Engine& sim, const Packet& pkt) {
+void TransportOps::on_loss(sharded::Shard& sim, const Packet& pkt) {
   Flow& f = sim.flows_[static_cast<std::size_t>(pkt.flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
   // Per-flow drop attribution: every notification corresponds to exactly
@@ -224,8 +215,7 @@ void TransportOps<Engine>::on_loss(Engine& sim, const Packet& pkt) {
   arm_timer(sim, pkt.flow, pkt.subflow, /*rearm=*/false);
 }
 
-template <class Engine>
-void TransportOps<Engine>::on_timeout(Engine& sim, int flow, int subflow, std::uint32_t gen) {
+void TransportOps::on_timeout(sharded::Shard& sim, int flow, int subflow, std::uint32_t gen) {
   Flow& f = sim.flows_[static_cast<std::size_t>(flow)];
   Subflow& sf = f.subflows[static_cast<std::size_t>(subflow)];
   if (!sf.timer_armed || gen != sf.timer_gen) return;  // stale timer
@@ -256,7 +246,5 @@ void TransportOps<Engine>::on_timeout(Engine& sim, int flow, int subflow, std::u
   ++sf.snd_next;
   arm_timer(sim, flow, subflow, /*rearm=*/true);
 }
-
-template struct TransportOps<sharded::Shard>;
 
 }  // namespace jf::sim

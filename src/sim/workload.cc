@@ -161,13 +161,6 @@ WorkloadResult run_workload_on(const topo::Topology& topo, const traffic::Traffi
 }  // namespace
 
 WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
-                            const WorkloadConfig& cfg, Rng& rng,
-                            parallel::WorkBudget* budget, Telemetry* telemetry) {
-  auto routes = routing::make_path_provider(topo.switches(), cfg.routing);
-  return run_workload(topo, tm, cfg, *routes, rng, budget, telemetry);
-}
-
-WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
                             const WorkloadConfig& cfg, routing::PathProvider& routes,
                             Rng& rng, parallel::WorkBudget* budget, Telemetry* telemetry) {
   check(!tm.flows.empty(), "run_workload: empty traffic matrix");
@@ -186,10 +179,10 @@ WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMa
 }
 
 WorkloadResult run_permutation_workload(const topo::Topology& topo, const WorkloadConfig& cfg,
-                                        Rng& rng, parallel::WorkBudget* budget,
-                                        Telemetry* telemetry) {
+                                        routing::PathProvider& routes, Rng& rng,
+                                        parallel::WorkBudget* budget, Telemetry* telemetry) {
   auto tm = traffic::random_permutation(topo.num_servers(), rng);
-  return run_workload(topo, tm, cfg, rng, budget, telemetry);
+  return run_workload(topo, tm, cfg, routes, rng, budget, telemetry);
 }
 
 }  // namespace jf::sim

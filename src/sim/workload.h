@@ -21,7 +21,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "routing/path_provider.h"
-#include "routing/paths.h"
 #include "sim/core.h"
 #include "sim/telemetry.h"
 #include "topo/topology.h"
@@ -35,7 +34,6 @@ enum class Transport {
 };
 
 struct WorkloadConfig {
-  routing::RoutingOptions routing;
   Transport transport = Transport::kTcp;
   int parallel_connections = 1;  // TCP connections per traffic-matrix flow
   int subflows = 8;              // MPTCP subflows per flow
@@ -70,19 +68,13 @@ struct WorkloadResult {
 };
 
 // Runs the traffic matrix on the topology and reports goodput statistics.
-// Deterministic given (topology, tm, config, rng seed). Routing comes from
-// cfg.routing, resolved through routing::make_path_provider. `budget` (may
-// be null) lends workers to the sharded engine when cfg.shards > 1.
-// `telemetry` (may be null), built with cfg.telemetry_epoch_ns, is attached
-// to the engine for the run and finalized before returning; recording is
-// purely observational — the WorkloadResult is byte-identical either way.
-WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
-                            const WorkloadConfig& cfg, Rng& rng,
-                            parallel::WorkBudget* budget = nullptr,
-                            Telemetry* telemetry = nullptr);
-
-// Same, but routes every flow through the given provider (cfg.routing is
-// ignored). This is the entry point for custom schemes and jf::eval.
+// Deterministic given (topology, tm, config, routes, rng seed). Every flow
+// is routed through `routes`, e.g. routing::make_path_provider(
+// topo.switches(), {"ksp", 8}). `budget` (may be null) lends workers to the
+// sharded engine when cfg.shards > 1. `telemetry` (may be null), built with
+// cfg.telemetry_epoch_ns, is attached to the engine for the run and
+// finalized before returning; recording is purely observational — the
+// WorkloadResult is byte-identical either way.
 WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
                             const WorkloadConfig& cfg, routing::PathProvider& routes,
                             Rng& rng, parallel::WorkBudget* budget = nullptr,
@@ -90,7 +82,8 @@ WorkloadResult run_workload(const topo::Topology& topo, const traffic::TrafficMa
 
 // Convenience: samples a random server permutation and runs it.
 WorkloadResult run_permutation_workload(const topo::Topology& topo, const WorkloadConfig& cfg,
-                                        Rng& rng, parallel::WorkBudget* budget = nullptr,
+                                        routing::PathProvider& routes, Rng& rng,
+                                        parallel::WorkBudget* budget = nullptr,
                                         Telemetry* telemetry = nullptr);
 
 }  // namespace jf::sim

@@ -2,7 +2,9 @@
 // §3 procedures — including parameterized property sweeps over (N, k, r).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/algorithms.h"
@@ -74,6 +76,37 @@ TEST(Jellyfish, DeterministicGivenSeed) {
   auto tb = build_jellyfish({.num_switches = 20, .ports_per_switch = 8, .network_degree = 5},
                             b);
   EXPECT_EQ(ta.switches().edges(), tb.switches().edges());
+}
+
+// Paper §4.3: an r-regular random graph is almost surely r-edge-connected.
+// Every switch has degree r, so cutting its r links isolates it; cutting
+// any r - 1 links of the whole network must leave it connected. All
+// C(60, 4) cuts of a 24-switch, degree-5 instance are tried.
+TEST(Jellyfish, RegularGraphIsREdgeConnected) {
+  Rng rng(23);
+  auto t = build_jellyfish({.num_switches = 24, .ports_per_switch = 8, .network_degree = 5},
+                           rng);
+  graph::Graph g = t.switches();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) ASSERT_EQ(g.degree(v), 5);
+  const std::vector<graph::Edge> edges = g.edges();
+  const std::size_t m = edges.size();
+  std::int64_t cuts = 0;
+  std::int64_t disconnecting = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      for (std::size_t k = j + 1; k < m; ++k) {
+        for (std::size_t l = k + 1; l < m; ++l) {
+          const graph::Edge cut[] = {edges[i], edges[j], edges[k], edges[l]};
+          for (const graph::Edge& e : cut) g.remove_edge(e.a, e.b);
+          if (!graph::is_connected(g)) ++disconnecting;
+          for (const graph::Edge& e : cut) g.add_edge(e.a, e.b);
+          ++cuts;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cuts, 487635);
+  EXPECT_EQ(disconnecting, 0);
 }
 
 TEST(JellyfishExpansion, AddSwitchPreservesInvariants) {

@@ -1,5 +1,5 @@
-// Tests for Yen's k-shortest paths, ECMP enumeration, Dinic max-flow and
-// the Kernighan-Lin bisection heuristic — including property sweeps.
+// Tests for Yen's k-shortest paths, ECMP enumeration and the
+// Kernighan-Lin bisection heuristic — including property sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "graph/adjacency.h"
 #include "graph/algorithms.h"
 #include "graph/ecmp.h"
-#include "graph/maxflow.h"
 #include "graph/partition.h"
 #include "graph/yen.h"
 #include "topo/jellyfish.h"
@@ -105,12 +104,6 @@ TEST(Ecmp, EnumeratesEqualCostPaths) {
 TEST(Ecmp, RespectsLimit) {
   auto g = diamond();
   EXPECT_EQ(equal_cost_paths(g, 0, 3, 1).size(), 1u);
-}
-
-TEST(Ecmp, CountSaturates) {
-  auto g = diamond();
-  EXPECT_EQ(count_shortest_paths(g, 0, 3, 1), 1u);
-  EXPECT_EQ(count_shortest_paths(g, 0, 3, 100), 2u);
 }
 
 TEST(Ecmp, AllPathsAreShortest) {
@@ -290,63 +283,6 @@ TEST(PathKernels, MatchReferenceOnLongRings) {
           << s << "->" << t << (chords ? " (chords)" : "");
     }
   }
-}
-
-TEST(MaxFlow, SingleEdge) {
-  FlowNetwork net(2);
-  net.add_arc(0, 1, 3.5);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 1), 3.5);
-  // Repeatable: capacities reset between calls.
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 1), 3.5);
-}
-
-TEST(MaxFlow, ClassicNetwork) {
-  // Max flow 23 textbook example (CLRS).
-  FlowNetwork net(6);
-  net.add_arc(0, 1, 16);
-  net.add_arc(0, 2, 13);
-  net.add_arc(1, 2, 10);
-  net.add_arc(2, 1, 4);
-  net.add_arc(1, 3, 12);
-  net.add_arc(3, 2, 9);
-  net.add_arc(2, 4, 14);
-  net.add_arc(4, 3, 7);
-  net.add_arc(3, 5, 20);
-  net.add_arc(4, 5, 4);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 5), 23.0);
-}
-
-TEST(MaxFlow, MinCutSideSeparates) {
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 5);
-  net.add_arc(1, 2, 1);  // bottleneck
-  net.add_arc(2, 3, 5);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 3), 1.0);
-  auto side = net.min_cut_side(0);
-  EXPECT_TRUE(side[0]);
-  EXPECT_TRUE(side[1]);
-  EXPECT_FALSE(side[2]);
-  EXPECT_FALSE(side[3]);
-}
-
-TEST(MaxFlow, EdgeConnectivityOfRrgIsR) {
-  // Paper §4.3: an r-regular random graph is almost surely r-connected.
-  Rng rng(23);
-  auto topo = topo::build_jellyfish(
-      {.num_switches = 24, .ports_per_switch = 8, .network_degree = 5}, rng);
-  const auto& g = topo.switches();
-  double min_conn = 1e9;
-  for (NodeId t = 1; t < 6; ++t) {
-    min_conn = std::min(min_conn, edge_connectivity_flow(g, 0, t));
-  }
-  EXPECT_DOUBLE_EQ(min_conn, 5.0);
-}
-
-TEST(MaxFlow, RejectsBadArgs) {
-  FlowNetwork net(2);
-  EXPECT_THROW(net.add_arc(0, 5, 1.0), std::invalid_argument);
-  EXPECT_THROW(net.add_arc(0, 1, -1.0), std::invalid_argument);
-  EXPECT_THROW(net.max_flow(0, 0), std::invalid_argument);
 }
 
 TEST(Partition, BalancedAndCountsCut) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/digest.h"
 #include "common/parallel.h"
@@ -27,7 +28,7 @@ TEST(ComputePaths, EcmpPathsAreShortest) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
   const auto& g = topo.switches();
-  auto ecmp = compute_paths(g, 0, 15, {Scheme::kEcmp, 8});
+  auto ecmp = make_path_provider(g, {"ecmp", 8})->paths(0, 15);
   ASSERT_FALSE(ecmp.empty());
   EXPECT_LE(ecmp.size(), 8u);
   const std::size_t len = ecmp.front().size();
@@ -39,11 +40,11 @@ TEST(ComputePaths, KspIncludesLongerPaths) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
   const auto& g = topo.switches();
-  auto ksp = compute_paths(g, 0, 15, {Scheme::kKsp, 8});
+  auto ksp = make_path_provider(g, {"ksp", 8})->paths(0, 15);
   ASSERT_EQ(ksp.size(), 8u);
   // KSP must offer at least the shortest path plus longer alternatives.
   EXPECT_GE(ksp.back().size(), ksp.front().size());
-  auto ecmp = compute_paths(g, 0, 15, {Scheme::kEcmp, 64});
+  auto ecmp = make_path_provider(g, {"ecmp", 64})->paths(0, 15);
   // The paper's point: Jellyfish usually has few equal-cost shortest paths
   // but k-shortest-paths can always find 8 distinct ones.
   EXPECT_GE(ksp.size(), std::min<std::size_t>(ecmp.size(), 8));
@@ -96,8 +97,10 @@ TEST(PathCacheTest, WarmOrderNeverReachesResults) {
     }
   }
 
-  for (const RoutingOptions opts : {RoutingOptions{Scheme::kKsp, 4},
-                                    RoutingOptions{Scheme::kEcmp, 8}}) {
+  // The same scheme named for a PathCache and for make_path_provider.
+  const std::pair<RoutingOptions, RoutingSpec> schemes[] = {
+      {{Scheme::kKsp, 4}, {"ksp", 4}}, {{Scheme::kEcmp, 8}, {"ecmp", 8}}};
+  for (const auto& [opts, spec] : schemes) {
     PathCache fwd(g, opts);
     PathCache rev(g, opts);
     for (const auto& [s, t] : pairs) fwd.paths(s, t);
@@ -111,8 +114,8 @@ TEST(PathCacheTest, WarmOrderNeverReachesResults) {
     // Same invariant one level up, through the polymorphic provider (the
     // sim/flow consumers): identical flow keys must route identically no
     // matter which pairs were queried first.
-    auto p1 = make_path_provider(g, opts);
-    auto p2 = make_path_provider(g, opts);
+    auto p1 = make_path_provider(g, spec);
+    auto p2 = make_path_provider(g, spec);
     for (const auto& [s, t] : pairs) p1->paths(s, t);
     for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) p2->paths(it->first, it->second);
     for (const auto& [s, t] : pairs) {
@@ -138,8 +141,10 @@ TEST(PathCacheTest, WarmMatchesSerialFillAtEveryBudget) {
   }
   pairs.emplace_back(3, 17);  // a repeat
 
-  for (const RoutingOptions opts : {RoutingOptions{Scheme::kKsp, 8},
-                                    RoutingOptions{Scheme::kEcmp, 8}}) {
+  // The same scheme named for a PathCache and for make_path_provider.
+  const std::pair<RoutingOptions, RoutingSpec> schemes[] = {
+      {{Scheme::kKsp, 8}, {"ksp", 8}}, {{Scheme::kEcmp, 8}, {"ecmp", 8}}};
+  for (const auto& [opts, spec] : schemes) {
     PathCache serial(g, opts);
     for (const auto& [s, t] : pairs) serial.paths(s, t);
     for (int slots : {-1, 0, 1, 3}) {
@@ -149,7 +154,7 @@ TEST(PathCacheTest, WarmMatchesSerialFillAtEveryBudget) {
       warmed.warm(pairs, slots < 0 ? nullptr : &budget);
       EXPECT_EQ(budget.available(), budget.total());
       EXPECT_EQ(warmed.pairs_cached(), serial.pairs_cached());
-      auto provider = make_path_provider(g, opts);
+      auto provider = make_path_provider(g, spec);
       provider->warm(pairs, slots < 0 ? nullptr : &budget);
       for (const auto& [s, t] : pairs) {
         EXPECT_EQ(warmed.paths(s, t), serial.paths(s, t)) << "budget " << slots;
@@ -166,7 +171,7 @@ TEST(Diversity, CountsPathsPerLink) {
   g.add_edge(1, 2);
   flow::LinkIndex links(g);
   std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs{{0, 2}};
-  auto counts = link_path_counts(g, links, pairs, {Scheme::kKsp, 4});
+  auto counts = link_path_counts(links, pairs, *make_path_provider(g, {"ksp", 4}));
   EXPECT_EQ(counts[links.id(0, 1)], 1);
   EXPECT_EQ(counts[links.id(1, 2)], 1);
   EXPECT_EQ(counts[links.id(1, 0)], 0);  // reverse direction unused
@@ -185,8 +190,8 @@ TEST(Diversity, KspSpreadsMoreThanEcmp) {
     pairs.emplace_back(topo.server_switch(f.src_server), topo.server_switch(f.dst_server));
   }
   flow::LinkIndex links(topo.switches());
-  auto ecmp = link_path_counts(topo.switches(), links, pairs, {Scheme::kEcmp, 8});
-  auto ksp = link_path_counts(topo.switches(), links, pairs, {Scheme::kKsp, 8});
+  auto ecmp = link_path_counts(links, pairs, *make_path_provider(topo.switches(), {"ecmp", 8}));
+  auto ksp = link_path_counts(links, pairs, *make_path_provider(topo.switches(), {"ksp", 8}));
   EXPECT_GT(fraction_at_or_below(ecmp, 2), fraction_at_or_below(ksp, 2));
 }
 
@@ -208,7 +213,7 @@ TEST(Diversity, FattreeEcmpIsDiverse) {
     pairs.emplace_back(ft.server_switch(f.src_server), ft.server_switch(f.dst_server));
   }
   flow::LinkIndex links(ft.switches());
-  auto counts = link_path_counts(ft.switches(), links, pairs, {Scheme::kEcmp, 8});
+  auto counts = link_path_counts(links, pairs, *make_path_provider(ft.switches(), {"ecmp", 8}));
   int on_some_path = 0;
   for (int c : counts) on_some_path += c > 0 ? 1 : 0;
   EXPECT_GT(on_some_path, 0);

@@ -22,14 +22,14 @@ TEST_P(SimSweep, ConservationAndSanity) {
       {.num_switches = 10, .ports_per_switch = 8, .network_degree = 5}, rng);
 
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
   cfg.transport = subflows > 1 ? Transport::kMptcp : Transport::kTcp;
   cfg.subflows = subflows;
   cfg.sim.queue_capacity_pkts = queue;
   cfg.sim.link_delay_ns = delay_us * kMicrosecond;
   cfg.warmup_ns = 3 * kMillisecond;
   cfg.measure_ns = 10 * kMillisecond;
-  auto res = run_permutation_workload(topo, cfg, rng);
+  auto routes = routing::make_path_provider(topo.switches(), {"ksp", 4});
+  auto res = run_permutation_workload(topo, cfg, *routes, rng);
 
   // Per-flow goodput is bounded by the NIC (small window-edge skew allowed).
   for (double t : res.per_flow) {
@@ -55,7 +55,6 @@ TEST(SimInvariants, LinkTxNeverExceedsCapacity) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 8, .ports_per_switch = 8, .network_degree = 5}, rng);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
   // Run via the harness, then check per-link transmitted bytes against the
@@ -97,11 +96,11 @@ TEST(SimInvariants, RetransmitsAccountedWhenQueuesTiny) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 8, .ports_per_switch = 8, .network_degree = 4}, rng);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
   cfg.sim.queue_capacity_pkts = 4;  // heavy loss regime
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 8 * kMillisecond;
-  auto res = run_permutation_workload(topo, cfg, rng);
+  auto routes = routing::make_path_provider(topo.switches(), {"ksp", 4});
+  auto res = run_permutation_workload(topo, cfg, *routes, rng);
   EXPECT_GT(res.packet_drops, 0);
   EXPECT_GT(res.total_retransmits, 0);
   EXPECT_GT(res.mean_flow_throughput, 0.05);  // survives, degraded

@@ -39,14 +39,15 @@ void expect_identical(const WorkloadResult& a, const WorkloadResult& b,
   EXPECT_EQ(a.total_retransmits, b.total_retransmits) << what;
 }
 
-WorkloadResult run_at(const topo::Topology& topo, WorkloadConfig cfg, int shards,
-                      int threads, std::uint64_t seed) {
+WorkloadResult run_at(const topo::Topology& topo, const routing::RoutingSpec& spec,
+                      WorkloadConfig cfg, int shards, int threads, std::uint64_t seed) {
   cfg.shards = shards;
   Rng rng(seed);
   auto tm = traffic::random_permutation(topo.num_servers(), rng);
-  if (threads <= 1) return run_workload(topo, tm, cfg, rng);
+  auto routes = routing::make_path_provider(topo.switches(), spec);
+  if (threads <= 1) return run_workload(topo, tm, cfg, *routes, rng);
   parallel::WorkBudget budget(threads - 1);
-  return run_workload(topo, tm, cfg, rng, &budget);
+  return run_workload(topo, tm, cfg, *routes, rng, &budget);
 }
 
 TEST(ShardedSim, MatchesOneShardOnJellyfishTcp) {
@@ -54,16 +55,16 @@ TEST(ShardedSim, MatchesOneShardOnJellyfishTcp) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
+  const routing::RoutingSpec spec{"ksp", 4};
   cfg.sim.queue_capacity_pkts = 16;  // force some loss so every path is exercised
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
 
-  const WorkloadResult reference = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 7);
+  const WorkloadResult reference = run_at(topo, spec, cfg, /*shards=*/1, /*threads=*/1, 7);
   EXPECT_GT(reference.mean_flow_throughput, 0.0);
   for (int shards : {2, 8}) {
     for (int threads : {1, 4}) {
-      expect_identical(reference, run_at(topo, cfg, shards, threads, 7),
+      expect_identical(reference, run_at(topo, spec, cfg, shards, threads, 7),
                        "jellyfish shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
     }
@@ -73,17 +74,17 @@ TEST(ShardedSim, MatchesOneShardOnJellyfishTcp) {
 TEST(ShardedSim, MatchesOneShardOnFattreeMptcp) {
   auto topo = topo::build_fattree(4);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kEcmp, 8};
+  const routing::RoutingSpec spec{"ecmp", 8};
   cfg.transport = Transport::kMptcp;
   cfg.subflows = 4;
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
 
-  const WorkloadResult reference = run_at(topo, cfg, /*shards=*/1, /*threads=*/1, 11);
+  const WorkloadResult reference = run_at(topo, spec, cfg, /*shards=*/1, /*threads=*/1, 11);
   EXPECT_GT(reference.mean_flow_throughput, 0.0);
   for (int shards : {2, 8}) {
     for (int threads : {1, 4}) {
-      expect_identical(reference, run_at(topo, cfg, shards, threads, 11),
+      expect_identical(reference, run_at(topo, spec, cfg, shards, threads, 11),
                        "fattree shards=" + std::to_string(shards) +
                            " threads=" + std::to_string(threads));
     }
@@ -98,14 +99,14 @@ TEST(ShardedSim, WorkCountersExactAtOneShard) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 12, .ports_per_switch = 8, .network_degree = 5}, rng);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
+  const routing::RoutingSpec spec{"ksp", 4};
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 4 * kMillisecond;
 
   obs::set_metrics_enabled(true);
   auto counters_at = [&](int shards) {
     obs::reset_metrics();
-    (void)run_at(topo, cfg, shards, /*threads=*/1, 3);
+    (void)run_at(topo, spec, cfg, shards, /*threads=*/1, 3);
     return obs::collect_metrics();
   };
   const obs::MetricsSnapshot one = counters_at(1);
@@ -132,7 +133,7 @@ TEST(ShardedSim, BarrierWaitIsRecordedPerWorkerSlot) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 12, .ports_per_switch = 8, .network_degree = 5}, rng);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
+  const routing::RoutingSpec spec{"ksp", 4};
   cfg.warmup_ns = 1 * kMillisecond;
   cfg.measure_ns = 2 * kMillisecond;
 
@@ -140,7 +141,7 @@ TEST(ShardedSim, BarrierWaitIsRecordedPerWorkerSlot) {
   const std::pair<int, int> runs[] = {{3, 2}, {8, 1}};  // (shards, threads)
   for (const auto& [shards, threads] : runs) {
     obs::reset_metrics();
-    (void)run_at(topo, cfg, shards, threads, 3);
+    (void)run_at(topo, spec, cfg, shards, threads, 3);
     const obs::MetricsSnapshot snap = obs::collect_metrics();
     const obs::DistributionSnapshot* wait = snap.find_distribution("sim.barrier_wait_ns");
     ASSERT_NE(wait, nullptr);
@@ -170,14 +171,14 @@ struct SimGolden {
   std::int64_t events;
 };
 
-void expect_sim_golden(const topo::Topology& topo, const WorkloadConfig& cfg,
-                       std::uint64_t seed, const SimGolden& want) {
+void expect_sim_golden(const topo::Topology& topo, const routing::RoutingSpec& spec,
+                       const WorkloadConfig& cfg, std::uint64_t seed, const SimGolden& want) {
   const std::pair<int, int> runs[] = {{1, 1}, {3, 2}, {8, 4}};  // (shards, threads)
   obs::set_metrics_enabled(true);
   for (const auto& [shards, threads] : runs) {
     SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
     obs::reset_metrics();
-    const WorkloadResult got = run_at(topo, cfg, shards, threads, seed);
+    const WorkloadResult got = run_at(topo, spec, cfg, shards, threads, seed);
     EXPECT_EQ(got.mean_flow_throughput, want.mean_flow_throughput)
         << std::hexfloat << got.mean_flow_throughput;
     EXPECT_EQ(got.jain_fairness, want.jain_fairness) << std::hexfloat << got.jain_fairness;
@@ -192,13 +193,13 @@ void expect_sim_golden(const topo::Topology& topo, const WorkloadConfig& cfg,
 TEST(SimGolden, FatTreeK4Mptcp) {
   auto topo = topo::build_fattree(4);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kEcmp, 8};
+  const routing::RoutingSpec spec{"ecmp", 8};
   cfg.transport = Transport::kMptcp;
   cfg.subflows = 4;
   cfg.sim.queue_capacity_pkts = 16;
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
-  expect_sim_golden(topo, cfg, 11,
+  expect_sim_golden(topo, spec, cfg, 11,
                     {0x1.80f5c28f5c28fp-1, 0x1.eeb6ef6f642ccp-1, 783, 609, 168933});
 }
 
@@ -207,11 +208,11 @@ TEST(SimGolden, JellyfishTcp) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
+  const routing::RoutingSpec spec{"ksp", 4};
   cfg.sim.queue_capacity_pkts = 16;
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 6 * kMillisecond;
-  expect_sim_golden(topo, cfg, 7,
+  expect_sim_golden(topo, spec, cfg, 7,
                     {0x1.83b874df5e584p-2, 0x1.70b160710b798p-1, 1420, 985, 247925});
 }
 

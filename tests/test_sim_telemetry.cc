@@ -135,7 +135,6 @@ Fixture make_fixture(std::int64_t flow_size_bytes) {
              .tm = {},
              .cfg = {}};
   fx.tm = traffic::random_permutation(fx.topo.num_servers(), rng);
-  fx.cfg.routing = {routing::Scheme::kKsp, 4};
   fx.cfg.sim.queue_capacity_pkts = 16;  // force some loss so drops are recorded
   fx.cfg.warmup_ns = 2 * kMillisecond;
   fx.cfg.measure_ns = 6 * kMillisecond;
@@ -148,9 +147,10 @@ WorkloadResult run_at(const Fixture& fx, int shards, int threads, Telemetry* rec
   WorkloadConfig cfg = fx.cfg;
   cfg.shards = shards;
   Rng rng(7);
-  if (threads <= 1) return run_workload(fx.topo, fx.tm, cfg, rng, nullptr, rec);
+  auto routes = routing::make_path_provider(fx.topo.switches(), {"ksp", 4});
+  if (threads <= 1) return run_workload(fx.topo, fx.tm, cfg, *routes, rng, nullptr, rec);
   parallel::WorkBudget budget(threads - 1);
-  return run_workload(fx.topo, fx.tm, cfg, rng, &budget, rec);
+  return run_workload(fx.topo, fx.tm, cfg, *routes, rng, &budget, rec);
 }
 
 // Recording is observational: the result with telemetry attached is

@@ -2,6 +2,7 @@
 // schemes, transports, and result accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "common/rng.h"
@@ -15,18 +16,22 @@ namespace {
 
 WorkloadConfig fast_config() {
   WorkloadConfig cfg;
-  cfg.routing = {routing::Scheme::kKsp, 4};
   cfg.transport = Transport::kTcp;
   cfg.warmup_ns = 2 * kMillisecond;
   cfg.measure_ns = 8 * kMillisecond;
   return cfg;
 }
 
+// The default routing of these tests: 4-shortest-path.
+std::unique_ptr<routing::PathProvider> ksp4(const topo::Topology& topo) {
+  return routing::make_path_provider(topo.switches(), {"ksp", 4});
+}
+
 TEST(Workload, PermutationOnSmallJellyfish) {
   Rng rng(1);
   auto topo = topo::build_jellyfish(
       {.num_switches = 12, .ports_per_switch = 8, .network_degree = 5}, rng);
-  auto res = run_permutation_workload(topo, fast_config(), rng);
+  auto res = run_permutation_workload(topo, fast_config(), *ksp4(topo), rng);
   EXPECT_EQ(res.per_flow.size(), static_cast<std::size_t>(topo.num_servers()));
   EXPECT_GT(res.mean_flow_throughput, 0.3);
   EXPECT_LE(res.mean_flow_throughput, 1.0 + 1e-9);
@@ -42,7 +47,7 @@ TEST(Workload, PerServerMatchesPerFlowTotals) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 10, .ports_per_switch = 8, .network_degree = 5}, rng);
   auto tm = traffic::random_permutation(topo.num_servers(), rng);
-  auto res = run_workload(topo, tm, fast_config(), rng);
+  auto res = run_workload(topo, tm, fast_config(), *ksp4(topo), rng);
   const double flow_sum = std::accumulate(res.per_flow.begin(), res.per_flow.end(), 0.0);
   const double server_sum =
       std::accumulate(res.per_server.begin(), res.per_server.end(), 0.0);
@@ -56,7 +61,7 @@ TEST(Workload, IntraRackFlowsBypassFabric) {
   // Both endpoints on switch 0 (servers 0..6 live there).
   traffic::TrafficMatrix tm;
   tm.flows.push_back({0, 1, 1.0});
-  auto res = run_workload(topo, tm, fast_config(), rng);
+  auto res = run_workload(topo, tm, fast_config(), *ksp4(topo), rng);
   EXPECT_GT(res.per_flow[0], 0.9);  // NIC-limited only
 }
 
@@ -68,7 +73,7 @@ TEST(Workload, ParallelConnectionsAggregate) {
   tm.flows.push_back({0, topo.num_servers() - 1, 1.0});
   auto cfg = fast_config();
   cfg.parallel_connections = 4;
-  auto res = run_workload(topo, tm, cfg, rng);
+  auto res = run_workload(topo, tm, cfg, *ksp4(topo), rng);
   EXPECT_EQ(res.per_flow.size(), 1u);
   EXPECT_GT(res.per_flow[0], 0.5);
   // NIC caps the aggregate (small skew allowance: reorder-buffer drains at
@@ -83,7 +88,7 @@ TEST(Workload, MptcpUsesSubflows) {
   auto cfg = fast_config();
   cfg.transport = Transport::kMptcp;
   cfg.subflows = 4;
-  auto res = run_permutation_workload(topo, cfg, rng);
+  auto res = run_permutation_workload(topo, cfg, *ksp4(topo), rng);
   EXPECT_GT(res.mean_flow_throughput, 0.3);
 }
 
@@ -99,10 +104,10 @@ TEST(Workload, EcmpVsKspOnJellyfish) {
   cfg.measure_ns = 12 * kMillisecond;
 
   Rng r1 = rng.fork(1), r2 = rng.fork(2);
-  cfg.routing = {routing::Scheme::kEcmp, 8};
-  auto ecmp = run_permutation_workload(topo, cfg, r1);
-  cfg.routing = {routing::Scheme::kKsp, 8};
-  auto ksp = run_permutation_workload(topo, cfg, r2);
+  auto ecmp8 = routing::make_path_provider(topo.switches(), {"ecmp", 8});
+  auto ksp8 = routing::make_path_provider(topo.switches(), {"ksp", 8});
+  auto ecmp = run_permutation_workload(topo, cfg, *ecmp8, r1);
+  auto ksp = run_permutation_workload(topo, cfg, *ksp8, r2);
   EXPECT_GE(ksp.mean_flow_throughput, ecmp.mean_flow_throughput * 0.95);
 }
 
@@ -111,17 +116,17 @@ TEST(Workload, RejectsEmptyMatrix) {
   auto topo = topo::build_jellyfish(
       {.num_switches = 4, .ports_per_switch = 6, .network_degree = 3}, rng);
   traffic::TrafficMatrix tm;
-  EXPECT_THROW(run_workload(topo, tm, fast_config(), rng), std::invalid_argument);
+  EXPECT_THROW(run_workload(topo, tm, fast_config(), *ksp4(topo), rng), std::invalid_argument);
 }
 
 TEST(Workload, FattreeEcmpWorksWell) {
   auto ft = topo::build_fattree(4);
   Rng rng(8);
   auto cfg = fast_config();
-  cfg.routing = {routing::Scheme::kEcmp, 8};
   cfg.transport = Transport::kMptcp;
   cfg.subflows = 4;
-  auto res = run_permutation_workload(ft, cfg, rng);
+  auto ecmp8 = routing::make_path_provider(ft.switches(), {"ecmp", 8});
+  auto res = run_permutation_workload(ft, cfg, *ecmp8, rng);
   // Full-bisection fat-tree with multipath: high utilization expected.
   EXPECT_GT(res.mean_flow_throughput, 0.6);
 }
