@@ -197,6 +197,9 @@ TEST(McfOptionsChecks, RejectsDegenerateRanges) {
 // the same distance and parent arc, and the epoch-batched round schedule is
 // the same at any worker count, so every floating-point operation happens
 // in the same order: each result is bit-identical at every thread count.
+// FatTreeK8FailedLinks and JellyfishDecideEveryPhase were recorded later,
+// from the source-grouped solver over a lazy-deletion binary heap that ran
+// a fresh sweep for every round and every dual bound.
 
 struct Golden {
   double lambda;
@@ -287,6 +290,32 @@ TEST(McfGolden, McfScalingSmokeInstance) {
   ASSERT_EQ(cs.size(), 312u);
   expect_golden(topo.switches(), cs, {},
                 {0x1.7c93d9ab1f7c9p-1, 0x1.9be63ecca793ep-1, 140, false, false});
+}
+
+// The fluid_mcf fat-tree shape with 10% of its links failed: uneven
+// degrees and many equal-length ties in the first phase, so the pop order
+// among tied nodes decides the paths.
+TEST(McfGolden, FatTreeK8FailedLinks) {
+  auto ft = topo::build_fattree(8);
+  Rng rng(3);
+  ASSERT_EQ(topo::fail_random_links(ft, 0.1, rng), 25);
+  const auto cs = permutation_commodities(ft, rng);
+  McfOptions opts;
+  opts.max_phases = 100;
+  opts.convergence_tol = 0;
+  expect_golden(ft.switches(), cs, opts,
+                {0x1.79435e50d7943p-1, 0x1.bceb874646ab4p-1, 100, false, false});
+}
+
+// Decision mode evaluates the dual bound after every phase, so each phase
+// but the first starts at lengths a full sweep has just searched.
+TEST(McfGolden, JellyfishDecideEveryPhase) {
+  Rng rng(42);
+  const auto topo = topo::build_jellyfish(
+      {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
+  const auto cs = permutation_commodities(topo, rng);
+  expect_golden(topo.switches(), cs, decide_at(0.66),
+                {0x1.522c3f35ba782p-1, 0x1.6a7860e40407ep-1, 107, true, false});
 }
 
 // --- edgeless graphs ---
