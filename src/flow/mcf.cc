@@ -125,12 +125,6 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
           "max_concurrent_flow: bad commodity endpoints");
     if (c.demand > 0) cs.push_back(c);
   }
-  if (cs.empty()) {
-    result.lambda = 1e9;
-    result.lambda_upper = 1e9;
-    result.decided_above = opts.decide_threshold >= 0;
-    return result;
-  }
 
   // GK telemetry: counts are exact and schedule-independent (rounds/phases
   // are decided by the serial apply order, searches by the sources each
@@ -152,6 +146,12 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
     span.arg("searches", searches);
     return result;
   };
+  if (cs.empty()) {
+    result.lambda = 1e9;
+    result.lambda_upper = 1e9;
+    result.decided_above = opts.decide_threshold >= 0;
+    return finish();
+  }
   // A disconnected commodity admits no concurrent flow at all.
   auto disconnected = [&]() {
     result.lambda = 0.0;

@@ -374,8 +374,9 @@ TEST(McfSearches, OneSearchPerDistinctSourcePerSweep) {
   }
 }
 
-// The mcf.solve span carries phases and searches on every exit: normal,
-// decided above, decided below, disconnected and edgeless.
+// The mcf.solve span carries phases and searches on every exit, and every
+// exit counts one solve: normal, decided above, decided below, disconnected,
+// edgeless and empty (no commodity with positive demand).
 TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
   const auto ft = topo::build_fattree(4);
   Rng rng(7);
@@ -386,6 +387,7 @@ TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
   const std::vector<Commodity> cut = {{0, 1, 1.0}, {0, 2, 1.0}};
   const graph::Graph edgeless(2);
   const std::vector<Commodity> one = {{0, 1, 1.0}};
+  const std::vector<Commodity> zero = {{0, 1, 0.0}, {1, 0, 0.0}};
   struct Case {
     const char* name;
     const graph::Graph& g;
@@ -396,7 +398,8 @@ TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
                                    {"above", ft.switches(), cs, decide_at(0.9)},
                                    {"below", ft.switches(), cs, decide_at(1.1)},
                                    {"disconnected", split, cut, decide_at(0.5)},
-                                   {"edgeless", edgeless, one, decide_at(0.5)}};
+                                   {"edgeless", edgeless, one, decide_at(0.5)},
+                                   {"empty", ft.switches(), zero, decide_at(0.5)}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     std::int64_t searches = 0;
@@ -409,6 +412,7 @@ TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
         if (ev.find("name")->as_string() == "mcf.solve") args = ev.find("args");
       }
       ASSERT_NE(args, nullptr);
+      EXPECT_EQ(counter_value("mcf.solves"), 1);
       ASSERT_NE(args->find("phases"), nullptr);
       ASSERT_NE(args->find("searches"), nullptr);
       EXPECT_EQ(args->find("phases")->as_int(), res.phases);
