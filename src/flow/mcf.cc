@@ -129,7 +129,8 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   // GK telemetry: counts are exact and schedule-independent (rounds/phases
   // are decided by the serial apply order, searches by the sources each
   // sweep lists); the _ns distributions are wall times. sweep_ns and
-  // searches also cover the sweeps dual_upper() issues.
+  // searches also cover the sweeps dual_upper() issues, and count only the
+  // sweeps that run: a reused one (see swept_all) adds a round, no search.
   static obs::Counter& obs_solves = obs::counter("mcf.solves");
   static obs::Counter& obs_phases = obs::counter("mcf.phases");
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
@@ -270,6 +271,14 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
     return lam;
   };
 
+  // True while dists and paths hold a sweep of all_commodities at the
+  // current lengths. Only dual_upper() sets it, and every round's apply
+  // clears it, so it is set exactly between a dual bound and the next
+  // round: the first round of the next phase (whose active list is
+  // all_commodities) or the final bound. Both read that sweep instead of
+  // repeating it — a sweep is a function of the lengths alone.
+  bool swept_all = false;
+
   // LP-duality upper bound: lambda* <= D(l)/alpha(l) for any lengths l, with
   // D = sum_e len*cap and alpha = sum_j demand_j * dist_j(l). Costs one
   // Dijkstra sweep (parallel across commodities; the alpha reduction runs in
@@ -277,7 +286,8 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   auto dual_upper = [&]() {
     double D = 0.0;
     for (std::size_t i = 0; i < m; ++i) D += a.len[i] * a.cap[i];
-    sweep(all_commodities);
+    if (!swept_all) sweep(all_commodities);
+    swept_all = true;
     double alpha = 0.0;
     for (int j = 0; j < num_cs; ++j) {
       const double d = dists[static_cast<std::size_t>(j)];
@@ -306,7 +316,8 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
     active = all_commodities;
     while (!active.empty()) {
       obs_rounds.increment();
-      sweep(active);
+      if (!swept_all) sweep(active);
+      swept_all = false;  // the apply below moves the lengths
       obs::ScopedTimer apply_timer(obs_apply_ns);
       still_active.clear();
       for (int j : active) {

@@ -357,8 +357,10 @@ std::int64_t counter_value(const char* name) { return obs::counter(name).value()
 TEST(McfSearches, OneSearchPerDistinctSourcePerSweep) {
   // One link; three commodities from two sources. Every commodity fits in
   // one round, so each of the 5 phases is one round of 2 searches. With 5
-  // phases no periodic dual check fires, and the final dual bound adds one
-  // more sweep: 2 x (5 + 1) = 12 searches, at any thread count.
+  // phases no periodic dual check fires, so no phase starts at lengths a
+  // dual sweep has already searched, and the final dual bound, which follows
+  // an apply, adds one more sweep: 2 x (5 + 1) = 12 searches, at any thread
+  // count.
   graph::Graph g(2);
   g.add_edge(0, 1);
   const std::vector<Commodity> cs = {{0, 1, 1.0}, {1, 0, 1.0}, {0, 1, 0.5}};
@@ -371,6 +373,51 @@ TEST(McfSearches, OneSearchPerDistinctSourcePerSweep) {
     EXPECT_EQ(res.phases, 5);
     EXPECT_EQ(counter_value("mcf.rounds"), 5);
     EXPECT_EQ(counter_value("mcf.searches"), 12);
+  }
+}
+
+// A dual bound sweeps every commodity at the lengths the next round starts
+// from, so the first round of the next phase, and a final bound right after
+// a check, reuse that sweep: each reused sweep saves one search per distinct
+// source. Rounds and phases are as before; only the searches drop.
+TEST(McfSearches, PhaseStartReusesDualSweep) {
+  // Sources 0, 1, 2 and 5: 4 searches per full sweep.
+  graph::Graph g(6);
+  for (int v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6);
+  g.add_edge(0, 3);
+  g.add_edge(1, 4);
+  const std::vector<Commodity> cs = {{0, 3, 1.0}, {2, 5, 0.5}, {0, 4, 1.0}, {1, 3, 2.0},
+                                     {2, 0, 1.0}, {0, 3, 1.0}, {5, 1, 1.5}, {1, 5, 1.0}};
+  McfOptions periodic;
+  periodic.convergence_window = 4;
+  struct Case {
+    const char* name;
+    McfOptions opts;
+    int phases;
+    std::int64_t rounds;
+    std::int64_t searches;
+  };
+  const std::vector<Case> cases = {
+      // Checks after phases 4 and 8; the plateau test stops the solve at
+      // the second. Sweeping afresh every time costs 60 searches; phase
+      // 5's first round and the final bound reuse the two dual sweeps:
+      // 60 - 2 x 4 = 52.
+      {"periodic", periodic, 8, 16, 52},
+      // A dual bound after every phase, until it decides below after phase
+      // 68. Sweeping afresh every time costs 680 searches; the first round
+      // of phases 2-68 reuses the bound before it: 680 - 67 x 4 = 412.
+      {"decide", decide_at(0.65), 68, 136, 412}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(threads);
+      ObsOn on;
+      const auto res = solve_with_threads(g, cs, c.opts, threads);
+      EXPECT_EQ(res.phases, c.phases);
+      EXPECT_EQ(counter_value("mcf.phases"), c.phases);
+      EXPECT_EQ(counter_value("mcf.rounds"), c.rounds);
+      EXPECT_EQ(counter_value("mcf.searches"), c.searches);
+    }
   }
 }
 
