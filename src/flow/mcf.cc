@@ -54,6 +54,7 @@ struct alignas(64) SearchScratch {
   std::vector<int> parent_arc;
   std::vector<char> pending;  // target marks; all clear between searches
   std::vector<std::pair<double, int>> heap;
+  std::int64_t settled = 0;  // nodes settled since the sweep collected it
 };
 
 // Single-source Dijkstra under arc lengths from `s`; fills dist and
@@ -78,6 +79,7 @@ void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
     const auto [d, u] = heap.back();
     heap.pop_back();
     if (d > w.dist[u]) continue;
+    ++w.settled;
     if (w.pending[u]) {
       w.pending[u] = 0;
       if (--num_targets == 0) break;
@@ -128,23 +130,27 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
 
   // GK telemetry: counts are exact and schedule-independent (rounds/phases
   // are decided by the serial apply order, searches by the sources each
-  // sweep lists); the _ns distributions are wall times. sweep_ns and
+  // sweep lists, settled by the nodes those searches settle); the _ns
+  // distributions are wall times. sweep_ns and
   // searches also cover the sweeps dual_upper() issues, and count only the
   // sweeps that run: a reused one (see swept_all) adds a round, no search.
   static obs::Counter& obs_solves = obs::counter("mcf.solves");
   static obs::Counter& obs_phases = obs::counter("mcf.phases");
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
   static obs::Counter& obs_searches = obs::counter("mcf.searches");
+  static obs::Counter& obs_settled = obs::counter("mcf.settled");
   static obs::Distribution& obs_sweep_ns = obs::distribution("mcf.sweep_ns");
   static obs::Distribution& obs_apply_ns = obs::distribution("mcf.apply_ns");
   obs_solves.increment();
   obs::Span span("mcf.solve", "mcf");
   span.arg("commodities", static_cast<std::int64_t>(cs.size()));
   std::int64_t searches = 0;
-  // Every exit from here on reports its phase and search counts.
+  std::int64_t settled = 0;
+  // Every exit from here on reports its phase, search and settle counts.
   auto finish = [&]() {
     span.arg("phases", result.phases);
     span.arg("searches", searches);
+    span.arg("settled", settled);
     return result;
   };
   if (cs.empty()) {
@@ -256,6 +262,15 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
         }
       }
     });
+    // Per-slot totals, collected once per sweep: a search's settle count
+    // depends only on the lengths, so the sum is the same at any schedule.
+    std::int64_t swept = 0;
+    for (SearchScratch& w : scratch) {
+      swept += w.settled;
+      w.settled = 0;
+    }
+    settled += swept;
+    obs_settled.add(swept);
   };
 
   // Certified primal value: scale all accumulated flow down by the worst

@@ -31,6 +31,22 @@ McfResult solve_with_threads(const graph::Graph& g, const std::vector<Commodity>
   return max_concurrent_flow(g, cs, opts, &budget);
 }
 
+// Metrics and tracing on for one test; both off again afterwards.
+struct ObsOn {
+  ObsOn() {
+    obs::set_metrics_enabled(true);
+    obs::set_trace_enabled(true);
+    obs::reset_metrics();
+    obs::reset_trace();
+  }
+  ~ObsOn() {
+    obs::set_metrics_enabled(false);
+    obs::set_trace_enabled(false);
+  }
+};
+
+std::int64_t counter_value(const char* name) { return obs::counter(name).value(); }
+
 TEST(McfParallel, BitIdenticalAcrossThreadCounts) {
   Rng rng(42);
   auto topo = topo::build_jellyfish(
@@ -199,7 +215,10 @@ TEST(McfOptionsChecks, RejectsDegenerateRanges) {
 // in the same order: each result is bit-identical at every thread count.
 // FatTreeK8FailedLinks and JellyfishDecideEveryPhase were recorded later,
 // from the source-grouped solver over a lazy-deletion binary heap that ran
-// a fresh sweep for every round and every dual bound.
+// a fresh sweep for every round and every dual bound. The settled totals
+// were recorded over that heap once a phase's first round reused the dual
+// sweep; a settle (a pop that is not stale) is the same event in any heap
+// that pops in (dist, node) order, so they pin the search kernel too.
 
 struct Golden {
   double lambda;
@@ -207,18 +226,21 @@ struct Golden {
   int phases;
   bool decided_above;
   bool decided_below;
+  std::int64_t settled;  // mcf.settled: nodes the solve's searches settle
 };
 
 void expect_golden(const graph::Graph& g, const std::vector<Commodity>& cs,
                    const McfOptions& opts, const Golden& want) {
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
+    ObsOn on;
     const McfResult got = solve_with_threads(g, cs, opts, threads);
     EXPECT_EQ(got.lambda, want.lambda);
     EXPECT_EQ(got.lambda_upper, want.lambda_upper);
     EXPECT_EQ(got.phases, want.phases);
     EXPECT_EQ(got.decided_above, want.decided_above);
     EXPECT_EQ(got.decided_below, want.decided_below);
+    EXPECT_EQ(counter_value("mcf.settled"), want.settled);
   }
 }
 
@@ -233,7 +255,7 @@ TEST(McfGolden, FatTreeK4Permutation) {
   Rng rng(7);
   const auto cs = permutation_commodities(ft, rng);
   expect_golden(ft.switches(), cs, {},
-                {0x1.f89467e2519f9p-1, 0x1.133c97c78fa42p+0, 70, false, false});
+                {0x1.f89467e2519f9p-1, 0x1.133c97c78fa42p+0, 70, false, false, 11519});
 }
 
 TEST(McfGolden, FatTreeK6Permutation) {
@@ -241,7 +263,7 @@ TEST(McfGolden, FatTreeK6Permutation) {
   Rng rng(11);
   const auto cs = permutation_commodities(ft, rng);
   expect_golden(ft.switches(), cs, {},
-                {0x1.ca1af286bca1bp-1, 0x1.287f940aa664ep+0, 30, false, false});
+                {0x1.ca1af286bca1bp-1, 0x1.287f940aa664ep+0, 30, false, false, 24067});
 }
 
 TEST(McfGolden, JellyfishPermutation) {
@@ -250,7 +272,7 @@ TEST(McfGolden, JellyfishPermutation) {
       {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
   const auto cs = permutation_commodities(topo, rng);
   expect_golden(topo.switches(), cs, {},
-                {0x1.4f0f0f0f0f0f1p-1, 0x1.6baee258b43c5p-1, 100, false, false});
+                {0x1.4f0f0f0f0f0f1p-1, 0x1.6baee258b43c5p-1, 100, false, false, 90344});
 }
 
 // Sources interleaved in the list, and (0, 3) listed twice: grouping must
@@ -262,7 +284,7 @@ TEST(McfGolden, InterleavedSourcesAndRepeatedPair) {
   g.add_edge(1, 4);
   const std::vector<Commodity> cs = {{0, 3, 1.0}, {2, 5, 0.5}, {0, 4, 1.0}, {1, 3, 2.0},
                                      {2, 0, 1.0}, {0, 3, 1.0}, {5, 1, 1.5}, {1, 5, 1.0}};
-  expect_golden(g, cs, {}, {0x1.38a65d38a65d3p-1, 0x1.48d441f700751p-1, 120, false, false});
+  expect_golden(g, cs, {}, {0x1.38a65d38a65d3p-1, 0x1.48d441f700751p-1, 120, false, false, 3608});
 }
 
 TEST(McfGolden, DecideAbove) {
@@ -270,7 +292,7 @@ TEST(McfGolden, DecideAbove) {
   Rng rng(7);
   const auto cs = permutation_commodities(ft, rng);
   expect_golden(ft.switches(), cs, decide_at(0.9),
-                {0x1.d1745d1745d17p-1, 0x1.1af60faf07999p+0, 10, true, false});
+                {0x1.d1745d1745d17p-1, 0x1.1af60faf07999p+0, 10, true, false, 1596});
 }
 
 TEST(McfGolden, DecideBelow) {
@@ -278,7 +300,7 @@ TEST(McfGolden, DecideBelow) {
   Rng rng(7);
   const auto cs = permutation_commodities(ft, rng);
   expect_golden(ft.switches(), cs, decide_at(1.1),
-                {0x1.ef7bdef7bdef8p-1, 0x1.17a3b76dc5262p+0, 30, false, true});
+                {0x1.ef7bdef7bdef8p-1, 0x1.17a3b76dc5262p+0, 30, false, true, 5009});
 }
 
 // The smoke instance `bench_mcf_scaling --switches 80 --degree 8` solves.
@@ -289,7 +311,7 @@ TEST(McfGolden, McfScalingSmokeInstance) {
   const auto cs = permutation_commodities(topo, rng);
   ASSERT_EQ(cs.size(), 312u);
   expect_golden(topo.switches(), cs, {},
-                {0x1.7c93d9ab1f7c9p-1, 0x1.9be63ecca793ep-1, 140, false, false});
+                {0x1.7c93d9ab1f7c9p-1, 0x1.9be63ecca793ep-1, 140, false, false, 889533});
 }
 
 // The fluid_mcf fat-tree shape with 10% of its links failed: uneven
@@ -304,7 +326,7 @@ TEST(McfGolden, FatTreeK8FailedLinks) {
   opts.max_phases = 100;
   opts.convergence_tol = 0;
   expect_golden(ft.switches(), cs, opts,
-                {0x1.79435e50d7943p-1, 0x1.bceb874646ab4p-1, 100, false, false});
+                {0x1.79435e50d7943p-1, 0x1.bceb874646ab4p-1, 100, false, false, 266256});
 }
 
 // Decision mode evaluates the dual bound after every phase, so each phase
@@ -315,7 +337,7 @@ TEST(McfGolden, JellyfishDecideEveryPhase) {
       {.num_switches = 30, .ports_per_switch = 10, .network_degree = 6}, rng);
   const auto cs = permutation_commodities(topo, rng);
   expect_golden(topo.switches(), cs, decide_at(0.66),
-                {0x1.522c3f35ba782p-1, 0x1.6a7860e40407ep-1, 107, true, false});
+                {0x1.522c3f35ba782p-1, 0x1.6a7860e40407ep-1, 107, true, false, 95768});
 }
 
 // --- edgeless graphs ---
@@ -337,22 +359,6 @@ TEST(McfEdgeless, PositiveDemandOnNoLinksDecidesBelow) {
 }
 
 // --- search counter and span args ---
-
-// Metrics and tracing on for one test; both off again afterwards.
-struct ObsOn {
-  ObsOn() {
-    obs::set_metrics_enabled(true);
-    obs::set_trace_enabled(true);
-    obs::reset_metrics();
-    obs::reset_trace();
-  }
-  ~ObsOn() {
-    obs::set_metrics_enabled(false);
-    obs::set_trace_enabled(false);
-  }
-};
-
-std::int64_t counter_value(const char* name) { return obs::counter(name).value(); }
 
 TEST(McfSearches, OneSearchPerDistinctSourcePerSweep) {
   // One link; three commodities from two sources. Every commodity fits in
@@ -450,6 +456,7 @@ TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     std::int64_t searches = 0;
+    std::int64_t settled = 0;
     for (int threads : {1, 8}) {
       ObsOn on;
       const auto res = solve_with_threads(c.g, c.cs, c.opts, threads);
@@ -462,10 +469,16 @@ TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
       EXPECT_EQ(counter_value("mcf.solves"), 1);
       ASSERT_NE(args->find("phases"), nullptr);
       ASSERT_NE(args->find("searches"), nullptr);
+      ASSERT_NE(args->find("settled"), nullptr);
       EXPECT_EQ(args->find("phases")->as_int(), res.phases);
       EXPECT_EQ(args->find("searches")->as_int(), counter_value("mcf.searches"));
-      if (threads == 1) searches = counter_value("mcf.searches");
+      EXPECT_EQ(args->find("settled")->as_int(), counter_value("mcf.settled"));
+      if (threads == 1) {
+        searches = counter_value("mcf.searches");
+        settled = counter_value("mcf.settled");
+      }
       EXPECT_EQ(counter_value("mcf.searches"), searches) << threads;
+      EXPECT_EQ(counter_value("mcf.settled"), settled) << threads;
     }
   }
 }

@@ -130,7 +130,8 @@ TEST(ObsTrace, SpanNestingProducesWellFormedChromeJson) {
     outer.arg("k1", 11);
     outer.arg("k2", 22);
     outer.arg("k3", 33);
-    outer.arg("k4", 44);  // past kMaxSpanArgs: dropped
+    outer.arg("k4", 44);
+    outer.arg("k5", 55);  // past kMaxSpanArgs: dropped
     {
       obs::Span inner("test_obs.inner", "test");
     }
@@ -173,7 +174,8 @@ TEST(ObsTrace, SpanNestingProducesWellFormedChromeJson) {
   EXPECT_EQ(args->find("k1")->as_int(), 11);
   EXPECT_EQ(args->find("k2")->as_int(), 22);
   EXPECT_EQ(args->find("k3")->as_int(), 33);
-  EXPECT_EQ(args->find("k4"), nullptr);
+  EXPECT_EQ(args->find("k4")->as_int(), 44);
+  EXPECT_EQ(args->find("k5"), nullptr);
 
   obs::reset_trace();
   EXPECT_EQ(obs::trace_event_count(), 0u);
