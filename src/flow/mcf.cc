@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -46,6 +44,75 @@ ArcGraph build_arcs(const graph::Graph& g, double capacity) {
   return a;
 }
 
+// Indexed 4-ary min-heap of (dist, node) entries, at most one per node,
+// ordered lexicographically by (dist, node). pos[node] is the node's slot
+// while it is queued and stale otherwise; the caller knows which nodes are
+// queued (dijkstra(): finite dist, not yet settled), so nothing resets it.
+class NodeHeap {
+ public:
+  struct Entry {
+    double dist;
+    int node;
+  };
+
+  void reset(std::size_t num_nodes) {
+    items_.clear();
+    pos_.resize(num_nodes);
+  }
+  bool empty() const { return items_.empty(); }
+  void push(Entry e) {
+    items_.push_back(e);
+    sift_up(static_cast<int>(items_.size()) - 1, e);
+  }
+  // `e.node` is queued, at a dist above e.dist.
+  void decrease(Entry e) { sift_up(pos_[static_cast<std::size_t>(e.node)], e); }
+  Entry pop() {
+    const Entry top = items_.front();
+    const Entry last = items_.back();
+    items_.pop_back();
+    if (!items_.empty()) sift_down(0, last);
+    return top;
+  }
+
+ private:
+  static bool before(const Entry& x, const Entry& y) {
+    return x.dist < y.dist || (x.dist == y.dist && x.node < y.node);
+  }
+  void place(int i, Entry e) {
+    items_[static_cast<std::size_t>(i)] = e;
+    pos_[static_cast<std::size_t>(e.node)] = i;
+  }
+  void sift_up(int i, Entry e) {
+    while (i > 0) {
+      const int parent = (i - 1) / 4;
+      if (!before(e, items_[static_cast<std::size_t>(parent)])) break;
+      place(i, items_[static_cast<std::size_t>(parent)]);
+      i = parent;
+    }
+    place(i, e);
+  }
+  void sift_down(int i, Entry e) {
+    const int n = static_cast<int>(items_.size());
+    for (;;) {
+      const int first = 4 * i + 1;
+      if (first >= n) break;
+      int best = first;
+      for (int c = first + 1; c < std::min(first + 4, n); ++c) {
+        if (before(items_[static_cast<std::size_t>(c)], items_[static_cast<std::size_t>(best)])) {
+          best = c;
+        }
+      }
+      if (!before(items_[static_cast<std::size_t>(best)], e)) break;
+      place(i, items_[static_cast<std::size_t>(best)]);
+      i = best;
+    }
+    place(i, e);
+  }
+
+  std::vector<Entry> items_;
+  std::vector<int> pos_;
+};
+
 // Per-slot search scratch, reused across sweeps so searches stay
 // allocation-free after the first round. Each search writes its heap's
 // vector header on every push and pop, so slots sit on separate cache lines.
@@ -53,32 +120,36 @@ struct alignas(64) SearchScratch {
   std::vector<double> dist;
   std::vector<int> parent_arc;
   std::vector<char> pending;  // target marks; all clear between searches
-  std::vector<std::pair<double, int>> heap;
+  NodeHeap heap;
   std::int64_t settled = 0;  // nodes settled since the sweep collected it
 };
 
 // Single-source Dijkstra under arc lengths from `s`; fills dist and
 // parent-arc and stops once the `num_targets` nodes marked in `pending` are
-// settled (it clears each mark as it settles that node). A node is pushed
-// again only at a strictly smaller dist, so heap entries are distinct
-// (dist, node) pairs and the pop order — and therefore the parent forest —
-// depends only on the lengths, never on scheduling. Lengths are
-// positive and d + len >= d in floating point, so a settled node's dist and
-// parent arc never change again: each target's distance and path are
-// exactly those of a search that stopped at that target alone.
+// settled (it clears each mark as it settles that node).
+//
+// It settles nodes in increasing (dist[u], u) order among the reached,
+// unsettled nodes: the heap holds exactly those nodes, one entry each, at
+// their current dist. A lazy-deletion heap of (dist, node) pairs that skips
+// stale pops settles them in that same order — its entries are distinct
+// pairs (a node is pushed again only at a strictly smaller dist), and the
+// least one that is not stale is (dist[u], u) for the least such node — and
+// the relaxation rule (nd < dist[v], arcs in CSR order) is the same, so the
+// parent forest and every path are identical to that heap's. The order
+// depends only on the lengths, never on scheduling. Lengths are positive
+// and d + len >= d in floating point, so a settled node's dist and parent
+// arc never change again: each target's distance and path are exactly those
+// of a search that stopped at that target alone.
 void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   w.dist.assign(static_cast<std::size_t>(a.num_nodes), kInf);
   w.parent_arc.assign(static_cast<std::size_t>(a.num_nodes), -1);
-  auto& heap = w.heap;
-  heap.clear();
+  NodeHeap& heap = w.heap;
+  heap.reset(static_cast<std::size_t>(a.num_nodes));
   w.dist[s] = 0.0;
-  heap.emplace_back(0.0, s);
+  heap.push({0.0, s});
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    const auto [d, u] = heap.back();
-    heap.pop_back();
-    if (d > w.dist[u]) continue;
+    const auto [d, u] = heap.pop();
     ++w.settled;
     if (w.pending[u]) {
       w.pending[u] = 0;
@@ -88,10 +159,15 @@ void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
       const int v = a.to[i];
       const double nd = d + a.len[i];
       if (nd < w.dist[v]) {
+        // Finite dist: v is queued (a settled node is never improved).
+        const bool queued = w.dist[v] < kInf;
         w.dist[v] = nd;
         w.parent_arc[v] = i;
-        heap.emplace_back(nd, v);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        if (queued) {
+          heap.decrease({nd, v});
+        } else {
+          heap.push({nd, v});
+        }
       }
     }
   }
