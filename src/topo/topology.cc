@@ -18,6 +18,8 @@ Topology::Topology(std::string name, graph::Graph switches, std::vector<int> por
   check(static_cast<int>(servers_.size()) == switches_.num_nodes(),
         "Topology: servers size mismatch");
   validate();
+  server_offset_.reserve(servers_.size() + 1);
+  for (int n : servers_) server_offset_.push_back(server_offset_.back() + n);
 }
 
 int Topology::num_servers() const {
@@ -49,7 +51,7 @@ NodeId Topology::add_switch(int ports, int servers) {
   NodeId id = switches_.add_node();
   ports_.push_back(ports);
   servers_.push_back(servers);
-  index_dirty_ = true;
+  server_offset_.push_back(server_offset_.back() + servers);
   return id;
 }
 
@@ -57,18 +59,14 @@ void Topology::set_servers_at(NodeId sw, int servers) {
   check(sw >= 0 && sw < num_switches(), "set_servers_at: bad switch");
   check(servers >= 0 && servers + network_degree(sw) <= ports_[sw],
         "set_servers_at: exceeds port budget");
+  const int delta = servers - servers_[sw];
   servers_[sw] = servers;
-  index_dirty_ = true;
-}
-
-void Topology::rebuild_server_index() const {
-  server_offset_.assign(static_cast<std::size_t>(num_switches()) + 1, 0);
-  for (int i = 0; i < num_switches(); ++i) server_offset_[i + 1] = server_offset_[i] + servers_[i];
-  index_dirty_ = false;
+  for (std::size_t i = static_cast<std::size_t>(sw) + 1; i < server_offset_.size(); ++i) {
+    server_offset_[i] += delta;
+  }
 }
 
 NodeId Topology::server_switch(int server_id) const {
-  if (index_dirty_) rebuild_server_index();
   check(server_id >= 0 && server_id < server_offset_.back(), "server_switch: bad server id");
   auto it = std::upper_bound(server_offset_.begin(), server_offset_.end(), server_id);
   return static_cast<NodeId>(std::distance(server_offset_.begin(), it) - 1);
@@ -76,7 +74,6 @@ NodeId Topology::server_switch(int server_id) const {
 
 std::pair<int, int> Topology::servers_of_switch(NodeId sw) const {
   check(sw >= 0 && sw < num_switches(), "servers_of_switch: bad switch");
-  if (index_dirty_) rebuild_server_index();
   return {server_offset_[sw], server_offset_[sw + 1]};
 }
 

@@ -58,15 +58,13 @@ class Topology {
   void validate() const;
 
  private:
-  void rebuild_server_index() const;
-
   std::string name_;
   graph::Graph switches_;
   std::vector<int> ports_;
   std::vector<int> servers_;
-  // Lazy prefix-sum index from server ids to switches.
-  mutable std::vector<int> server_offset_;  // size num_switches()+1
-  mutable bool index_dirty_ = true;
+  // Prefix-sum index from server ids to switches, kept current by every
+  // mutator so that const readers on several threads never write it.
+  std::vector<int> server_offset_{0};  // size num_switches()+1
 };
 
 }  // namespace jf::topo

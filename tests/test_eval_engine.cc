@@ -164,6 +164,19 @@ TEST(EvalEngine, FatTreeRowThroughput) {
   EXPECT_GT(report.series(0, -1, "throughput").at(0), 0.5);
 }
 
+// A fat-tree row with several seeds builds one topology that every cell
+// reads. With throughput alone nothing warms a path cache on the batch's
+// thread first, so the cells are the first readers of its server index.
+TEST(EvalEngine, SharedFatTreeThroughputOnlyAcrossThreads) {
+  eval::Scenario s;
+  s.topologies = {{.family = "fattree", .fattree_k = 4}};
+  s.metrics = {eval::Metric::kThroughput};
+  s.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  const auto serial = eval::Engine({.threads = 1}).run(s);
+  const auto parallel = eval::Engine({.threads = 4}).run(s);
+  EXPECT_EQ(serial.series(0, -1, "throughput"), parallel.series(0, -1, "throughput"));
+}
+
 TEST(EvalEngine, UnknownFamilyAndSchemeThrow) {
   eval::Scenario s;
   s.topologies = {{.family = "hypercube"}};
