@@ -45,9 +45,10 @@ ArcGraph build_arcs(const graph::Graph& g, double capacity) {
 }
 
 // Indexed 4-ary min-heap of (dist, node) entries, at most one per node,
-// ordered lexicographically by (dist, node). pos[node] is the node's slot
-// while it is queued and stale otherwise; the caller knows which nodes are
-// queued (dijkstra(): finite dist, not yet settled), so nothing resets it.
+// ordered lexicographically by (dist, node), in arrays sized once per node.
+// pos[node] is the node's slot while it is queued and stale otherwise; the
+// caller knows which nodes are queued (dijkstra(): finite dist, not yet
+// settled), so nothing resets it.
 class NodeHeap {
  public:
   struct Entry {
@@ -56,21 +57,23 @@ class NodeHeap {
   };
 
   void reset(std::size_t num_nodes) {
-    items_.clear();
+    items_.resize(num_nodes);
     pos_.resize(num_nodes);
+    size_ = 0;
   }
-  bool empty() const { return items_.empty(); }
-  void push(Entry e) {
-    items_.push_back(e);
-    sift_up(static_cast<int>(items_.size()) - 1, e);
+  bool empty() const { return size_ == 0; }
+  // Queues e.node at e.dist, or lowers it to e.dist if it is `queued`. The
+  // slot is chosen without a branch: whether a relaxed node is already
+  // queued is about as unpredictable as the relaxation itself.
+  void update(Entry e, bool queued) {
+    const int slot = pos_[static_cast<std::size_t>(e.node)];
+    const int i = queued ? slot : size_;
+    size_ += queued ? 0 : 1;
+    sift_up(i, e);
   }
-  // `e.node` is queued, at a dist above e.dist.
-  void decrease(Entry e) { sift_up(pos_[static_cast<std::size_t>(e.node)], e); }
   Entry pop() {
-    const Entry top = items_.front();
-    const Entry last = items_.back();
-    items_.pop_back();
-    if (!items_.empty()) sift_down(0, last);
+    const Entry top = items_[0];
+    if (--size_ > 0) sift_down(0, items_[static_cast<std::size_t>(size_)]);
     return top;
   }
 
@@ -92,7 +95,7 @@ class NodeHeap {
     place(i, e);
   }
   void sift_down(int i, Entry e) {
-    const int n = static_cast<int>(items_.size());
+    const int n = size_;
     for (;;) {
       const int first = 4 * i + 1;
       if (first >= n) break;
@@ -111,11 +114,12 @@ class NodeHeap {
 
   std::vector<Entry> items_;
   std::vector<int> pos_;
+  int size_ = 0;
 };
 
 // Per-slot search scratch, reused across sweeps so searches stay
 // allocation-free after the first round. Each search writes its heap's
-// vector header on every push and pop, so slots sit on separate cache lines.
+// size on every push and pop, so slots sit on separate cache lines.
 struct alignas(64) SearchScratch {
   std::vector<double> dist;
   std::vector<int> parent_arc;
@@ -147,7 +151,7 @@ void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
   NodeHeap& heap = w.heap;
   heap.reset(static_cast<std::size_t>(a.num_nodes));
   w.dist[s] = 0.0;
-  heap.push({0.0, s});
+  heap.update({0.0, s}, false);
   while (!heap.empty()) {
     const auto [d, u] = heap.pop();
     ++w.settled;
@@ -163,11 +167,7 @@ void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
         const bool queued = w.dist[v] < kInf;
         w.dist[v] = nd;
         w.parent_arc[v] = i;
-        if (queued) {
-          heap.decrease({nd, v});
-        } else {
-          heap.push({nd, v});
-        }
+        heap.update({nd, v}, queued);
       }
     }
   }
@@ -207,9 +207,9 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   // GK telemetry: counts are exact and schedule-independent (rounds/phases
   // are decided by the serial apply order, searches by the sources each
   // sweep lists, settled by the nodes those searches settle); the _ns
-  // distributions are wall times. sweep_ns and
-  // searches also cover the sweeps dual_upper() issues, and count only the
-  // sweeps that run: a reused one (see swept_all) adds a round, no search.
+  // distributions are wall times. sweep_ns, searches and settled cover the
+  // sweeps dual_upper() issues too, and only sweeps that run: a round that
+  // reuses a dual sweep (see swept_all) counts a round and no search.
   static obs::Counter& obs_solves = obs::counter("mcf.solves");
   static obs::Counter& obs_phases = obs::counter("mcf.phases");
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
