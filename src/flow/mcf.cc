@@ -46,7 +46,8 @@ ArcGraph build_arcs(const graph::Graph& g, double capacity) {
 
 // Indexed 4-ary min-heap of (dist, node) entries, at most one per node,
 // ordered lexicographically by (dist, node), in arrays sized once per node.
-// pos[node] is the node's slot while it is queued and stale otherwise; the
+// pos[node] is the node's slot while it is queued and stale otherwise
+// (update() reads it for any node but uses it only for a queued one); the
 // caller knows which nodes are queued (dijkstra(): finite dist, not yet
 // settled), so nothing resets it.
 class NodeHeap {

@@ -19,7 +19,9 @@
 // on workers borrowed from an optional parallel::WorkBudget — and then
 // applies flow and length updates in canonical commodity order on one
 // thread. A target's distance and parent arc are final once it is settled,
-// so sharing a search across commodities changes no path. Both certificates
+// so sharing a search across commodities changes no path. A dual bound
+// sweeps every commodity at the lengths the next phase starts from, so that
+// phase's first round (or the final bound) reuses its paths. Both certificates
 // hold for *any* length function, so batching never invalidates the bounds,
 // and because the schedule of rounds is independent of the worker count the
 // solver returns bit-identical results at every thread count.
