@@ -1,8 +1,8 @@
 // flow/mcf: decision mode (decide_threshold certificates), disconnected
 // commodities and edgeless graphs, the log-space initial-length fix for tiny
 // epsilon, bit-identity of the parallel solver vs the serial path at several
-// thread counts, golden results pinned as hex-float literals, and the exact
-// search counter and span args.
+// thread counts, golden results pinned as hex-float literals for the optimal
+// and the path-restricted solver, and the exact search counter and span args.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,9 +14,11 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "flow/mcf.h"
+#include "flow/restricted.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "routing/path_provider.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -338,6 +340,101 @@ TEST(McfGolden, JellyfishDecideEveryPhase) {
   const auto cs = permutation_commodities(topo, rng);
   expect_golden(topo.switches(), cs, decide_at(0.66),
                 {0x1.522c3f35ba782p-1, 0x1.6a7860e40407ep-1, 107, true, false, 95768});
+}
+
+// --- restricted golden results ---
+//
+// Exact results of the path-restricted solver, recorded as hex-float
+// literals from the solver as it stood when it ran its own copy of the phase
+// loop. Each case pins the result and the exact restricted.phases and
+// restricted.path_evals counts, so a change to the stopping policy or to the
+// pricing schedule shows here.
+
+struct RestrictedGoldenCase {
+  double lambda;
+  double lambda_upper;
+  int phases;
+  bool decided_above;
+  bool decided_below;
+  std::int64_t path_evals;  // restricted.path_evals: allowed-path pricings
+};
+
+void expect_restricted_golden(const graph::Graph& g, const std::vector<Commodity>& cs,
+                              const routing::RoutingSpec& spec, const McfOptions& opts,
+                              const RestrictedGoldenCase& want) {
+  ObsOn on;
+  auto routes = routing::make_path_provider(g, spec);
+  const McfResult got = restricted_max_concurrent_flow(g, cs, *routes, opts);
+  EXPECT_EQ(got.lambda, want.lambda);
+  EXPECT_EQ(got.lambda_upper, want.lambda_upper);
+  EXPECT_EQ(got.phases, want.phases);
+  EXPECT_EQ(got.decided_above, want.decided_above);
+  EXPECT_EQ(got.decided_below, want.decided_below);
+  EXPECT_EQ(counter_value("restricted.path_evals"), want.path_evals);
+  EXPECT_EQ(counter_value("restricted.phases"), want.phases);
+  EXPECT_EQ(counter_value("restricted.solves"), 1);
+}
+
+// A Jellyfish of 20 switches with 8 ports each, and one server permutation,
+// both drawn from Rng(3).
+topo::Topology small_jellyfish(int servers, std::vector<Commodity>& cs) {
+  Rng rng(3);
+  auto topo = topo::build_jellyfish_with_servers(20, 8, servers, rng);
+  cs = permutation_commodities(topo, rng);
+  return topo;
+}
+
+TEST(RestrictedGolden, JellyfishKsp8) {
+  std::vector<Commodity> cs;
+  const auto topo = small_jellyfish(40, cs);
+  expect_restricted_golden(topo.switches(), cs, {"ksp", 8}, {},
+                           {0x1.16aefcc26e2d6p+0, 0x1.4c21865deee98p+0, 90, false, false, 31200});
+}
+
+TEST(RestrictedGolden, FatTreeK6Ecmp8) {
+  const auto ft = topo::build_fattree(6);
+  Rng rng(11);
+  const auto cs = permutation_commodities(ft, rng);
+  expect_restricted_golden(ft.switches(), cs, {"ecmp", 8}, {},
+                           {0x1.999999999999ap-1, 0x1.0d38b02013d7dp+0, 20, false, false, 8900});
+}
+
+// Dual checks after phases 4 and 8; ECMP's bracket stays far wider than the
+// 5% gap, so the plateau rule ends the solve at the second check.
+TEST(RestrictedGolden, JellyfishEcmp8PlateauExit) {
+  std::vector<Commodity> cs;
+  const auto topo = small_jellyfish(40, cs);
+  McfOptions opts;
+  opts.convergence_window = 4;
+  expect_restricted_golden(topo.switches(), cs, {"ecmp", 8}, opts,
+                           {0x1p-1, 0x1.594d80781419ep+0, 8, false, false, 759});
+}
+
+// 70 servers: the primal first reaches 0.5 after 42 phases of dual checks.
+TEST(RestrictedGolden, DecideAbove) {
+  std::vector<Commodity> cs;
+  const auto topo = small_jellyfish(70, cs);
+  expect_restricted_golden(topo.switches(), cs, {"ksp", 8}, decide_at(0.5),
+                           {0x1p-1, 0x1.350d65a5c4213p-1, 42, true, false, 43496});
+}
+
+TEST(RestrictedGolden, DecideBelow) {
+  const auto ft = topo::build_fattree(6);
+  Rng rng(11);
+  const auto cs = permutation_commodities(ft, rng);
+  expect_restricted_golden(ft.switches(), cs, {"ecmp", 8}, decide_at(1.1),
+                           {0x1.999999999999ap-1, 0x1.188325d11d259p+0, 7, false, true, 5376});
+}
+
+// (0, 3) crosses the cut between {0, 1, 2} and {3, 4}: no allowed path.
+TEST(RestrictedGolden, UnroutablePair) {
+  graph::Graph split(5);
+  split.add_edge(0, 1);
+  split.add_edge(1, 2);
+  split.add_edge(3, 4);
+  const std::vector<Commodity> cs = {{0, 2, 1.0}, {0, 3, 1.0}, {3, 4, 1.0}};
+  expect_restricted_golden(split, cs, {"ksp", 8}, decide_at(0.5),
+                           {0.0, 0.0, 0, false, true, 0});
 }
 
 // --- edgeless graphs ---
