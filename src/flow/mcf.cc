@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/check.h"
+#include "flow/gk.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -13,16 +15,14 @@ namespace jf::flow {
 namespace {
 
 // Compact directed-arc representation (CSR) for fast repeated Dijkstra.
+// Arc lengths and loads live in gk::State, indexed by arc.
 struct ArcGraph {
   int num_nodes = 0;
-  std::vector<int> first;    // node -> index into arc arrays (size n+1)
-  std::vector<int> to;       // arc target
-  std::vector<double> cap;   // arc capacity
-  std::vector<double> len;   // GK length
-  std::vector<double> load;  // accumulated flow
+  std::vector<int> first;  // node -> index into arc arrays (size n+1)
+  std::vector<int> to;     // arc target
 };
 
-ArcGraph build_arcs(const graph::Graph& g, double capacity) {
+ArcGraph build_arcs(const graph::Graph& g) {
   ArcGraph a;
   a.num_nodes = g.num_nodes();
   a.first.assign(static_cast<std::size_t>(a.num_nodes) + 1, 0);
@@ -38,9 +38,6 @@ ArcGraph build_arcs(const graph::Graph& g, double capacity) {
     a.to[cursor[e.a]++] = e.b;
     a.to[cursor[e.b]++] = e.a;
   }
-  a.cap.assign(a.to.size(), capacity);
-  a.len.assign(a.to.size(), 0.0);
-  a.load.assign(a.to.size(), 0.0);
   return a;
 }
 
@@ -129,7 +126,7 @@ struct alignas(64) SearchScratch {
   std::int64_t settled = 0;  // nodes settled since the sweep collected it
 };
 
-// Single-source Dijkstra under arc lengths from `s`; fills dist and
+// Single-source Dijkstra under arc lengths `len` from `s`; fills dist and
 // parent-arc and stops once the `num_targets` nodes marked in `pending` are
 // settled (it clears each mark as it settles that node).
 //
@@ -145,7 +142,8 @@ struct alignas(64) SearchScratch {
 // and d + len >= d in floating point, so a settled node's dist and parent
 // arc never change again: each target's distance and path are exactly those
 // of a search that stopped at that target alone.
-void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
+void dijkstra(const ArcGraph& a, const std::vector<double>& len, int s, int num_targets,
+              SearchScratch& w) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   w.dist.assign(static_cast<std::size_t>(a.num_nodes), kInf);
   w.parent_arc.assign(static_cast<std::size_t>(a.num_nodes), -1);
@@ -162,7 +160,7 @@ void dijkstra(const ArcGraph& a, int s, int num_targets, SearchScratch& w) {
     }
     for (int i = a.first[u]; i < a.first[u + 1]; ++i) {
       const int v = a.to[i];
-      const double nd = d + a.len[i];
+      const double nd = d + len[i];
       if (nd < w.dist[v]) {
         // Finite dist: v is queued (a settled node is never improved).
         const bool queued = w.dist[v] < kInf;
@@ -190,80 +188,43 @@ double gk_initial_length(std::size_t num_arcs, double epsilon, double capacity) 
 
 McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> commodities,
                               const McfOptions& opts, parallel::WorkBudget* budget) {
-  check(opts.epsilon > 0 && opts.epsilon < 0.5, "max_concurrent_flow: epsilon in (0, 0.5)");
-  check(opts.link_capacity > 0, "max_concurrent_flow: capacity must be positive");
-  check(opts.max_phases >= 1, "max_concurrent_flow: max_phases must be >= 1");
-  check(opts.convergence_window >= 1, "max_concurrent_flow: convergence_window >= 1");
-  check(opts.convergence_tol >= 0, "max_concurrent_flow: convergence_tol >= 0");
-
-  McfResult result;
-  std::vector<Commodity> cs;
-  for (const auto& c : commodities) {
-    check(c.src_switch >= 0 && c.src_switch < g.num_nodes() && c.dst_switch >= 0 &&
-              c.dst_switch < g.num_nodes() && c.src_switch != c.dst_switch,
-          "max_concurrent_flow: bad commodity endpoints");
-    if (c.demand > 0) cs.push_back(c);
-  }
-
   // GK telemetry: counts are exact and schedule-independent (rounds/phases
   // are decided by the serial apply order, searches by the sources each
   // sweep lists, settled by the nodes those searches settle); the _ns
   // distributions are wall times. sweep_ns, searches and settled cover the
-  // sweeps dual_upper() issues too, and only sweeps that run: a round that
+  // sweeps of the dual bound too, and only sweeps that run: a round that
   // reuses a dual sweep (see swept_all) counts a round and no search.
-  static obs::Counter& obs_solves = obs::counter("mcf.solves");
-  static obs::Counter& obs_phases = obs::counter("mcf.phases");
+  static const gk::Solver kSolver{"max_concurrent_flow", "mcf.solve", "mcf",
+                                  obs::counter("mcf.solves"), obs::counter("mcf.phases")};
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
   static obs::Counter& obs_searches = obs::counter("mcf.searches");
   static obs::Counter& obs_settled = obs::counter("mcf.settled");
   static obs::Distribution& obs_sweep_ns = obs::distribution("mcf.sweep_ns");
   static obs::Distribution& obs_apply_ns = obs::distribution("mcf.apply_ns");
-  obs_solves.increment();
-  obs::Span span("mcf.solve", "mcf");
-  span.arg("commodities", static_cast<std::int64_t>(cs.size()));
+  gk::Driver gk(kSolver, opts);
   std::int64_t searches = 0;
   std::int64_t settled = 0;
-  // Every exit from here on reports its phase, search and settle counts.
-  auto finish = [&]() {
-    span.arg("phases", result.phases);
-    span.arg("searches", searches);
-    span.arg("settled", settled);
-    return result;
-  };
-  if (cs.empty()) {
-    result.lambda = 1e9;
-    result.lambda_upper = 1e9;
-    result.decided_above = opts.decide_threshold >= 0;
-    return finish();
-  }
-  // A disconnected commodity admits no concurrent flow at all.
-  auto disconnected = [&]() {
-    result.lambda = 0.0;
-    result.lambda_upper = 0.0;
-    result.decided_below = opts.decide_threshold >= 0;
-    return finish();
+  // Every exit reports its search and settle counts after the driver's.
+  auto finish = [&](const McfResult& r) {
+    gk.span().arg("searches", searches);
+    gk.span().arg("settled", settled);
+    return r;
   };
 
-  ArcGraph a = build_arcs(g, opts.link_capacity);
+  const std::vector<Commodity> cs = gk.positive_demand(g, commodities);
+  const ArcGraph a = build_arcs(g);
   const std::size_t m = a.to.size();
-  if (m == 0) return disconnected();  // no links: nothing routable
+  if (auto r = gk.degenerate(cs.size(), m)) return finish(*r);
 
   // Source node of each CSR arc (for path extraction).
   std::vector<int> arc_src(m);
   for (int v = 0; v < a.num_nodes; ++v) {
     for (int i = a.first[v]; i < a.first[v + 1]; ++i) arc_src[i] = v;
   }
-
-  const double eps = opts.epsilon;
-  // Uniform capacities (build_arcs): one initial length serves every arc.
-  const double init_len = gk_initial_length(m, eps, opts.link_capacity);
-  for (std::size_t i = 0; i < m; ++i) a.len[i] = init_len;
-
-  const int num_cs = static_cast<int>(cs.size());
-  std::vector<double> routed(cs.size(), 0.0);  // flow shipped per commodity
+  gk::State s(m, cs, opts);
 
   std::vector<int> all_commodities(cs.size());
-  for (int j = 0; j < num_cs; ++j) all_commodities[static_cast<std::size_t>(j)] = j;
+  std::iota(all_commodities.begin(), all_commodities.end(), 0);
 
   // Source groups of a sweep: a counting pass over source switches buckets
   // the listed indices (in listed order within a bucket) into `grouped`;
@@ -324,7 +285,7 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
           ++num_targets;
         }
       }
-      dijkstra(a, src_of(members.front()), num_targets, w);
+      dijkstra(a, s.len, src_of(members.front()), num_targets, w);
       for (int j : members) {
         const int t = cs[static_cast<std::size_t>(j)].dst_switch;
         w.pending[static_cast<std::size_t>(t)] = 0;  // the search leaves unreached marks set
@@ -350,61 +311,31 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
     obs_settled.add(swept);
   };
 
-  // Certified primal value: scale all accumulated flow down by the worst
-  // arc overload; the result is feasible, so lambda >= min_j routed_j/(ovl*d_j).
-  auto primal_lambda = [&]() {
-    double overload = 0.0;
-    for (std::size_t i = 0; i < m; ++i) overload = std::max(overload, a.load[i] / a.cap[i]);
-    if (overload <= 0) return 0.0;
-    double lam = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < cs.size(); ++j) {
-      lam = std::min(lam, routed[j] / overload / cs[j].demand);
-    }
-    return lam;
-  };
-
   // True while dists and paths hold a sweep of all_commodities at the
-  // current lengths. Only dual_upper() sets it, and every round's apply
+  // current lengths. Only min_lengths() sets it, and every round's apply
   // clears it, so it is set exactly between a dual bound and the next
   // round: the first round of the next phase (whose active list is
   // all_commodities) or the final bound. Both read that sweep instead of
   // repeating it — a sweep is a function of the lengths alone.
   bool swept_all = false;
-
-  // LP-duality upper bound: lambda* <= D(l)/alpha(l) for any lengths l, with
-  // D = sum_e len*cap and alpha = sum_j demand_j * dist_j(l). Costs one
-  // Dijkstra sweep (parallel across commodities; the alpha reduction runs in
-  // canonical commodity order), so it is evaluated periodically.
-  auto dual_upper = [&]() {
-    double D = 0.0;
-    for (std::size_t i = 0; i < m; ++i) D += a.len[i] * a.cap[i];
+  auto min_lengths = [&]() -> std::span<const double> {
     if (!swept_all) sweep(all_commodities);
     swept_all = true;
-    double alpha = 0.0;
-    for (int j = 0; j < num_cs; ++j) {
-      const double d = dists[static_cast<std::size_t>(j)];
-      if (!std::isfinite(d)) return std::numeric_limits<double>::infinity();
-      alpha += cs[static_cast<std::size_t>(j)].demand * d;
-    }
-    return alpha > 0 ? D / alpha : std::numeric_limits<double>::infinity();
+    return dists;
   };
 
-  constexpr double kRelativeDualGap = 0.05;  // stop when UB <= LB * (1+gap)
-  const int dual_check_every = std::max(4, opts.convergence_window);
-  double lambda_at_last_check = 0.0;
-
-  std::vector<double> remaining(cs.size(), 0.0);
+  std::vector<double> remaining;
   std::vector<int> active;
   std::vector<int> still_active;
   active.reserve(cs.size());
   still_active.reserve(cs.size());
 
-  for (int phase = 0; phase < opts.max_phases; ++phase) {
-    // Epoch-batched rounds: freeze the lengths, find every active
-    // commodity's shortest path in parallel, then route and update lengths
-    // serially in canonical commodity order. The schedule — and thus every
-    // arithmetic operation — is identical at any worker count.
-    for (std::size_t j = 0; j < cs.size(); ++j) remaining[j] = cs[j].demand;
+  // Epoch-batched rounds: freeze the lengths, find every active commodity's
+  // shortest path in parallel, then route and update lengths serially in
+  // canonical commodity order. The schedule — and thus every arithmetic
+  // operation — is identical at any worker count.
+  auto route_phase = [&]() {
+    remaining = s.demand;
     active = all_commodities;
     while (!active.empty()) {
       obs_rounds.increment();
@@ -414,52 +345,19 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
       still_active.clear();
       for (int j : active) {
         const std::size_t ji = static_cast<std::size_t>(j);
-        if (!std::isfinite(dists[ji])) return disconnected();
-        const auto& path = paths[ji];
-        double bottleneck = std::numeric_limits<double>::infinity();
-        for (int arc : path) bottleneck = std::min(bottleneck, a.cap[arc]);
-        const double f = std::min(remaining[ji], bottleneck);
-        for (int arc : path) {
-          a.load[arc] += f;
-          a.len[arc] *= 1.0 + eps * f / a.cap[arc];
-        }
-        routed[ji] += f;
+        if (!std::isfinite(dists[ji])) return false;
+        // A finite path is not empty (src != dst), so its bottleneck is cap.
+        const double f = std::min(remaining[ji], s.cap);
+        s.ship(paths[ji], ji, f);
         remaining[ji] -= f;
         if (remaining[ji] > 1e-12) still_active.push_back(j);
       }
       active.swap(still_active);
     }
-    result.phases = phase + 1;
-    obs_phases.increment();
-    result.lambda = std::max(result.lambda, primal_lambda());
+    return true;
+  };
 
-    if (opts.decide_threshold >= 0 && result.lambda >= opts.decide_threshold) {
-      result.decided_above = true;
-      return finish();
-    }
-    const bool check_dual =
-        opts.decide_threshold >= 0 || (phase + 1) % dual_check_every == 0;
-    if (check_dual) {
-      result.lambda_upper = std::min(result.lambda_upper, dual_upper());
-      if (opts.decide_threshold >= 0 && result.lambda_upper < opts.decide_threshold) {
-        result.decided_below = true;
-        return finish();
-      }
-      if (result.lambda_upper <= result.lambda * (1.0 + kRelativeDualGap)) break;
-      // Plateau detection: the certified primal improves ~lambda/phase per
-      // phase late in the run; once per-window gains drop below tol the
-      // extra phases buy nothing (the dual gap is dominated by GK's epsilon
-      // bias, not by unconverged flow).
-      if (opts.decide_threshold < 0 && phase + 1 >= 2 * dual_check_every &&
-          result.lambda - lambda_at_last_check <
-              opts.convergence_tol * std::max(result.lambda, 1e-9)) {
-        break;
-      }
-      lambda_at_last_check = result.lambda;
-    }
-  }
-  result.lambda_upper = std::min(result.lambda_upper, dual_upper());
-  return finish();
+  return finish(gk.run(s, route_phase, min_lengths));
 }
 
 }  // namespace jf::flow

@@ -12,19 +12,17 @@
 // above/below-threshold decisions (used by the binary search for "servers
 // supported at full capacity", Fig. 2(c)/11).
 //
-// The routing loop is epoch-batched (Fleischer-style): each round freezes
-// the arc lengths, computes every active commodity's shortest path — an
-// embarrassingly parallel Dijkstra sweep with one search per distinct
-// source switch, stopping once that source's targets are settled, executed
-// on workers borrowed from an optional parallel::WorkBudget — and then
-// applies flow and length updates in canonical commodity order on one
-// thread. A target's distance and parent arc are final once it is settled,
-// so sharing a search across commodities changes no path. A dual bound
-// sweeps every commodity at the lengths the next phase starts from, so that
-// phase's first round (or the final bound) reuses its paths. Both certificates
-// hold for *any* length function, so batching never invalidates the bounds,
-// and because the schedule of rounds is independent of the worker count the
-// solver returns bit-identical results at every thread count.
+// One driver, flow/gk.h, runs the phases, both bounds and the stopping
+// policy for this solver and the path-restricted one (flow/restricted.h).
+// This solver keeps its routing: each phase runs epoch-batched rounds
+// (Fleischer-style) that freeze the arc lengths, find every active
+// commodity's shortest path in a parallel Dijkstra sweep — one search per
+// distinct source switch, stopping once its targets settle, on workers
+// borrowed from an optional parallel::WorkBudget — and then apply flow in
+// canonical commodity order on one thread. A dual bound's sweep is reused
+// by the round that follows it. Both certificates hold for *any* length
+// function, and the round schedule is independent of the worker count, so
+// results are bit-identical at every thread count.
 #pragma once
 
 #include <limits>

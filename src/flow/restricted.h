@@ -7,36 +7,28 @@
 // between the two is the paper's §5 story — ECMP leaves a large fraction of
 // Jellyfish capacity unused, k-shortest-path routing recovers it.
 //
-// Same Garg-Könemann machinery as the unrestricted solver, with the
+// Same Garg-Könemann machinery as the unrestricted solver — one driver,
+// flow/gk.h, runs the phases, bounds and stopping policy of both — with the
 // shortest-path oracle replaced by "cheapest path in the commodity's
 // allowed set" under the evolving arc lengths; the dual bound D(l)/alpha(l)
-// remains valid with alpha computed over allowed paths only.
+// remains valid with alpha computed over allowed paths only. Commodities
+// route sequentially in input order, each on its cheapest allowed path.
 #pragma once
 
 #include <span>
 
-#include "common/rng.h"
-#include "flow/maxmin.h"
 #include "flow/mcf.h"
 #include "routing/path_provider.h"
-#include "topo/topology.h"
 
 namespace jf::flow {
 
 // Solves max concurrent flow where commodity (s, t) routes only over
 // `routes.paths(s, t)`. A commodity whose allowed set is empty (unreachable
-// pair) yields lambda = 0, mirroring the unrestricted solver's treatment of
-// disconnected commodities.
+// pair) yields lambda = lambda_upper = 0, mirroring the unrestricted
+// solver's treatment of disconnected commodities.
 McfResult restricted_max_concurrent_flow(const graph::Graph& g,
                                          std::span<const traffic::Commodity> commodities,
                                          routing::PathProvider& routes,
-                                         const McfOptions& opts = {});
-
-// Normalized throughput (min(1, lambda)) of one sampled permutation when
-// flows are confined to the scheme's paths — the fluid analog of the
-// packet-level Table 1 cells.
-double restricted_permutation_throughput(const topo::Topology& topo,
-                                         routing::PathProvider& routes, Rng& rng,
                                          const McfOptions& opts = {});
 
 }  // namespace jf::flow

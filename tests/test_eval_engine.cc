@@ -2,6 +2,7 @@
 // fluid-vs-packet sanity on single networks, and registry extensibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -12,6 +13,7 @@
 #include "flow/throughput.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
+#include "traffic/traffic.h"
 
 namespace jf {
 namespace {
@@ -225,7 +227,10 @@ TEST(RestrictedMcf, NeverBeatsUnrestrictedByMuchAndKspRecoversCapacity) {
 
   auto ksp = routing::make_path_provider(topo.switches(), routing::RoutingSpec{"ksp", 8});
   Rng tm_rng2(17);
-  const double restricted = flow::restricted_permutation_throughput(topo, *ksp, tm_rng2, {});
+  const auto tm = traffic::random_permutation(topo.num_servers(), tm_rng2);
+  const auto commodities = traffic::to_switch_commodities(topo, tm);
+  const double restricted = std::min(
+      1.0, flow::restricted_max_concurrent_flow(topo.switches(), commodities, *ksp).lambda);
 
   EXPECT_LE(restricted, optimal + 0.12);  // GK tolerance on both sides
   EXPECT_GT(restricted, 0.5 * optimal);   // 8 paths recover most capacity

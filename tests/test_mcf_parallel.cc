@@ -192,19 +192,22 @@ TEST(McfSmallEpsilon, SolverSurvivesUnderflowRegime) {
   EXPECT_LE(res.lambda, res.lambda_upper * (1.0 + 1e-9));
 }
 
+// Both solvers validate their options in the shared driver: the restricted
+// solver, too, refuses ranges it would otherwise answer wrongly.
 TEST(McfOptionsChecks, RejectsDegenerateRanges) {
   graph::Graph g(2);
   g.add_edge(0, 1);
   std::vector<Commodity> cs = {{0, 1, 1.0}};
-  McfOptions opts;
-  opts.max_phases = 0;
-  EXPECT_THROW(max_concurrent_flow(g, cs, opts), std::invalid_argument);
-  opts = {};
-  opts.convergence_window = 0;
-  EXPECT_THROW(max_concurrent_flow(g, cs, opts), std::invalid_argument);
-  opts = {};
-  opts.convergence_tol = -1.0;
-  EXPECT_THROW(max_concurrent_flow(g, cs, opts), std::invalid_argument);
+  auto routes = routing::make_path_provider(g, {"ksp", 1});
+  std::vector<McfOptions> cases(4);
+  cases[0].max_phases = 0;
+  cases[1].convergence_window = 0;
+  cases[2].convergence_window = -5;
+  cases[3].convergence_tol = -1.0;
+  for (const McfOptions& opts : cases) {
+    EXPECT_THROW(max_concurrent_flow(g, cs, opts), std::invalid_argument);
+    EXPECT_THROW(restricted_max_concurrent_flow(g, cs, *routes, opts), std::invalid_argument);
+  }
 }
 
 // --- golden results ---

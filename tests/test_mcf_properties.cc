@@ -1,12 +1,15 @@
 // Property sweeps for the max-concurrent-flow engine: primal feasibility,
-// duality, and symmetry invariants across random instances.
+// duality (for the optimal and the path-restricted solver), and symmetry
+// invariants across random instances.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "common/rng.h"
 #include "flow/mcf.h"
+#include "flow/restricted.h"
 #include "flow/throughput.h"
+#include "routing/path_provider.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -32,6 +35,20 @@ TEST_P(McfOnRandomInstances, PrimalDualSandwich) {
   EXPECT_LT(res.lambda_upper / res.lambda, 1.25);
   // Lambda for a finite instance is finite and sane.
   EXPECT_LT(res.lambda, 100.0);
+
+  // The restricted LP's feasible flows are feasible for the optimal LP too,
+  // so a restricted solve's certified primal sits under its own dual bound
+  // and under the optimal solve's. No gap ratio is asserted: ECMP's bracket
+  // can stay wide.
+  for (const routing::RoutingSpec& spec : {routing::RoutingSpec{"ksp", 8},
+                                           routing::RoutingSpec{"ecmp", 8}}) {
+    SCOPED_TRACE(spec.scheme);
+    auto routes = routing::make_path_provider(topo.switches(), spec);
+    const auto restricted = restricted_max_concurrent_flow(topo.switches(), cs, *routes, {});
+    EXPECT_GT(restricted.lambda, 0.0);
+    EXPECT_LE(restricted.lambda, restricted.lambda_upper * (1.0 + 1e-9));
+    EXPECT_LE(restricted.lambda, res.lambda_upper * (1.0 + 1e-9));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, McfOnRandomInstances,
