@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
     if (arg == "--scenario") {
       scenario_path = value();
     } else if (arg == "--threads") {
-      threads = std::atoi(value());
+      threads = bench::int_arg("bench_cache", arg, value(), 0);
     } else if (arg == "--repeats") {
-      repeats = std::atoi(value());
+      repeats = bench::int_arg("bench_cache", arg, value(), 1);
     } else if (arg == "--git-sha") {
       git_sha = value();
     } else if (arg == "--out") {
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     eval::BatchStats cold_stats;
     eval::BatchStats warm_stats;
     std::uint64_t store_bytes = 0;
-    for (int k = 0; k < std::max(1, repeats); ++k) {
+    for (int k = 0; k < repeats; ++k) {
       const std::filesystem::path cache_root =
           std::filesystem::temp_directory_path() /
           ("jf-bench-cache-" + std::to_string(static_cast<unsigned>(::getpid())) + "-" +

@@ -70,11 +70,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--switches") {
-      switches = std::atoi(value());
+      switches = bench::int_arg("bench_mcf_scaling", arg, value(), 1);
     } else if (arg == "--degree") {
-      degree = std::atoi(value());
+      degree = bench::int_arg("bench_mcf_scaling", arg, value(), 1);
     } else if (arg == "--repeats") {
-      repeats = std::atoi(value());
+      repeats = bench::int_arg("bench_mcf_scaling", arg, value(), 1);
     } else if (arg == "--git-sha") {
       git_sha = value();
     } else if (arg == "--out") {
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       obs::PerfPoint& point =
           rec.add_point("threads=" + std::to_string(threads), std::move(params));
       flow::McfResult res;
-      for (int k = 0; k < std::max(1, repeats); ++k) {
+      for (int k = 0; k < repeats; ++k) {
         obs::reset_metrics();
         point.wall_seconds.push_back(solve_seconds(topo.switches(), cs, opts, threads, res));
         auto work = obs::snapshot_work(kWorkMetrics);

@@ -71,15 +71,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--switches") {
-      switches = std::atoi(value());
+      switches = bench::int_arg("bench_sim_scaling", arg, value(), 1);
     } else if (arg == "--degree") {
-      degree = std::atoi(value());
+      degree = bench::int_arg("bench_sim_scaling", arg, value(), 1);
     } else if (arg == "--ports") {
-      ports = std::atoi(value());
+      ports = bench::int_arg("bench_sim_scaling", arg, value(), 1);
     } else if (arg == "--measure-ms") {
-      measure_ms = std::atoi(value());
+      measure_ms = bench::int_arg("bench_sim_scaling", arg, value(), 1);
     } else if (arg == "--repeats") {
-      repeats = std::atoi(value());
+      repeats = bench::int_arg("bench_sim_scaling", arg, value(), 1);
     } else if (arg == "--git-sha") {
       git_sha = value();
     } else if (arg == "--out") {
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
         sim::WorkloadResult res;
         std::vector<double> telem_seconds;
         std::vector<double> overhead_pcts;
-        for (int k = 0; k < std::max(1, repeats); ++k) {
+        for (int k = 0; k < repeats; ++k) {
           obs::reset_metrics();
           const double off = run_once(shards, threads, res, nullptr);
           auto work = obs::snapshot_work(kWorkMetrics);

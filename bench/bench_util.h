@@ -6,9 +6,24 @@
 #pragma once
 
 #include <cstdlib>
+#include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "common/flags.h"
+
 namespace jf::bench {
+
+// A perf driver's integer flag, parsed by int_flag: a malformed value is a
+// usage error, reported on stderr with exit status 2.
+inline int int_arg(const char* driver, const std::string& flag, const char* text, int min) {
+  try {
+    return int_flag(flag, text, min);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << driver << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+}
 
 inline std::string resolve_git_sha(const std::string& flag_value) {
   if (!flag_value.empty()) return flag_value;

@@ -6,7 +6,6 @@
 //   jf_eval run scenarios/fig02a.json --threads 8 --out r.json
 //   jf_eval run scenarios/smoke.json --format csv
 //   jf_eval run scenarios/fig02a.json --cache-dir ~/.cache/jf   # incremental
-//   jf_eval serve --queue /srv/jf/queue --cache-dir /srv/jf/cache
 //   jf_eval print scenarios/fig04.json     # validate + list sweep points
 //   jf_eval list                           # families, schemes, metrics, axes
 //
@@ -16,23 +15,16 @@
 // With --out the rendering goes to the file (default json); without it, to
 // stdout (default table). Reports are byte-identical at any --threads, and
 // — with --cache-dir — whether the result store is absent, cold, or warm.
-//
-// `serve` turns the farm into a long-running service: scenario files
-// dropped into the queue directory are executed in filename order on one
-// process-warm engine and result store, reports land in <queue>/reports/,
-// processed files move to <queue>/done/ (or <queue>/failed/), and one
-// status line per job goes to stdout.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/flags.h"
@@ -96,18 +88,6 @@ int usage(std::ostream& os, int code) {
         "                    [stats] line: same keys, times as plain seconds.\n"
         "                    Works with --quiet (the line is suppressed, the\n"
         "                    file is still written).\n"
-        "  serve --queue DIR [--out-dir DIR] [--cache-dir DIR] [--cache-budget-mb N]\n"
-        "                    [--threads N] [--poll-ms MS] [--once] [--quiet]\n"
-        "                    [--trace-out FILE] [--metrics-out FILE]\n"
-        "                    [--telemetry-out FILE]\n"
-        "      Watch DIR for scenario files (*.json, filename order) and run each\n"
-        "      on one warm engine + result store. Per job: report JSON in\n"
-        "      --out-dir (default DIR/reports), the scenario file moves to\n"
-        "      DIR/done (DIR/failed on error), one status line on stdout.\n"
-        "      --once drains the queue and exits (instead of polling forever,\n"
-        "      default every 500 ms). --trace-out/--metrics-out/--telemetry-out\n"
-        "      are rewritten after every job (metrics and spans reset per job;\n"
-        "      --telemetry-out excludes --cache-dir, like in run mode).\n"
         "  print <scenario.json>\n"
         "      Validate the file and list the expanded sweep points (dry run).\n"
         "  list\n"
@@ -130,11 +110,13 @@ std::string render(const eval::SweepReport& report, const std::string& format) {
   return out.str();
 }
 
-std::string format_secs(double secs) {
+// "1.234": the fixed three-decimal form every [stats] value other than a
+// count takes.
+std::string fixed3(double x) {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
-  os << secs << "s";
+  os << x;
   return os.str();
 }
 
@@ -148,109 +130,96 @@ constexpr std::pair<const char*, const char*> kPhases[] = {
     {"t_store_put", "store.put_ns"},
 };
 
-// Flow count, FCT tail, and the hottest link's whole-run utilization across
-// every simulated cell of a batch.
-struct TelemetrySummary {
-  std::int64_t flows = 0;
-  std::optional<double> fct_p99;  // absent when no flow was recorded
-  double worst_link_util = 0.0;
+// One entry of a batch's [stats] accounting. The stderr line shows
+// `key=value` (a count as an integer, a time as "1.234s", a ratio as
+// "0.123"); --stats-json holds `json_key: value`, times as plain seconds,
+// nested in the object named `group` when there is one.
+struct StatRow {
+  const char* group;  // nullptr: top level
+  const char* key;
+  const char* json_key;
+  std::variant<std::int64_t, double> value;
+  const char* unit = "";  // appended to a double on the line
 };
 
-TelemetrySummary summarize_telemetry(const std::vector<eval::ScenarioTelemetry>& points) {
-  TelemetrySummary t;
-  std::vector<double> fct;
-  for (const auto& p : points) {
-    for (const auto& c : p.cells) {
-      t.flows += static_cast<std::int64_t>(c.data.flows.size());
-      for (const auto& f : c.data.flows) fct.push_back(sim::fct_seconds(f));
-      t.worst_link_util = std::max(t.worst_link_util, sim::worst_link_utilization(c.data));
-    }
+// Everything one batch's [stats] line reports, in line order; both
+// renderers below walk these rows, so the line and --stats-json carry the
+// same entries. Keys are stable (CI's cold-vs-warm gate asserts on
+// "solved=0") and new ones append only.
+std::vector<StatRow> collect_stats(const eval::BatchStats& batch,
+                                   const store::ResultStore* store, double wall_secs,
+                                   const std::vector<eval::ScenarioTelemetry>* telemetry) {
+  std::vector<StatRow> rows;
+  auto count = [&](const char* group, const char* key, std::int64_t n) {
+    rows.push_back({group, key, key, n});
+  };
+  count(nullptr, "cells", batch.cells);
+  count(nullptr, "solved", batch.solved);
+  count(nullptr, "memo_hits", batch.memo_hits);
+  count(nullptr, "store_hits", batch.store_hits);
+  if (store != nullptr) {
+    count(nullptr, "store_entries", static_cast<std::int64_t>(store->entry_count()));
+    count(nullptr, "store_bytes", static_cast<std::int64_t>(store->total_bytes()));
   }
-  if (!fct.empty()) t.fct_p99 = percentile(fct, 99.0);
-  return t;
-}
-
-// Everything one batch's [stats] line reports, gathered once and rendered
-// both as the stderr line and as --stats-json.
-struct StatsRecord {
-  eval::BatchStats batch;
-  const store::ResultStore* store = nullptr;
-  double wall_secs = 0.0;
-  std::vector<std::pair<const char*, double>> phase_secs;  // empty with metrics off
-  std::optional<TelemetrySummary> telemetry;
-};
-
-StatsRecord collect_stats(const eval::BatchStats& batch, const store::ResultStore* store,
-                          double wall_secs,
-                          const std::vector<eval::ScenarioTelemetry>* telemetry) {
-  StatsRecord r{batch, store, wall_secs, {}, std::nullopt};
+  rows.push_back({nullptr, "wall", "wall_seconds", wall_secs, "s"});
   if (obs::metrics_enabled()) {
     const obs::MetricsSnapshot snap = obs::collect_metrics();
     for (const auto& [key, dist] : kPhases) {
       const obs::DistributionSnapshot* d = snap.find_distribution(dist);
       if (d != nullptr && d->count > 0) {
-        r.phase_secs.emplace_back(key, static_cast<double>(d->sum) / 1e9);
+        rows.push_back({"phases_seconds", key, key, static_cast<double>(d->sum) / 1e9, "s"});
       }
     }
   }
-  if (telemetry != nullptr) r.telemetry = summarize_telemetry(*telemetry);
-  return r;
+  if (telemetry != nullptr) {
+    // Flow count, FCT tail, and the hottest link's whole-run utilization
+    // across every simulated cell of the batch.
+    std::int64_t flows = 0;
+    std::vector<double> fct;
+    double worst_link_util = 0.0;
+    for (const auto& p : *telemetry) {
+      for (const auto& c : p.cells) {
+        flows += static_cast<std::int64_t>(c.data.flows.size());
+        for (const auto& f : c.data.flows) fct.push_back(sim::fct_seconds(f));
+        worst_link_util = std::max(worst_link_util, sim::worst_link_utilization(c.data));
+      }
+    }
+    count("telemetry", "flows", flows);
+    if (!fct.empty()) {
+      rows.push_back({"telemetry", "fct_p99", "fct_p99_seconds", percentile(fct, 99.0), "s"});
+    }
+    rows.push_back({"telemetry", "worst_link_util", "worst_link_util", worst_link_util});
+  }
+  return rows;
 }
 
-// One greppable accounting line per executed batch; keys are stable (CI's
-// cold-vs-warm gate asserts on "solved=0"), new keys append only.
-// Deliberately on stderr: report bytes must not depend on cache state.
-std::string stats_line(const StatsRecord& r) {
-  std::string line = "[stats] cells=" + std::to_string(r.batch.cells) +
-                     " solved=" + std::to_string(r.batch.solved) +
-                     " memo_hits=" + std::to_string(r.batch.memo_hits) +
-                     " store_hits=" + std::to_string(r.batch.store_hits);
-  if (r.store != nullptr) {
-    line += " store_entries=" + std::to_string(r.store->entry_count()) +
-            " store_bytes=" + std::to_string(r.store->total_bytes());
-  }
-  line += " wall=" + format_secs(r.wall_secs);
-  for (const auto& [key, secs] : r.phase_secs) {
-    line += std::string(" ") + key + "=" + format_secs(secs);
-  }
-  if (r.telemetry) {
-    line += " flows=" + std::to_string(r.telemetry->flows);
-    if (r.telemetry->fct_p99) line += " fct_p99=" + format_secs(*r.telemetry->fct_p99);
-    std::ostringstream util;
-    util.setf(std::ios::fixed);
-    util.precision(3);
-    util << r.telemetry->worst_link_util;
-    line += " worst_link_util=" + util.str();
+// One greppable accounting line per executed batch. Deliberately on
+// stderr: report bytes must not depend on cache state.
+std::string stats_line(const std::vector<StatRow>& rows) {
+  std::string line = "[stats]";
+  for (const StatRow& row : rows) {
+    line += std::string(" ") + row.key + "=";
+    if (const auto* n = std::get_if<std::int64_t>(&row.value)) {
+      line += std::to_string(*n);
+    } else {
+      line += fixed3(std::get<double>(row.value)) + row.unit;
+    }
   }
   return line;
 }
 
-// Machine-readable mirror of the [stats] line (--stats-json): same keys and
-// availability rules, but times are plain seconds instead of the "1.234s"
-// display form, so a harness never re-parses the human format. Key set
-// grows append-only, like the line it mirrors.
-json::Value stats_json(const StatsRecord& r) {
+// Machine-readable mirror of the [stats] line (--stats-json), so a harness
+// never re-parses the human format.
+json::Value stats_json(const std::vector<StatRow>& rows) {
   json::Object o;
-  o.emplace_back("cells", r.batch.cells);
-  o.emplace_back("solved", r.batch.solved);
-  o.emplace_back("memo_hits", r.batch.memo_hits);
-  o.emplace_back("store_hits", r.batch.store_hits);
-  if (r.store != nullptr) {
-    o.emplace_back("store_entries", static_cast<std::int64_t>(r.store->entry_count()));
-    o.emplace_back("store_bytes", static_cast<std::int64_t>(r.store->total_bytes()));
-  }
-  o.emplace_back("wall_seconds", r.wall_secs);
-  if (!r.phase_secs.empty()) {
-    json::Object phases;
-    for (const auto& [key, secs] : r.phase_secs) phases.emplace_back(key, secs);
-    o.emplace_back("phases_seconds", json::Value(std::move(phases)));
-  }
-  if (r.telemetry) {
-    json::Object t;
-    t.emplace_back("flows", r.telemetry->flows);
-    if (r.telemetry->fct_p99) t.emplace_back("fct_p99_seconds", *r.telemetry->fct_p99);
-    t.emplace_back("worst_link_util", r.telemetry->worst_link_util);
-    o.emplace_back("telemetry", json::Value(std::move(t)));
+  for (const StatRow& row : rows) {
+    json::Value v = std::visit([](auto x) { return json::Value(x); }, row.value);
+    if (row.group == nullptr) {
+      o.emplace_back(row.json_key, std::move(v));
+      continue;
+    }
+    if (o.empty() || o.back().first != row.group) o.emplace_back(row.group, json::Object{});
+    o.back().second.as_object().emplace_back(row.json_key, std::move(v));
   }
   return json::Value(std::move(o));
 }
@@ -392,7 +361,8 @@ int cmd_run(int argc, char** argv) {
   eval::SweepReport report = eval::run_sweep(spec, opts, progress);
   const double wall_secs =  // detlint: ok(stderr [stats] accounting only)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_t0).count();
-  const StatsRecord record = collect_stats(stats, store.get(), wall_secs, opts.telemetry);
+  const std::vector<StatRow> record =
+      collect_stats(stats, store.get(), wall_secs, opts.telemetry);
   if (!quiet) std::cerr << stats_line(record) << "\n";
   if (!stats_json_out.empty()) {
     common::write_file_atomic(fs::path(stats_json_out), stats_json(record).dump(2) + "\n");
@@ -418,173 +388,6 @@ int cmd_run(int argc, char** argv) {
     if (!quiet) {
       std::cerr << "wrote " << rendered.size() << " bytes (" << format << ") to "
                 << out_path << "\n";
-    }
-  }
-  return 0;
-}
-
-// --- serve mode ---
-
-// Scenario files directly inside the queue directory, filename-sorted so
-// job order is deterministic and controllable (prefix files with 00-, 01-,
-// ... to prioritize).
-std::vector<fs::path> queued_jobs(const fs::path& queue) {
-  std::vector<fs::path> jobs;
-  std::error_code ec;
-  // detlint: ok(entries are collected and std::sort'ed below before use)
-  for (const auto& e : fs::directory_iterator(queue, ec)) {
-    if (!e.is_regular_file()) continue;
-    if (e.path().extension() != ".json") continue;
-    jobs.push_back(e.path());
-  }
-  std::sort(jobs.begin(), jobs.end());
-  return jobs;
-}
-
-// Moves a processed scenario out of the queue; on a same-name collision the
-// existing file is replaced (re-submitting a scenario is idempotent).
-void move_job(const fs::path& from, const fs::path& dir) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  const fs::path to = dir / from.filename();
-  fs::remove(to, ec);
-  fs::rename(from, to, ec);
-  if (ec) {
-    // Cross-device queue layouts (out dirs on another mount): copy+remove.
-    fs::copy_file(from, to, fs::copy_options::overwrite_existing, ec);
-    fs::remove(from, ec);
-  }
-}
-
-int cmd_serve(int argc, char** argv) {
-  std::string queue_dir;
-  std::string out_dir;
-  std::string cache_dir;
-  std::string trace_out;
-  std::string metrics_out;
-  std::string telemetry_out;
-  int cache_budget_mb = 0;
-  int threads = 0;
-  int poll_ms = 500;
-  bool once = false;
-  bool quiet = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--queue") {
-      queue_dir = value();
-    } else if (arg == "--out-dir") {
-      out_dir = value();
-    } else if (arg == "--cache-dir") {
-      cache_dir = value();
-    } else if (arg == "--cache-budget-mb") {
-      cache_budget_mb = int_flag(arg, value(), 1);
-    } else if (arg == "--threads") {
-      threads = int_flag(arg, value(), 0);
-    } else if (arg == "--poll-ms") {
-      poll_ms = int_flag(arg, value(), 1);
-    } else if (arg == "--trace-out") {
-      trace_out = value();
-    } else if (arg == "--metrics-out") {
-      metrics_out = value();
-    } else if (arg == "--telemetry-out") {
-      telemetry_out = value();
-    } else if (arg == "--once") {
-      once = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      throw std::invalid_argument("unknown serve argument '" + arg + "'");
-    }
-  }
-  if (queue_dir.empty()) throw std::invalid_argument("serve: missing --queue DIR");
-  if (!telemetry_out.empty() && !cache_dir.empty()) {
-    throw std::invalid_argument(
-        "--telemetry-out cannot be combined with --cache-dir (a cache hit would "
-        "skip the simulation that records the telemetry)");
-  }
-  const fs::path queue(queue_dir);
-  fs::create_directories(queue);
-  const fs::path reports = out_dir.empty() ? queue / "reports" : fs::path(out_dir);
-  fs::create_directories(reports);
-
-  // One store for the whole service: every job shares (and extends) the warm
-  // cache, so resubmitting a scenario — or submitting one that overlaps an
-  // earlier sweep's cells — splices from disk instead of re-solving.
-  auto store = open_store(cache_dir, cache_budget_mb);
-  if (!quiet) {
-    std::cout << "[serve] watching " << queue.string() << " (reports -> "
-              << reports.string() << ", cache "
-              << (store ? store->root().string() : std::string("off")) << ")\n"
-              << std::flush;
-  }
-
-  while (true) {
-    const auto jobs = queued_jobs(queue);
-    if (jobs.empty()) {
-      if (once) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms));
-      continue;
-    }
-    for (const fs::path& job : jobs) {
-      // detlint: ok(per-job wall time feeds only the status/[stats] lines)
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        eval::SweepSpec spec = eval::load_sweep_file(job.string());
-        eval::BatchStats stats;
-        eval::EngineOptions opts;
-        opts.threads = threads;
-        opts.store = store.get();
-        opts.stats = &stats;
-        std::vector<eval::ScenarioTelemetry> telemetry;
-        if (!telemetry_out.empty()) opts.telemetry = &telemetry;
-        // Per-job accounting: the registry and span buffers restart from
-        // zero, so the dumps (rewritten after every job) and the stats line
-        // describe exactly this job.
-        obs::set_metrics_enabled(!quiet || !metrics_out.empty());
-        obs::set_trace_enabled(!trace_out.empty());
-        obs::reset_metrics();
-        obs::reset_trace();
-        eval::SweepReport report = eval::run_sweep(spec, opts);
-        const fs::path out = reports / (job.stem().string() + ".report.json");
-        common::write_file_atomic(out, eval::sweep_report_to_json(report).dump(2) + "\n");
-        const double secs =  // detlint: ok(status-line accounting only)
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        std::ostringstream line;
-        line << "[serve] " << job.filename().string() << ": ok points="
-             << report.points.size() << " cells=" << stats.cells
-             << " solved=" << stats.solved << " memo_hits=" << stats.memo_hits
-             << " store_hits=" << stats.store_hits;
-        if (store != nullptr) {
-          line << " store_entries=" << store->entry_count()
-               << " store_bytes=" << store->total_bytes();
-        }
-        line << " wall=" << format_secs(secs) << " -> " << out.string();
-        std::cout << line.str() << "\n" << std::flush;
-        if (!quiet) {
-          std::cerr << stats_line(collect_stats(stats, store.get(), secs, opts.telemetry))
-                    << "\n";
-        }
-        export_observability(trace_out, metrics_out);
-        if (!telemetry_out.empty()) {
-          // Rewritten per job, like the trace/metrics dumps.
-          const eval::TelemetryDump dump =
-              build_telemetry_dump(report, std::move(telemetry));
-          common::write_file_atomic(fs::path(telemetry_out),
-                                    eval::telemetry_dump_to_json(dump).dump() + "\n");
-        }
-        move_job(job, queue / "done");
-      } catch (const std::exception& e) {
-        // One bad scenario must not take the service down: report, park the
-        // file in failed/, move on.
-        std::cout << "[serve] " << job.filename().string() << ": error: " << e.what()
-                  << "\n"
-                  << std::flush;
-        move_job(job, queue / "failed");
-      }
     }
   }
   return 0;
@@ -641,7 +444,6 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     if (cmd == "run") return cmd_run(argc - 2, argv + 2);
-    if (cmd == "serve") return cmd_serve(argc - 2, argv + 2);
     if (cmd == "print") return cmd_print(argc - 2, argv + 2);
     if (cmd == "list") return cmd_list();
     if (cmd == "--help" || cmd == "-h" || cmd == "help") return usage(std::cout, 0);

@@ -1,10 +1,10 @@
 // Small filesystem helpers shared by the result store and the CLI.
 //
 // The one non-trivial piece is write_file_atomic: readers of the result
-// store (possibly other processes, e.g. a serve loop next to a batch run)
-// must never observe a half-written cell entry, so writes go to a unique
-// temp file in the target directory and are renamed into place — rename
-// within one directory is atomic on POSIX.
+// store (possibly other processes, e.g. two batch runs sharing a
+// --cache-dir) must never observe a half-written cell entry, so writes go
+// to a unique temp file in the target directory and are renamed into
+// place — rename within one directory is atomic on POSIX.
 #pragma once
 
 #include <filesystem>

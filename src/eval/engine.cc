@@ -108,7 +108,7 @@ struct Cell {
 struct SharedTopology {
   std::optional<topo::Topology> topology;
   // One fully warmed provider per routing index; null entries mean the cell
-  // builds its own (provider not safe to share).
+  // builds its own (no requested metric reads that scheme's paths).
   std::vector<std::unique_ptr<routing::PathProvider>> providers;
 };
 
@@ -519,11 +519,11 @@ std::vector<Cell> build_cells(const Scenario& s) {
   return cells;
 }
 
-// Deterministic families (fattree): build the topology once and — when the
-// provider supports read-only concurrent use after a full warm — enumerate
-// each routing scheme's paths once, instead of per seed. Fills
-// shared/query_pairs/warm_jobs; the warming itself (PathProvider::warm, on
-// the batch's borrowed workers) is the caller's job, once per batch.
+// Deterministic families (fattree): build the topology once and enumerate
+// each routing scheme's paths once, instead of per seed (a warmed provider
+// is safe to share; see PathProvider). Fills shared/query_pairs/warm_jobs;
+// the warming itself (PathProvider::warm, on the batch's borrowed workers)
+// is the caller's job, once per batch.
 void prepare_shared(PreparedScenario& p, bool share_path_cache) {
   const Scenario& s = *p.s;
   p.shared.resize(s.topologies.size());
@@ -564,7 +564,6 @@ void prepare_shared(PreparedScenario& p, bool share_path_cache) {
     for (int r = 0; r < static_cast<int>(s.routings.size()); ++r) {
       auto provider = routing::make_path_provider(
           st.topology->switches(), s.routings[static_cast<std::size_t>(r)]);
-      if (!provider->concurrent_after_warm()) continue;
       if (!wants_path_metrics && !(wants_sim && provider->routes_via_paths())) continue;
       st.providers[static_cast<std::size_t>(r)] = std::move(provider);
     }

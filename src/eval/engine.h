@@ -70,10 +70,9 @@ struct EngineOptions {
   // borrow for within-cell solves never exceed this. <= 0 selects hardware
   // concurrency.
   int threads = 0;
-  // For deterministic topology families (fattree, or families registered as
-  // deterministic), build the topology once and warm one PathProvider per
-  // routing scheme with the union of switch pairs the scenario's traffic
-  // will query (PathProvider::warm, on the batch's borrowed workers), then
+  // For deterministic topology families (fattree), build the topology once
+  // and warm one PathProvider per routing scheme with the union of switch
+  // pairs the scenario's traffic will query (PathProvider::warm, on the batch's borrowed workers), then
   // share both read-only across seed cells — pairs repeated across
   // seeds/samples run Yen/ECMP enumeration once instead of once per seed.
   // Results are identical either way; this is purely a time/memory trade.

@@ -37,11 +37,11 @@ enum class Rule : std::uint8_t {
   kUnit,    // a number in [0, 1]
 };
 
-// A closed set of JSON names: an enum's values, or a string field's legal
-// values. `noun` names the set in load errors ("unknown transport 'udp'").
+// The JSON names of an enum's values. `noun` names the set in load errors
+// ("unknown transport 'udp'").
 struct Choice {
   std::string_view name;
-  int value = 0;  // the enum value; unused for string fields
+  int value = 0;
 };
 struct Choices {
   std::string_view noun;
@@ -56,11 +56,14 @@ struct Enum {
   void (*set)(S&, int);
 };
 
-// String member restricted to a closed name set.
+// String member restricted to the closed name set `names()` returns, which
+// is the list the member's consumer dispatches on (topology_families(),
+// path_provider_schemes(), ...). `noun` names the set in load errors.
 template <typename S>
 struct Named {
   std::string S::*member;
-  const Choices* choices;
+  std::string_view noun;
+  std::span<const std::string_view> (*names)();
 };
 
 // A nested object or array. `read` gets the key's context path

@@ -33,11 +33,11 @@
 
 namespace jf::eval {
 
-// Topology family reference resolved through the factory registry
+// Topology family reference resolved by build_topology
 // (eval/topology_factory.h). Each family reads the fields it needs and
 // ignores the rest; unused fields may stay zero.
 struct TopologySpec {
-  std::string family = "jellyfish";  // registry key
+  std::string family = "jellyfish";  // one of topology_families()
   std::string label;                 // report row label; family if empty
 
   // jellyfish: switches x ports hosting `servers` total (evenly spread).

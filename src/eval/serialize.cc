@@ -1,5 +1,6 @@
 #include "eval/serialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -7,6 +8,7 @@
 
 #include "common/check.h"
 #include "eval/field_table.h"
+#include "eval/topology_factory.h"
 
 // gcc 12 emits spurious -Warray-bounds through the inlined realloc path of
 // vector<pair<string, Value>>::emplace_back (GCC PR 104475); every
@@ -39,8 +41,6 @@ class ObjectReader {
     obj_ = &v.as_object();
     used_.assign(obj_->size(), false);
   }
-
-  const std::string& ctx() const { return ctx_; }
 
   const Value* get(std::string_view key) {
     for (std::size_t i = 0; i < obj_->size(); ++i) {
@@ -134,11 +134,16 @@ std::string_view choice_name(const Choices& c, int value) {
   return "?";
 }
 
+[[noreturn]] void unknown_name(std::string_view noun, const std::string& name,
+                               const std::string& ctx) {
+  schema_error(ctx, "unknown " + std::string(noun) + " '" + name + "'");
+}
+
 const Choice& find_choice(const Choices& c, const std::string& name, const std::string& ctx) {
   for (const Choice& ch : c.names) {
     if (ch.name == name) return ch;
   }
-  schema_error(ctx, "unknown " + std::string(c.noun) + " '" + name + "'");
+  unknown_name(c.noun, name, ctx);
 }
 
 // The canonical writer: every row, in table order.
@@ -166,8 +171,11 @@ template <typename S>
 void read_fields(ObjectReader& r, Table<S> rows, S& obj) {
   for (const Field<S>& f : rows) {
     std::visit(Overload{[&](const Named<S>& n) {
-                          if (r.read(f.key, obj.*n.member)) {
-                            find_choice(*n.choices, obj.*n.member, r.path(f.key));
+                          std::string& name = obj.*n.member;
+                          const std::span<const std::string_view> names = n.names();
+                          if (r.read(f.key, name) &&
+                              std::ranges::find(names, name) == names.end()) {
+                            unknown_name(n.noun, name, r.path(f.key));
                           }
                         },
                         [&](const Enum<S>& e) {
@@ -249,16 +257,19 @@ constexpr Choice kPlacementNames[] = {
     {"tor-in-rack", static_cast<int>(layout::PlacementStyle::kToRInRack)},
     {"switch-cluster", static_cast<int>(layout::PlacementStyle::kCentralCluster)},
 };
-// A topology row's empty growth_policy defers to the schedule's policy.
-constexpr Choice kPolicyNames[] = {{""}, {"jellyfish"}, {"clos"}};
 constexpr Choices kTrafficKinds{"traffic kind", kTrafficKindNames};
 constexpr Choices kTransports{"transport", kTransportNames};
 constexpr Choices kPlacements{"cabling placement", kPlacementNames};
-constexpr Choices kRowGrowthPolicies{"growth policy", kPolicyNames};
-constexpr Choices kGrowthPolicies{"growth policy", std::span(kPolicyNames).subspan(1)};
+
+// A topology row's empty growth_policy defers to the schedule's policy.
+constexpr std::string_view kPolicyNames[] = {"", "jellyfish", "clos"};
+std::span<const std::string_view> row_growth_policies() { return kPolicyNames; }
+std::span<const std::string_view> growth_policies() {
+  return std::span(kPolicyNames).subspan(1);
+}
 
 constexpr Field<TopologySpec> kTopologyRows[] = {
-    {"family", &TopologySpec::family},
+    {"family", Named<TopologySpec>{&TopologySpec::family, "topology family", topology_families}},
     {"label", &TopologySpec::label},
     {"switches", &TopologySpec::switches, Rule::kCount},
     {"ports", &TopologySpec::ports, Rule::kCount},
@@ -273,11 +284,13 @@ constexpr Field<TopologySpec> kTopologyRows[] = {
     {"grow_from", &TopologySpec::grow_from, Rule::kCount},
     {"grow_step", &TopologySpec::grow_step, Rule::kCount},
     {"fail_links", &TopologySpec::fail_links, Rule::kUnit},
-    {"growth_policy", Named<TopologySpec>{&TopologySpec::growth_policy, &kRowGrowthPolicies}},
+    {"growth_policy",
+     Named<TopologySpec>{&TopologySpec::growth_policy, "growth policy", row_growth_policies}},
 };
 
 constexpr Field<routing::RoutingSpec> kRoutingRows[] = {
-    {"scheme", &routing::RoutingSpec::scheme},
+    {"scheme", Named<routing::RoutingSpec>{&routing::RoutingSpec::scheme, "routing scheme",
+                                           routing::path_provider_schemes}},
     {"width", &routing::RoutingSpec::width, Rule::kCount},
 };
 
@@ -357,7 +370,7 @@ void copy_rewire_limit_to_steps(expansion::GrowthSchedule& g, const std::string&
 
 constexpr Field<expansion::GrowthSchedule> kGrowthRows[] = {
     {"policy", Named<expansion::GrowthSchedule>{&expansion::GrowthSchedule::policy,
-                                                &kGrowthPolicies}},
+                                                "growth policy", growth_policies}},
     {"initial", nested<&expansion::GrowthSchedule::initial, kGrowthInitial>()},
     {"network_degree", &expansion::GrowthSchedule::network_degree},
     {"steps", array_of<&expansion::GrowthSchedule::steps, kGrowthStep>()},
@@ -891,37 +904,6 @@ TelemetryDump telemetry_dump_from_json(const Value& v) {
               carr[j], pctx + ".cells[" + std::to_string(j) + "]"));
         }
       }
-      pr.done();
-      out.points.push_back(std::move(p));
-    }
-  }
-  r.done();
-  return out;
-}
-
-SweepReport sweep_report_from_json(const Value& v) {
-  const std::string ctx = "sweep_report";
-  ObjectReader r(v, ctx);
-  SweepReport out;
-  r.read("name", out.name);
-  if (const Value* points = r.get("points")) {
-    for (std::size_t i = 0; i < points->as_array().size(); ++i) {
-      const Value& pv = points->as_array()[i];
-      ObjectReader pr(pv, ctx + ".points[" + std::to_string(i) + "]");
-      SweepPointResult p;
-      pr.read("label", p.label);
-      if (const Value* coords = pr.get("coords")) {
-        for (const auto& cv : coords->as_array()) {
-          ObjectReader cr(cv, pr.ctx() + ".coords");
-          std::string field;
-          double value = 0.0;
-          cr.read("field", field);
-          cr.read("value", value);
-          cr.done();
-          p.coords.emplace_back(std::move(field), value);
-        }
-      }
-      if (const Value* report = pr.get("report")) p.report = report_from_json(*report);
       pr.done();
       out.points.push_back(std::move(p));
     }

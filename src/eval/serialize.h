@@ -48,7 +48,8 @@ namespace jf::eval {
 
 json::Value scenario_to_json(const Scenario& s);
 // Strict loader; throws std::invalid_argument on unknown keys, bad kinds,
-// unknown metric/traffic/family-agnostic enum names, or bad sweep ranges.
+// unknown names (metric, traffic kind, topology family, routing scheme,
+// ...), or bad sweep ranges.
 Scenario scenario_from_json(const json::Value& v);
 
 // Scenario fields plus the "sweep" key (omitted when there are no axes).
@@ -83,7 +84,6 @@ std::vector<Sample> samples_from_json(const json::Value& v);
 // {"name", "points": [{"label", "coords": [{"field", "value"}, ...],
 //                      "report": {...}}]}
 json::Value sweep_report_to_json(const SweepReport& r);
-SweepReport sweep_report_from_json(const json::Value& v);
 
 // --- Telemetry dumps (jf_eval run --telemetry-out) ---
 

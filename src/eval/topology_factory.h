@@ -1,18 +1,17 @@
-// Topology family registry: TopologySpec -> built Topology.
+// Topology families: TopologySpec -> built Topology.
 //
-// Built-in families cover every interconnect the paper evaluates:
+// The families cover every interconnect the paper evaluates:
 //   "jellyfish"    — RRG over switches x ports hosting `servers` (§3)
+//   "jellyfish-incr" — Jellyfish grown step by step (§4.2)
+//   "degree-diameter" — best-known degree-diameter graphs (Fig. 3)
 //   "fattree"      — k-ary fat-tree baseline (fattree_k)
 //   "swdc-ring", "swdc-torus2d", "swdc-hex3d"
 //                  — Small-World Datacenter variants (Fig. 4)
 //   "twolayer"     — container-localized two-layer Jellyfish (§6.3, Fig. 14)
-// Custom families register a factory under a new name and become usable in
-// any Scenario.
 #pragma once
 
-#include <functional>
-#include <string>
-#include <vector>
+#include <span>
+#include <string_view>
 
 #include "common/rng.h"
 #include "eval/scenario.h"
@@ -20,25 +19,17 @@
 
 namespace jf::eval {
 
-using TopologyFactory = std::function<topo::Topology(const TopologySpec&, Rng&)>;
-
 // Builds the spec'd topology; throws std::invalid_argument for an unknown
 // family. Deterministic in (spec, rng state).
 topo::Topology build_topology(const TopologySpec& spec, Rng& rng);
 
-// Registers (or replaces) a family. Built-in names cannot be shadowed.
-// Not thread-safe against concurrent build_topology; register at startup.
-// Pass deterministic = true when the factory ignores its Rng (the same spec
-// always yields the same topology); the engine then builds the topology and
-// its routing path caches once and shares them across seed cells.
-void register_topology_family(const std::string& family, TopologyFactory factory,
-                              bool deterministic = false);
+// True when the family's build ignores its Rng ("fattree"), i.e. the built
+// topology depends only on the spec; the engine then builds it and its
+// routing path caches once and shares them across seed cells.
+bool topology_family_deterministic(std::string_view family);
 
-// True when the family's factory ignores its Rng (e.g. "fattree"), i.e. the
-// built topology depends only on the spec. Unknown families report false.
-bool topology_family_deterministic(const std::string& family);
-
-// Built-in + registered family names.
-std::vector<std::string> topology_families();
+// The family names, sorted: the one list build_topology dispatches on, the
+// scenario loader accepts and `jf_eval list` prints.
+std::span<const std::string_view> topology_families();
 
 }  // namespace jf::eval

@@ -3,7 +3,7 @@
 // The unrestricted solver (flow/mcf.h) measures what a topology could carry
 // under optimal routing; this one measures what the *installed* routing
 // scheme can extract: each commodity may only split across the paths its
-// PathProvider enumerates (ECMP-w, KSP-k, or a custom scheme). The gap
+// PathProvider enumerates (ECMP-w or KSP-k). The gap
 // between the two is the paper's §5 story — ECMP leaves a large fraction of
 // Jellyfish capacity unused, k-shortest-path routing recovers it.
 //

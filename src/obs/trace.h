@@ -73,9 +73,9 @@ std::size_t trace_event_count();
 // instrumented parallel regions have joined.
 json::Value trace_to_json();
 
-// Clears every buffer and drops buffers of exited threads (for tests and
-// per-job accounting in serve mode). Like reset_metrics(), only safe while
-// no instrumented parallel region is active.
+// Clears every buffer and drops buffers of exited threads (for tests).
+// Like reset_metrics(), only safe while no instrumented parallel region is
+// active.
 void reset_trace();
 
 }  // namespace jf::obs

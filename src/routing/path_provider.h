@@ -1,7 +1,6 @@
-// Polymorphic routing interface: one abstraction every evaluation path —
-// the fluid (restricted-MCF) throughput model, the packet simulator, and
-// path-diversity accounting — consumes, replacing per-call-site switches on
-// routing::Scheme.
+// The routing interface every evaluation path consumes: the fluid
+// (restricted-MCF) throughput model, the packet simulator, and path-diversity
+// accounting.
 //
 // A PathProvider answers two questions about a switch pair:
 //   * paths(s, t)   — the candidate path set the scheme would install
@@ -11,16 +10,15 @@
 //                     hashing over the shortest-path DAG, not by picking
 //                     from an enumerated set).
 //
-// Built-ins cover the paper's schemes (ECMP-w, KSP-k); custom schemes
-// register a factory under a scheme name and become usable everywhere a
-// RoutingSpec is accepted, including jf::eval scenarios.
+// The schemes are the paper's two (ECMP-w, KSP-k), named by RoutingSpec and
+// resolved only by make_path_provider.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,76 +30,66 @@ namespace jf::routing {
 using Path = std::vector<graph::NodeId>;
 using PathSet = std::vector<Path>;
 
-// Declarative routing scheme reference, resolvable via the provider
-// registry. `scheme` is "ecmp", "ksp", or a name registered with
-// register_path_provider.
+// Declarative routing scheme reference. `scheme` is one of
+// path_provider_schemes().
 struct RoutingSpec {
   std::string scheme = "ksp";
-  int width = 8;  // ECMP ways / KSP k / custom meaning
+  int width = 8;  // ECMP ways / KSP k
 
   // Display name, e.g. "ksp-8".
   std::string label() const;
 };
 
+// One scheme's path sets and flow routes on one graph. Path sets come from
+// a lazily filled PathCache. Once paths() (or warm()) has covered every
+// pair that will later be queried, the cache is only ever probed, never
+// grown, so every method is then safe to call concurrently on that pair
+// set; the eval engine shares one warmed provider across the seed cells of
+// a deterministic topology on that basis.
 class PathProvider {
  public:
-  virtual ~PathProvider() = default;
-
-  virtual std::string name() const = 0;
+  PathProvider(const graph::Graph& g, RoutingOptions opts);
 
   // Candidate path set for (s, t): node sequences including both endpoints.
   // {{s}} when s == t; empty when t is unreachable. The reference stays
   // valid for the provider's lifetime.
-  virtual const PathSet& paths(graph::NodeId s, graph::NodeId t) = 0;
+  const PathSet& paths(graph::NodeId s, graph::NodeId t) { return cache_.paths(s, t); }
 
-  // Computes the path sets of `pairs` ahead of their first paths() call,
-  // borrowing idle workers from `budget` (may be null) where the provider
-  // can. Results are the ones paths() would compute. Default: paths() for
-  // each pair, in order, on the calling thread. The built-ins compute on
-  // the borrowed workers and insert in canonical pair order
-  // (PathCache::warm).
-  virtual void warm(std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
-                    parallel::WorkBudget* budget);
+  // Computes the path sets of `pairs` ahead of their first paths() call on
+  // the calling thread plus the workers borrowed from `budget` (may be
+  // null), inserting in canonical pair order (PathCache::warm). Results are
+  // the ones paths() would compute.
+  void warm(std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs,
+            parallel::WorkBudget* budget) {
+    cache_.warm(pairs, budget);
+  }
 
-  // The single path a flow with this hash key takes. Default: deterministic
-  // hash-select over paths() (per-flow ECMP-style pinning).
-  virtual Path route(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key);
+  // The single path a flow with this hash key takes. KSP hash-selects over
+  // paths() (per-flow pinning); ECMP walks the shortest-path DAG.
+  Path route(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key);
 
-  // Path for subflow `index` of a multipath connection. Default: round-robin
-  // over paths(), pinning subflow i to the i-th candidate (MPTCP over KSP).
-  virtual Path route_subflow(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key,
-                             int index);
+  // Path for subflow `index` of a multipath connection. KSP pins subflow i
+  // to the i-th candidate, round-robin (MPTCP over KSP); ECMP routes each
+  // subflow as its own flow.
+  Path route_subflow(graph::NodeId s, graph::NodeId t, std::uint64_t flow_key, int index);
 
-  // True when, after paths() (or warm()) has covered every (s, t) pair
-  // that will subsequently be queried, all methods are safe to call
-  // concurrently from multiple threads on that pair set. The built-ins
-  // qualify (their lazily filled cache is only ever probed, never grown,
-  // for already-cached pairs); the eval engine uses this to share one
-  // warmed provider across seed cells of a deterministic topology.
-  // Conservative default: false.
-  virtual bool concurrent_after_warm() const { return false; }
+  // True when route()/route_subflow() consult paths(). ECMP returns false
+  // (it routes by per-hop hashing on the graph, never reading the
+  // enumerated sets), which lets the eval engine skip warming a shared path
+  // cache that no packet-sim cell would ever read.
+  bool routes_via_paths() const { return cache_.options().scheme != Scheme::kEcmp; }
 
-  // True when route()/route_subflow() consult paths() — the default
-  // implementations do. ECMP returns false (it routes by per-hop hashing on
-  // the graph, never reading the enumerated sets), which lets the eval
-  // engine skip warming a shared path cache that no packet-sim cell would
-  // ever read.
-  virtual bool routes_via_paths() const { return true; }
+ private:
+  PathCache cache_;
 };
 
-// Resolves a spec against the built-ins and the registry. Throws
+// Resolves a spec against path_provider_schemes(). Throws
 // std::invalid_argument for an unknown scheme.
 std::unique_ptr<PathProvider> make_path_provider(const graph::Graph& g,
                                                  const RoutingSpec& spec);
 
-using PathProviderFactory =
-    std::function<std::unique_ptr<PathProvider>(const graph::Graph&, const RoutingSpec&)>;
-
-// Registers (or replaces) a custom scheme. Not thread-safe against
-// concurrent make_path_provider calls; register at startup.
-void register_path_provider(const std::string& scheme, PathProviderFactory factory);
-
-// Built-in + registered scheme names (for diagnostics / CLIs).
-std::vector<std::string> path_provider_schemes();
+// The scheme names, in Scheme order: the one list make_path_provider
+// resolves against, the scenario loader accepts and `jf_eval list` prints.
+std::span<const std::string_view> path_provider_schemes();
 
 }  // namespace jf::routing

@@ -71,6 +71,8 @@ class PathCache {
   // The id-sorted adjacency the searches read (also ECMP's per-hop walk).
   const graph::SortedAdjacency& adjacency() const { return adj_; }
 
+  const RoutingOptions& options() const { return opts_; }
+
  private:
   // Node ids are 32-bit, so an (s, t) pair packs losslessly into one 64-bit
   // key — cheaper to hash and compare than a pair-keyed tree on the

@@ -8,7 +8,6 @@
 
 #include "common/stats.h"
 #include "eval/engine.h"
-#include "eval/topology_factory.h"
 #include "flow/restricted.h"
 #include "flow/throughput.h"
 #include "topo/fattree.h"
@@ -191,31 +190,6 @@ TEST(EvalEngine, UnknownFamilyAndSchemeThrow) {
   s2.metrics = {eval::Metric::kRoutedThroughput};
   s2.seeds = {1};
   EXPECT_THROW(eval::Engine({.threads = 1}).run(s2), std::invalid_argument);
-}
-
-TEST(EvalEngine, CustomFamilyAndSchemeRegister) {
-  eval::register_topology_family("test-clique", [](const eval::TopologySpec& spec, Rng&) {
-    graph::Graph g(spec.switches);
-    for (graph::NodeId a = 0; a < spec.switches; ++a) {
-      for (graph::NodeId b = a + 1; b < spec.switches; ++b) g.add_edge(a, b);
-    }
-    std::vector<int> ports(static_cast<std::size_t>(spec.switches), spec.ports);
-    std::vector<int> servers(static_cast<std::size_t>(spec.switches), 1);
-    return topo::Topology("clique", std::move(g), std::move(ports), std::move(servers));
-  });
-  routing::register_path_provider(
-      "single-shortest", [](const graph::Graph& g, const routing::RoutingSpec&) {
-        return routing::make_path_provider(g, routing::RoutingSpec{"ksp", 1});
-      });
-
-  eval::Scenario s;
-  s.topologies = {{.family = "test-clique", .switches = 6, .ports = 8}};
-  s.routings = {{"single-shortest", 1}};
-  s.metrics = {eval::Metric::kPathStats, eval::Metric::kRoutedThroughput};
-  s.seeds = {1};
-  const auto report = eval::Engine({.threads = 1}).run(s);
-  EXPECT_EQ(summarize(report.series(0, -1, "mean_path")).mean, 1.0);
-  EXPECT_GT(report.series(0, 0, "routed_throughput").at(0), 0.0);
 }
 
 TEST(RestrictedMcf, NeverBeatsUnrestrictedByMuchAndKspRecoversCapacity) {

@@ -161,6 +161,12 @@ TEST(Serialize, LoaderErrorPaths) {
                  "topologies[0].local_fraction");
   expect_context(R"({"topologies": [{"family": "jellyfish", "fail_links": -0.5}]})",
                  "topologies[0].fail_links");
+  // Family and scheme names come from closed sets: a typo fails at load
+  // time with the field's path, not mid-run in the factory.
+  expect_context(R"({"topologies": [{"family": "fattree"}, {"family": "jelyfish"}]})",
+                 "scenario.topologies[1].family");
+  expect_context(R"({"routings": [{"scheme": "kspp", "width": 8}]})",
+                 "scenario.routings[0].scheme");
 }
 
 TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
@@ -304,8 +310,8 @@ bool probe_row(const eval::fields::Field<S>& f, Pick pick) {
     const bool ok = std::visit(
         Overload{
             [&](const eval::fields::Named<S>& n) {
-              for (const auto& c : n.choices->names) {
-                if (attempt([&](S& x) { x.*n.member = std::string(c.name); },
+              for (std::string_view name : n.names()) {
+                if (attempt([&](S& x) { x.*n.member = std::string(name); },
                             [&](const S& a, const S& b) { return a.*n.member == b.*n.member; })) {
                   return true;
                 }

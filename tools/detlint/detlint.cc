@@ -46,9 +46,10 @@ const std::vector<RuleInfo> kRules = {
      "annotated user) and keep results schedule-independent"},
     {"raw-file-write",
      "direct file write (ofstream, fopen, fwrite) bypassing common/fs",
-     "a torn write observed by a concurrent reader (serve mode, result store) "
-     "is a nondeterministic failure; common::write_file_atomic's "
-     "temp-file+rename is the only sanctioned write path",
+     "a torn write observed by a concurrent reader (the result store, shared by "
+     "runs on one --cache-dir) is a nondeterministic failure; "
+     "common::write_file_atomic's temp-file+rename is the only sanctioned "
+     "write path",
      "use common::write_file_atomic (ifstream reads are fine)"},
     {"span-literal",
      "obs::Span constructed with a non-literal name",
@@ -68,10 +69,11 @@ const std::vector<RuleInfo> kRules = {
     {"unsorted-dir-iter",
      "std::filesystem directory iteration outside common/fs",
      "readdir order is filesystem-dependent; feeding it onward un-sorted makes "
-     "job order or report content machine-dependent",
-     "collect entries, std::sort them, then process (see jf_eval's "
-     "queued_jobs); annotate '// detlint: ok(...)' when downstream state is "
-     "provably order-independent"},
+     "store state or report content machine-dependent",
+     "collect entries into a sorted container before use (see "
+     "ResultStore::load_index in store/result_store.cc, which keys them in a "
+     "name-ordered map); annotate '// detlint: ok(...)' when downstream state "
+     "is provably order-independent"},
 };
 
 // --- lexical preprocessing --------------------------------------------------
