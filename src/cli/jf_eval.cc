@@ -85,7 +85,11 @@ int usage(std::ostream& os, int code) {
         "                    combinable with --cache-dir (a cache hit would skip the\n"
         "                    simulation that records the data).\n"
         "      --stats-json FILE  atomic machine-readable mirror of the stderr\n"
-        "                    [stats] line: same keys, times as plain seconds.\n"
+        "                    [stats] line: the same entries, times as plain\n"
+        "                    seconds. The line's wall and fct_p99 are named\n"
+        "                    wall_seconds and fct_p99_seconds; per-phase times\n"
+        "                    nest under phases_seconds, telemetry entries under\n"
+        "                    telemetry.\n"
         "                    Works with --quiet (the line is suppressed, the\n"
         "                    file is still written).\n"
         "  print <scenario.json>\n"
@@ -423,13 +427,10 @@ int cmd_list() {
   for (const auto& s : routing::path_provider_schemes()) std::cout << " " << s;
   std::cout << "\nmetrics:\n";
   std::size_t width = 0;
-  for (eval::Metric m : eval::all_metrics()) {
-    width = std::max(width, eval::metric_name(m).size());
-  }
-  for (eval::Metric m : eval::all_metrics()) {
-    const std::string name = eval::metric_name(m);
-    std::cout << "  " << name << std::string(width - name.size() + 2, ' ')
-              << eval::metric_description(m) << "\n";
+  for (const eval::MetricInfo& m : eval::metric_table()) width = std::max(width, m.name.size());
+  for (const eval::MetricInfo& m : eval::metric_table()) {
+    std::cout << "  " << m.name << std::string(width - m.name.size() + 2, ' ')
+              << m.description << "\n";
   }
   std::cout << "sweep fields:     ";
   for (const auto& f : eval::sweep_fields()) std::cout << " " << f;

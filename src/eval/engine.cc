@@ -112,12 +112,248 @@ struct SharedTopology {
   std::vector<std::unique_ptr<routing::PathProvider>> providers;
 };
 
-void emit_spec_metric(const Scenario& s, const Cell& cell, Metric m,
-                      const std::function<void(const std::string&, int, double)>& emit,
-                      const std::function<const expansion::GrowthPlan&()>& growth,
-                      parallel::WorkBudget* budget) {
-  const TopologySpec& spec = s.topologies[static_cast<std::size_t>(cell.topo)];
+bool requests(const Scenario& s, Metric m) {
+  return std::ranges::find(s.metrics, m) != s.metrics.end();
+}
+
+// True when some requested metric's evaluator reads `input`.
+bool reads(const Scenario& s, MetricInput input) {
+  return std::ranges::any_of(s.metrics,
+                             [&](Metric m) { return metric_info(m).reads == input; });
+}
+
+// One packet-sim run, read by both kPacketSim and kFlowStats.
+struct SimRun {
+  sim::WorkloadResult res;
+  sim::TelemetryDataset data;
+};
+
+// What one cell's evaluators read. Each input is built on first use and then
+// shared by every metric of the cell, so a cell whose metrics are all
+// spec-only never builds its topology, and two sim metrics share one run.
+struct CellInputs {
+  CellInputs(const Scenario& s, const Cell& cell, const SharedTopology& shared,
+             parallel::WorkBudget* budget, bool collect_telemetry)
+      : s(s),
+        cell(cell),
+        spec(s.topologies[static_cast<std::size_t>(cell.topo)]),
+        budget(budget),
+        sim_runs(static_cast<std::size_t>(s.samples_per_seed)),
+        shared_(shared),
+        // The recorder rides along when some consumer — the kFlowStats
+        // metrics or an EngineOptions::telemetry collector — will read it;
+        // recording is observational, so the WorkloadResult (and thus every
+        // emitted sample) is byte-identical with it on or off.
+        record_sim_(collect_telemetry || requests(s, Metric::kFlowStats)) {}
+
+  const Scenario& s;
+  const Cell& cell;
+  const TopologySpec& spec;
+  parallel::WorkBudget* budget;
+  std::vector<Sample> out;
+  // One slot per sample k; a slot stays empty until some metric reads it.
+  std::vector<std::optional<SimRun>> sim_runs;
+
+  void emit(const std::string& metric, int sample, double v) {
+    out.push_back({cell.topo, cell.routing, cell.seed, sample, metric, v});
+  }
+
+  // Stream `tag` of this cell's topology row.
+  Rng rng(std::uint64_t tag) const {
+    return Rng(cell.seed).fork(tag + static_cast<std::uint64_t>(cell.topo));
+  }
+
+  // Sample k's traffic matrix: the same for every routing scheme.
+  traffic::TrafficMatrix traffic(int k) {
+    Rng tr = traffic_rng(cell.seed, cell.topo, k);
+    return s.traffic.sample(topology().num_servers(), tr);
+  }
+
+  // Deterministic families reuse the shared build.
+  const topo::Topology& topology() {
+    if (shared_.topology) return *shared_.topology;
+    if (!topology_) {
+      Rng topo_rng = rng(kTopoStream);
+      topology_.emplace(build_topology(spec, topo_rng));
+    }
+    return *topology_;
+  }
+
+  // One growth plan per cell, however many expansion metrics read it;
+  // bisection is scored only when some metric reads it.
+  const expansion::GrowthPlan& growth() {
+    if (!growth_) {
+      growth_ = Engine::growth_plan(s, cell.topo, cell.seed,
+                                    requests(s, Metric::kExpansionBisection), budget);
+    }
+    return *growth_;
+  }
+
+  routing::PathProvider& routes() {
+    const auto r = static_cast<std::size_t>(cell.routing);
+    if (r < shared_.providers.size() && shared_.providers[r]) return *shared_.providers[r];
+    if (!routes_) routes_ = routing::make_path_provider(topology().switches(), s.routings[r]);
+    return *routes_;
+  }
+
+  // The RNG forks depend only on the cell indices and k, so which metric
+  // triggers the run cannot change the stream.
+  const SimRun& sim_run(int k) {
+    auto& slot = sim_runs[static_cast<std::size_t>(k)];
+    if (!slot) {
+      const auto tm = traffic(k);
+      Rng sim_rng = Rng(cell.seed).fork(kSimStream +
+                                        static_cast<std::uint64_t>(cell.topo) * 262144 +
+                                        static_cast<std::uint64_t>(cell.routing) * 4096 +
+                                        static_cast<std::uint64_t>(k));
+      slot.emplace();
+      // Like the MCF cells, packet-sim cells lend the batch's idle workers
+      // to their own engine (the sharded event loop when s.sim.shards > 1).
+      if (record_sim_) {
+        sim::Telemetry rec(sim::TelemetryConfig{s.sim.telemetry_epoch_ns});
+        slot->res = sim::run_workload(topology(), tm, s.sim, routes(), sim_rng, budget, &rec);
+        slot->data = rec.take_dataset();
+      } else {
+        slot->res = sim::run_workload(topology(), tm, s.sim, routes(), sim_rng, budget);
+      }
+    }
+    return *slot;
+  }
+
+ private:
+  const SharedTopology& shared_;
+  const bool record_sim_;
+  std::optional<topo::Topology> topology_;
+  std::optional<expansion::GrowthPlan> growth_;
+  std::unique_ptr<routing::PathProvider> routes_;
+};
+
+// The one evaluator: emits metric m's samples for the cell behind `in`.
+void evaluate(Metric m, CellInputs& in) {
+  const Scenario& s = in.s;
+  const TopologySpec& spec = in.spec;
   switch (m) {
+    case Metric::kPathStats: {
+      auto stats = Engine::path_stats(in.topology());
+      in.emit("mean_path", 0, stats.mean);
+      in.emit("diameter", 0, static_cast<double>(stats.diameter));
+      break;
+    }
+    case Metric::kServerCdf: {
+      auto cdf = Engine::server_path_cdf(in.topology());
+      for (int len = 2; len <= 6; ++len) {
+        double v = 0.0;
+        for (const auto& [l, f] : cdf) {
+          if (l <= len) v = f;
+        }
+        in.emit("server_cdf_le" + std::to_string(len), 0, v);
+      }
+      break;
+    }
+    case Metric::kThroughput: {
+      for (int k = 0; k < s.samples_per_seed; ++k) {
+        in.emit("throughput", k, fluid_throughput(in.topology(), in.traffic(k), s.mcf, in.budget));
+      }
+      break;
+    }
+    case Metric::kBisection: {
+      Rng br = in.rng(kBisectionStream);
+      in.emit("bisection", 0, Engine::bisection_bandwidth(in.topology(), br));
+      break;
+    }
+    case Metric::kRoutedThroughput: {
+      for (int k = 0; k < s.samples_per_seed; ++k) {
+        in.emit("routed_throughput", k,
+                routed_fluid_throughput(in.topology(), in.traffic(k), in.routes(), s.mcf));
+      }
+      break;
+    }
+    case Metric::kLinkDiversity: {
+      const topo::Topology& topo = in.topology();
+      flow::LinkIndex links(topo.switches());
+      for (int k = 0; k < s.samples_per_seed; ++k) {
+        const auto tm = in.traffic(k);
+        std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+        pairs.reserve(tm.flows.size());
+        for (const auto& f : tm.flows) {
+          pairs.emplace_back(topo.server_switch(f.src_server), topo.server_switch(f.dst_server));
+        }
+        auto counts = routing::link_path_counts(links, pairs, in.routes());
+        auto r = routing::ranked(counts);
+        double mean = 0.0;
+        for (int c : r) mean += c;
+        mean /= static_cast<double>(r.empty() ? 1 : r.size());
+        in.emit("div_frac_le2", k, routing::fraction_at_or_below(counts, 2));
+        in.emit("div_mean", k, mean);
+        if (!r.empty()) {
+          in.emit("div_p50", k, static_cast<double>(r[r.size() / 2]));
+          in.emit("div_p90", k, static_cast<double>(r[r.size() * 9 / 10]));
+          in.emit("div_max", k, static_cast<double>(r.back()));
+          // Ranked series sampled at deciles (Fig. 9's x-axis is link rank).
+          for (int pct = 0; pct <= 100; pct += 10) {
+            const std::size_t idx =
+                std::min(r.size() - 1, r.size() * static_cast<std::size_t>(pct) / 100);
+            in.emit("div_rank_p" + std::to_string(pct), k, static_cast<double>(r[idx]));
+          }
+        }
+      }
+      break;
+    }
+    case Metric::kPacketSim: {
+      for (int k = 0; k < s.samples_per_seed; ++k) {
+        const sim::WorkloadResult& res = in.sim_run(k).res;
+        in.emit("sim_goodput", k, res.mean_flow_throughput);
+        in.emit("sim_fairness", k, res.jain_fairness);
+        in.emit("sim_drops", k, static_cast<double>(res.packet_drops));
+      }
+      break;
+    }
+    case Metric::kFlowStats: {
+      for (int k = 0; k < s.samples_per_seed; ++k) {
+        const SimRun& run = in.sim_run(k);
+        const auto fct = sim::flow_completion_seconds(run.data);
+        in.emit("fct_p50", k, percentile(fct, 50.0));
+        in.emit("fct_p99", k, percentile(fct, 99.0));
+        // Per-flow throughput spread — the paper's Figs. 10-12 compare
+        // these flow-by-flow across routings over the *same* matrices
+        // (traffic_rng is routing-independent), so min/percentile gaps
+        // are paired comparisons, not independent draws.
+        in.emit("flow_tput_min", k, summarize(run.res.per_flow).min);
+        in.emit("flow_tput_p10", k, percentile(run.res.per_flow, 10.0));
+        in.emit("flow_tput_p50", k, percentile(run.res.per_flow, 50.0));
+        in.emit("flow_tput_p90", k, percentile(run.res.per_flow, 90.0));
+        std::int64_t completed = 0;
+        for (const auto& f : run.data.flows) completed += f.completed ? 1 : 0;
+        in.emit("flows_completed", k, static_cast<double>(completed));
+        std::vector<double> util;
+        util.reserve(run.data.links.size());
+        double hot_drops = 0.0;
+        for (const auto& link : run.data.links) {
+          util.push_back(sim::link_run_utilization(link, run.data.t_end_ns));
+          std::int64_t drops = 0;
+          for (const auto& e : link.epochs) drops += e.drops;
+          hot_drops = std::max(hot_drops, static_cast<double>(drops));
+        }
+        in.emit("link_util_mean", k, summarize(util).mean);
+        in.emit("link_util_p99", k, percentile(util, 99.0));
+        in.emit("link_util_max", k, summarize(util).max);
+        in.emit("hot_link_drops", k, hot_drops);
+      }
+      break;
+    }
+    case Metric::kCabling: {
+      const topo::Topology& topo = in.topology();
+      auto placement = layout::place(topo, s.cabling_placement);
+      auto stats = layout::analyze_cabling(topo, placement, expansion::CostModel{});
+      in.emit("cable_switch_count", 0, static_cast<double>(stats.switch_cables));
+      in.emit("cable_server_count", 0, static_cast<double>(stats.server_cables));
+      in.emit("cable_total_m", 0, stats.total_length_m);
+      in.emit("cable_mean_switch_m", 0, stats.mean_switch_cable_m);
+      in.emit("cable_optical_frac", 0, stats.optical_fraction);
+      in.emit("cable_bundles", 0, static_cast<double>(stats.bundles));
+      in.emit("cable_cost", 0, stats.material_cost);
+      break;
+    }
     case Metric::kMinPorts: {
       std::size_t ports = 0;
       if (spec.family == "fattree") {
@@ -132,21 +368,20 @@ void emit_spec_metric(const Scenario& s, const Cell& cell, Metric m,
       } else {
         check(false, "kMinPorts: only jellyfish and fattree families are supported");
       }
-      emit("min_ports", 0, static_cast<double>(ports));
+      in.emit("min_ports", 0, static_cast<double>(ports));
       break;
     }
     case Metric::kCapacity: {
       if (spec.family == "fattree") {
         check(spec.fattree_k >= 2, "kCapacity: fattree needs fattree_k >= 2");
-        emit("max_servers", 0, static_cast<double>(topo::fattree_servers(spec.fattree_k)));
+        in.emit("max_servers", 0, static_cast<double>(topo::fattree_servers(spec.fattree_k)));
       } else if (spec.family == "jellyfish") {
         check(spec.switches >= 2 && spec.ports >= 1,
               "kCapacity: jellyfish needs switches and ports");
-        Rng cr = Rng(cell.seed).fork(kCapacityStream +
-                                     static_cast<std::uint64_t>(cell.topo));
-        emit("max_servers", 0,
-             static_cast<double>(flow::max_servers_at_full_capacity(
-                 spec.switches, spec.ports, cr, s.capacity, budget)));
+        Rng cr = in.rng(kCapacityStream);
+        in.emit("max_servers", 0,
+                static_cast<double>(flow::max_servers_at_full_capacity(
+                    spec.switches, spec.ports, cr, s.capacity, in.budget)));
       } else {
         check(false, "kCapacity: only jellyfish and fattree families are supported");
       }
@@ -157,286 +392,60 @@ void emit_spec_metric(const Scenario& s, const Cell& cell, Metric m,
     // they stay distinguishable in aggregates), plus an unsuffixed headline
     // value for the whole schedule.
     case Metric::kExpansionCost: {
-      const expansion::GrowthPlan& plan = growth();
+      const expansion::GrowthPlan& plan = in.growth();
       for (const auto& r : plan.steps) {
         const std::string suffix = "_s" + std::to_string(r.step);
-        emit("expansion_cost" + suffix, r.step, r.cumulative_cost);
-        emit("expansion_switches" + suffix, r.step, static_cast<double>(r.switches));
-        emit("expansion_servers" + suffix, r.step, static_cast<double>(r.servers));
+        in.emit("expansion_cost" + suffix, r.step, r.cumulative_cost);
+        in.emit("expansion_switches" + suffix, r.step, static_cast<double>(r.switches));
+        in.emit("expansion_servers" + suffix, r.step, static_cast<double>(r.servers));
       }
-      emit("expansion_cost", 0, plan.steps.back().cumulative_cost);
+      in.emit("expansion_cost", 0, plan.steps.back().cumulative_cost);
       break;
     }
     case Metric::kRewiredCables: {
-      const expansion::GrowthPlan& plan = growth();
+      const expansion::GrowthPlan& plan = in.growth();
       double rewired = 0.0, touched = 0.0;
       for (const auto& r : plan.steps) {
         const std::string suffix = "_s" + std::to_string(r.step);
-        emit("rewired_cables" + suffix, r.step, static_cast<double>(r.cables_rewired));
-        emit("cables_touched" + suffix, r.step, static_cast<double>(r.cables_touched));
+        in.emit("rewired_cables" + suffix, r.step, static_cast<double>(r.cables_rewired));
+        in.emit("cables_touched" + suffix, r.step, static_cast<double>(r.cables_touched));
         rewired += r.cables_rewired;
         touched += r.cables_touched;
       }
-      emit("rewired_cables", 0, rewired);
-      emit("cables_touched", 0, touched);
+      in.emit("rewired_cables", 0, rewired);
+      in.emit("cables_touched", 0, touched);
       break;
     }
     case Metric::kExpansionBisection: {
-      const expansion::GrowthPlan& plan = growth();
+      const expansion::GrowthPlan& plan = in.growth();
       for (const auto& r : plan.steps) {
-        emit("expansion_bisection_s" + std::to_string(r.step), r.step,
-             r.normalized_bisection);
+        in.emit("expansion_bisection_s" + std::to_string(r.step), r.step,
+                r.normalized_bisection);
       }
-      emit("expansion_bisection", 0, plan.steps.back().normalized_bisection);
+      in.emit("expansion_bisection", 0, plan.steps.back().normalized_bisection);
       break;
     }
-    default:
-      break;
   }
 }
 
 std::vector<Sample> run_cell(const Scenario& s, const Cell& cell,
                              const SharedTopology& shared, parallel::WorkBudget* budget,
                              std::vector<CellTelemetry>* telem) {
-  std::vector<Sample> out;
-  auto emit = [&](const std::string& metric, int sample, double v) {
-    out.push_back({cell.topo, cell.routing, cell.seed, sample, metric, v});
-  };
-
-  Rng seed_rng(cell.seed);
-  // The topology is built lazily: spec-only metrics (kMinPorts, kCapacity)
-  // never need it, and deterministic families reuse the shared build.
-  std::optional<topo::Topology> local_topo;
-  auto topology = [&]() -> const topo::Topology& {
-    if (shared.topology) return *shared.topology;
-    if (!local_topo) {
-      Rng topo_rng = seed_rng.fork(kTopoStream + static_cast<std::uint64_t>(cell.topo));
-      local_topo.emplace(
-          build_topology(s.topologies[static_cast<std::size_t>(cell.topo)], topo_rng));
-    }
-    return *local_topo;
-  };
-
-  // One growth plan per cell, shared by however many expansion metrics the
-  // scenario requests; bisection is scored only when some metric reads it.
-  std::optional<expansion::GrowthPlan> growth_cache;
-  auto growth = [&]() -> const expansion::GrowthPlan& {
-    if (!growth_cache) {
-      const bool score = std::any_of(s.metrics.begin(), s.metrics.end(), [](Metric m) {
-        return m == Metric::kExpansionBisection;
-      });
-      growth_cache = Engine::growth_plan(s, cell.topo, cell.seed, score, budget);
-    }
-    return *growth_cache;
-  };
-
-  if (cell.routing < 0) {
-    for (Metric m : s.metrics) {
-      if (metric_needs_routing(m)) continue;
-      if (!metric_needs_build(m)) {
-        emit_spec_metric(s, cell, m, emit, growth, budget);
-        continue;
-      }
-      const topo::Topology& topo = topology();
-      switch (m) {
-        case Metric::kPathStats: {
-          auto stats = Engine::path_stats(topo);
-          emit("mean_path", 0, stats.mean);
-          emit("diameter", 0, static_cast<double>(stats.diameter));
-          break;
-        }
-        case Metric::kServerCdf: {
-          auto cdf = Engine::server_path_cdf(topo);
-          for (int len = 2; len <= 6; ++len) {
-            double v = 0.0;
-            for (const auto& [l, f] : cdf) {
-              if (l <= len) v = f;
-            }
-            emit("server_cdf_le" + std::to_string(len), 0, v);
-          }
-          break;
-        }
-        case Metric::kThroughput: {
-          for (int k = 0; k < s.samples_per_seed; ++k) {
-            Rng tr = traffic_rng(cell.seed, cell.topo, k);
-            auto tm = s.traffic.sample(topo.num_servers(), tr);
-            emit("throughput", k, fluid_throughput(topo, tm, s.mcf, budget));
-          }
-          break;
-        }
-        case Metric::kBisection: {
-          Rng br = seed_rng.fork(kBisectionStream + static_cast<std::uint64_t>(cell.topo));
-          emit("bisection", 0, Engine::bisection_bandwidth(topo, br));
-          break;
-        }
-        case Metric::kCabling: {
-          auto placement = layout::place(topo, s.cabling_placement);
-          auto stats = layout::analyze_cabling(topo, placement, expansion::CostModel{});
-          emit("cable_switch_count", 0, static_cast<double>(stats.switch_cables));
-          emit("cable_server_count", 0, static_cast<double>(stats.server_cables));
-          emit("cable_total_m", 0, stats.total_length_m);
-          emit("cable_mean_switch_m", 0, stats.mean_switch_cable_m);
-          emit("cable_optical_frac", 0, stats.optical_fraction);
-          emit("cable_bundles", 0, static_cast<double>(stats.bundles));
-          emit("cable_cost", 0, stats.material_cost);
-          break;
-        }
-        default:
-          break;
-      }
-    }
-    return out;
-  }
-
-  routing::PathProvider* shared_routes =
-      cell.routing < static_cast<int>(shared.providers.size())
-          ? shared.providers[static_cast<std::size_t>(cell.routing)].get()
-          : nullptr;
-  std::unique_ptr<routing::PathProvider> local_routes;
-  if (shared_routes == nullptr) {
-    local_routes = routing::make_path_provider(
-        topology().switches(), s.routings[static_cast<std::size_t>(cell.routing)]);
-  }
-  routing::PathProvider& routes = shared_routes ? *shared_routes : *local_routes;
-
-  // One packet-sim run per sample k, shared by kPacketSim and kFlowStats
-  // (both read the same run; the RNG forks depend only on the cell indices
-  // and k, so which metric triggers the run cannot change the stream). The
-  // telemetry recorder rides along when some consumer — the kFlowStats
-  // metrics or an EngineOptions::telemetry collector — will read it;
-  // recording is observational, so the WorkloadResult (and thus every
-  // emitted sample) is byte-identical with it on or off.
-  struct SimRun {
-    sim::WorkloadResult res;
-    sim::TelemetryDataset data;
-  };
-  const bool wants_flow_stats = std::any_of(
-      s.metrics.begin(), s.metrics.end(), [](Metric m) { return m == Metric::kFlowStats; });
-  std::vector<std::optional<SimRun>> sim_runs(static_cast<std::size_t>(s.samples_per_seed));
-  auto sim_run = [&](int k) -> const SimRun& {
-    auto& slot = sim_runs[static_cast<std::size_t>(k)];
-    if (!slot) {
-      Rng tr = traffic_rng(cell.seed, cell.topo, k);
-      auto tm = s.traffic.sample(topology().num_servers(), tr);
-      Rng sim_rng = seed_rng.fork(kSimStream +
-                                  static_cast<std::uint64_t>(cell.topo) * 262144 +
-                                  static_cast<std::uint64_t>(cell.routing) * 4096 +
-                                  static_cast<std::uint64_t>(k));
-      slot.emplace();
-      // Like the MCF cells, packet-sim cells lend the batch's idle workers
-      // to their own engine (the sharded event loop when s.sim.shards > 1).
-      if (wants_flow_stats || telem != nullptr) {
-        sim::Telemetry rec(sim::TelemetryConfig{s.sim.telemetry_epoch_ns});
-        slot->res = sim::run_workload(topology(), tm, s.sim, routes, sim_rng, budget, &rec);
-        slot->data = rec.take_dataset();
-      } else {
-        slot->res = sim::run_workload(topology(), tm, s.sim, routes, sim_rng, budget);
-      }
-    }
-    return *slot;
-  };
-
+  CellInputs in(s, cell, shared, budget, telem != nullptr);
   for (Metric m : s.metrics) {
-    if (!metric_needs_routing(m)) continue;
-    switch (m) {
-      case Metric::kRoutedThroughput: {
-        for (int k = 0; k < s.samples_per_seed; ++k) {
-          Rng tr = traffic_rng(cell.seed, cell.topo, k);
-          auto tm = s.traffic.sample(topology().num_servers(), tr);
-          emit("routed_throughput", k,
-               routed_fluid_throughput(topology(), tm, routes, s.mcf));
-        }
-        break;
-      }
-      case Metric::kLinkDiversity: {
-        flow::LinkIndex links(topology().switches());
-        for (int k = 0; k < s.samples_per_seed; ++k) {
-          Rng tr = traffic_rng(cell.seed, cell.topo, k);
-          auto tm = s.traffic.sample(topology().num_servers(), tr);
-          std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
-          pairs.reserve(tm.flows.size());
-          for (const auto& f : tm.flows) {
-            pairs.emplace_back(topology().server_switch(f.src_server),
-                               topology().server_switch(f.dst_server));
-          }
-          auto counts = routing::link_path_counts(links, pairs, routes);
-          auto r = routing::ranked(counts);
-          double mean = 0.0;
-          for (int c : r) mean += c;
-          mean /= static_cast<double>(r.empty() ? 1 : r.size());
-          emit("div_frac_le2", k, routing::fraction_at_or_below(counts, 2));
-          emit("div_mean", k, mean);
-          if (!r.empty()) {
-            emit("div_p50", k, static_cast<double>(r[r.size() / 2]));
-            emit("div_p90", k, static_cast<double>(r[r.size() * 9 / 10]));
-            emit("div_max", k, static_cast<double>(r.back()));
-            // Ranked series sampled at deciles (Fig. 9's x-axis is link rank).
-            for (int pct = 0; pct <= 100; pct += 10) {
-              const std::size_t idx =
-                  std::min(r.size() - 1, r.size() * static_cast<std::size_t>(pct) / 100);
-              emit("div_rank_p" + std::to_string(pct), k, static_cast<double>(r[idx]));
-            }
-          }
-        }
-        break;
-      }
-      case Metric::kPacketSim: {
-        for (int k = 0; k < s.samples_per_seed; ++k) {
-          const sim::WorkloadResult& res = sim_run(k).res;
-          emit("sim_goodput", k, res.mean_flow_throughput);
-          emit("sim_fairness", k, res.jain_fairness);
-          emit("sim_drops", k, static_cast<double>(res.packet_drops));
-        }
-        break;
-      }
-      case Metric::kFlowStats: {
-        for (int k = 0; k < s.samples_per_seed; ++k) {
-          const SimRun& run = sim_run(k);
-          const auto fct = sim::flow_completion_seconds(run.data);
-          emit("fct_p50", k, percentile(fct, 50.0));
-          emit("fct_p99", k, percentile(fct, 99.0));
-          // Per-flow throughput spread — the paper's Figs. 10-12 compare
-          // these flow-by-flow across routings over the *same* matrices
-          // (traffic_rng is routing-independent), so min/percentile gaps
-          // are paired comparisons, not independent draws.
-          emit("flow_tput_min", k, summarize(run.res.per_flow).min);
-          emit("flow_tput_p10", k, percentile(run.res.per_flow, 10.0));
-          emit("flow_tput_p50", k, percentile(run.res.per_flow, 50.0));
-          emit("flow_tput_p90", k, percentile(run.res.per_flow, 90.0));
-          std::int64_t completed = 0;
-          for (const auto& f : run.data.flows) completed += f.completed ? 1 : 0;
-          emit("flows_completed", k, static_cast<double>(completed));
-          std::vector<double> util;
-          util.reserve(run.data.links.size());
-          double hot_drops = 0.0;
-          for (const auto& link : run.data.links) {
-            util.push_back(sim::link_run_utilization(link, run.data.t_end_ns));
-            std::int64_t drops = 0;
-            for (const auto& e : link.epochs) drops += e.drops;
-            hot_drops = std::max(hot_drops, static_cast<double>(drops));
-          }
-          emit("link_util_mean", k, summarize(util).mean);
-          emit("link_util_p99", k, percentile(util, 99.0));
-          emit("link_util_max", k, summarize(util).max);
-          emit("hot_link_drops", k, hot_drops);
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    if (metric_needs_routing(m) == (cell.routing >= 0)) evaluate(m, in);
   }
   // Hand the full datasets to the batch collector, in ascending sample
   // order. Runs land here already finalized; untriggered samples (possible
   // only if neither sim metric was requested) stay absent.
   if (telem != nullptr) {
     for (int k = 0; k < s.samples_per_seed; ++k) {
-      auto& slot = sim_runs[static_cast<std::size_t>(k)];
+      auto& slot = in.sim_runs[static_cast<std::size_t>(k)];
       if (!slot) continue;
       telem->push_back({cell.topo, cell.routing, cell.seed, k, std::move(slot->data)});
     }
   }
-  return out;
+  return std::move(in.out);
 }
 
 // Per-scenario state for one batch entry: canonical cells, shared read-only
@@ -457,31 +466,36 @@ struct PreparedScenario {
   bool done = false;    // report assembled + ready to emit
 };
 
+// True when no element of `v` repeats.
+template <typename T>
+bool distinct(std::vector<T> v) {
+  std::ranges::sort(v);
+  return std::ranges::adjacent_find(v) == v.end();
+}
+
 void validate_scenario(const Scenario& s) {
   check(!s.topologies.empty(), "Engine::run: scenario needs >= 1 topology");
   check(!s.seeds.empty(), "Engine::run: scenario needs >= 1 seed");
   check(s.samples_per_seed >= 1, "Engine::run: samples_per_seed must be >= 1");
   check(!s.metrics.empty(), "Engine::run: scenario needs >= 1 metric");
-  const bool has_routing_metrics =
-      std::any_of(s.metrics.begin(), s.metrics.end(),
-                  [](Metric m) { return metric_needs_routing(m); });
-  check(!has_routing_metrics || !s.routings.empty(),
+  // A repeat would count its samples twice in every aggregate.
+  check(distinct(s.metrics), "Engine::run: a metric is listed twice");
+  check(distinct(s.seeds), "Engine::run: a seed is listed twice");
+  check(!std::ranges::any_of(s.metrics, metric_needs_routing) || !s.routings.empty(),
         "Engine::run: routing-dependent metrics need >= 1 routing spec");
-  const bool has_expansion_metrics =
-      std::any_of(s.metrics.begin(), s.metrics.end(), [](Metric m) {
-        return m == Metric::kExpansionCost || m == Metric::kRewiredCables ||
-               m == Metric::kExpansionBisection;
-      });
-  const bool has_packet_sim = std::any_of(
-      s.metrics.begin(), s.metrics.end(), [](Metric m) { return m == Metric::kPacketSim; });
+  const bool has_expansion_metrics = reads(s, MetricInput::kGrowth);
+  const auto sim_metric = std::ranges::find_if(
+      s.metrics, [](Metric m) { return metric_info(m).reads == MetricInput::kSim; });
   for (std::size_t t = 0; t < s.topologies.size(); ++t) {
     const TopologySpec& spec = s.topologies[t];
     // The packet simulator requires a route for every flow; a failure
     // fraction that disconnects a pair would abort the batch mid-run, so
     // refuse the combination up front (fluid metrics degrade gracefully).
-    check(!(has_packet_sim && spec.fail_links > 0.0),
-          "Engine::run: packet_sim does not support fail_links (topology '" +
-              spec.display() + "'); use the fluid throughput metrics");
+    if (sim_metric != s.metrics.end() && spec.fail_links > 0.0) {
+      check(false, "Engine::run: " + std::string(metric_info(*sim_metric).name) +
+                       " does not support fail_links (topology '" + spec.display() +
+                       "'); use the fluid throughput metrics");
+    }
     if (!has_expansion_metrics) continue;
     // Dry-run the schedule under this row's policy override so a bad
     // combination — possibly introduced by a swept growth field — fails
@@ -499,12 +513,8 @@ void validate_scenario(const Scenario& s) {
 // Canonical cell order: per topology, the routing-free cell block first,
 // then one block per routing scheme; seeds vary fastest.
 std::vector<Cell> build_cells(const Scenario& s) {
-  const bool has_topo_metrics =
-      std::any_of(s.metrics.begin(), s.metrics.end(),
-                  [](Metric m) { return !metric_needs_routing(m); });
-  const bool has_routing_metrics =
-      std::any_of(s.metrics.begin(), s.metrics.end(),
-                  [](Metric m) { return metric_needs_routing(m); });
+  const bool has_topo_metrics = !std::ranges::all_of(s.metrics, metric_needs_routing);
+  const bool has_routing_metrics = std::ranges::any_of(s.metrics, metric_needs_routing);
   std::vector<Cell> cells;
   for (int t = 0; t < static_cast<int>(s.topologies.size()); ++t) {
     if (has_topo_metrics) {
@@ -528,22 +538,12 @@ void prepare_shared(PreparedScenario& p, bool share_path_cache) {
   const Scenario& s = *p.s;
   p.shared.resize(s.topologies.size());
   p.query_pairs.resize(s.topologies.size());
-  const bool any_build =
-      std::any_of(s.metrics.begin(), s.metrics.end(),
-                  [](Metric m) { return metric_needs_build(m); });
+  const bool any_build = std::ranges::any_of(s.metrics, metric_needs_build);
   if (!share_path_cache || s.seeds.size() <= 1 || !any_build) return;
 
-  const bool has_routing_metrics =
-      std::any_of(s.metrics.begin(), s.metrics.end(),
-                  [](Metric m) { return metric_needs_routing(m); });
-  const bool wants_path_metrics =
-      std::any_of(s.metrics.begin(), s.metrics.end(), [](Metric m) {
-        return m == Metric::kRoutedThroughput || m == Metric::kLinkDiversity;
-      });
-  const bool wants_sim =
-      std::any_of(s.metrics.begin(), s.metrics.end(), [](Metric m) {
-        return m == Metric::kPacketSim || m == Metric::kFlowStats;
-      });
+  const bool has_routing_metrics = std::ranges::any_of(s.metrics, metric_needs_routing);
+  const bool wants_path_metrics = reads(s, MetricInput::kPaths);
+  const bool wants_sim = reads(s, MetricInput::kSim);
 
   for (int t = 0; t < static_cast<int>(s.topologies.size()); ++t) {
     const auto& spec = s.topologies[static_cast<std::size_t>(t)];

@@ -18,11 +18,10 @@ namespace jf::eval {
 // Version stamp for everything downstream of the engine: the Report JSON
 // layout AND the semantics of the values inside it (metric names, RNG
 // stream derivations, solver defaults). It is written into every report
-// ("schema_version"), checked by the report loader, and digested into the
-// persistent result store's cell keys — bump it whenever a change would
-// make previously produced samples unequal to freshly computed ones, so
-// stale cache entries and old report files invalidate cleanly instead of
-// being mis-read as current data.
+// ("schema_version") and digested into the persistent result store's cell
+// keys and payloads — bump it whenever a change would make previously
+// produced samples unequal to freshly computed ones, so stale cache entries
+// invalidate cleanly and old report files say which version they are.
 inline constexpr int kReportSchemaVersion = 1;
 
 // One measured value. `routing` is -1 for routing-independent metrics.

@@ -17,128 +17,54 @@ traffic::TrafficMatrix TrafficSpec::sample(int num_servers, Rng& rng) const {
   return {};
 }
 
-bool metric_needs_routing(Metric m) {
-  switch (m) {
-    case Metric::kRoutedThroughput:
-    case Metric::kLinkDiversity:
-    case Metric::kPacketSim:
-    case Metric::kFlowStats:
-      return true;
-    case Metric::kPathStats:
-    case Metric::kServerCdf:
-    case Metric::kThroughput:
-    case Metric::kBisection:
-    case Metric::kCabling:
-    case Metric::kMinPorts:
-    case Metric::kCapacity:
-    case Metric::kExpansionCost:
-    case Metric::kRewiredCables:
-    case Metric::kExpansionBisection:
-      return false;
-  }
-  return false;
-}
+namespace {
 
-bool metric_needs_build(Metric m) {
-  switch (m) {
-    case Metric::kMinPorts:
-    case Metric::kCapacity:
-    // The expansion metrics grow their own network from Scenario::growth;
-    // the cell's TopologySpec is never built.
-    case Metric::kExpansionCost:
-    case Metric::kRewiredCables:
-    case Metric::kExpansionBisection:
-      return false;
-    default:
-      return true;
-  }
-}
+using In = MetricInput;
 
-std::string metric_name(Metric m) {
-  switch (m) {
-    case Metric::kPathStats:
-      return "path_stats";
-    case Metric::kServerCdf:
-      return "server_cdf";
-    case Metric::kThroughput:
-      return "throughput";
-    case Metric::kBisection:
-      return "bisection";
-    case Metric::kRoutedThroughput:
-      return "routed_throughput";
-    case Metric::kLinkDiversity:
-      return "link_diversity";
-    case Metric::kPacketSim:
-      return "packet_sim";
-    case Metric::kFlowStats:
-      return "flow_stats";
-    case Metric::kCabling:
-      return "cabling";
-    case Metric::kMinPorts:
-      return "min_ports";
-    case Metric::kCapacity:
-      return "capacity";
-    case Metric::kExpansionCost:
-      return "expansion_cost";
-    case Metric::kRewiredCables:
-      return "rewired_cables";
-    case Metric::kExpansionBisection:
-      return "expansion_bisection";
-  }
-  return "unknown";
-}
+constexpr MetricInfo kMetricRows[] = {
+    {Metric::kPathStats, "path_stats",
+     "mean inter-switch path length and diameter (routing-free)", In::kTopology},
+    {Metric::kServerCdf, "server_cdf",
+     "server-pair path-length CDF, server_cdf_le{2..6} (Fig. 1c)", In::kTopology},
+    {Metric::kThroughput, "throughput",
+     "fluid MCF throughput under optimal routing (failure-robust)", In::kTopology},
+    {Metric::kBisection, "bisection",
+     "normalized bisection bandwidth (analytic RRG bound or KL cut)", In::kTopology},
+    {Metric::kRoutedThroughput, "routed_throughput",
+     "fluid MCF restricted to the routing scheme's path sets", In::kPaths},
+    {Metric::kLinkDiversity, "link_diversity", "paths-per-link distribution, div_* (Fig. 9)",
+     In::kPaths},
+    {Metric::kPacketSim, "packet_sim", "packet-level sim_goodput/sim_fairness/sim_drops",
+     In::kSim},
+    {Metric::kFlowStats, "flow_stats",
+     "per-flow telemetry: fct_p50/p99, flow_tput_*, link_util_* (Figs. 10-12)", In::kSim},
+    {Metric::kCabling, "cabling", "cable counts, lengths, and material cost via layout (§6)",
+     In::kTopology},
+    {Metric::kMinPorts, "min_ports", "min total ports at full bisection, spec-only (Fig. 2b)",
+     In::kSpec},
+    {Metric::kCapacity, "capacity",
+     "max servers at full capacity via binary search (Fig. 2c)", In::kSpec},
+    {Metric::kExpansionCost, "expansion_cost",
+     "growth schedule: cumulative cost/switches/servers per step (Fig. 7)", In::kGrowth},
+    {Metric::kRewiredCables, "rewired_cables",
+     "growth schedule: cables moved and touched per step (§6)", In::kGrowth},
+    {Metric::kExpansionBisection, "expansion_bisection",
+     "growth schedule: normalized bisection after every step (Fig. 7)", In::kGrowth},
+};
 
-std::string metric_description(Metric m) {
-  switch (m) {
-    case Metric::kPathStats:
-      return "mean inter-switch path length and diameter (routing-free)";
-    case Metric::kServerCdf:
-      return "server-pair path-length CDF, server_cdf_le{2..6} (Fig. 1c)";
-    case Metric::kThroughput:
-      return "fluid MCF throughput under optimal routing (failure-robust)";
-    case Metric::kBisection:
-      return "normalized bisection bandwidth (analytic RRG bound or KL cut)";
-    case Metric::kRoutedThroughput:
-      return "fluid MCF restricted to the routing scheme's path sets";
-    case Metric::kLinkDiversity:
-      return "paths-per-link distribution, div_* (Fig. 9)";
-    case Metric::kPacketSim:
-      return "packet-level sim_goodput/sim_fairness/sim_drops";
-    case Metric::kFlowStats:
-      return "per-flow telemetry: fct_p50/p99, flow_tput_*, link_util_* (Figs. 10-12)";
-    case Metric::kCabling:
-      return "cable counts, lengths, and material cost via layout (§6)";
-    case Metric::kMinPorts:
-      return "min total ports at full bisection, spec-only (Fig. 2b)";
-    case Metric::kCapacity:
-      return "max servers at full capacity via binary search (Fig. 2c)";
-    case Metric::kExpansionCost:
-      return "growth schedule: cumulative cost/switches/servers per step (Fig. 7)";
-    case Metric::kRewiredCables:
-      return "growth schedule: cables moved and touched per step (§6)";
-    case Metric::kExpansionBisection:
-      return "growth schedule: normalized bisection after every step (Fig. 7)";
+constexpr bool rows_in_enum_order() {
+  if (std::size(kMetricRows) != static_cast<std::size_t>(Metric::kExpansionBisection) + 1) {
+    return false;
   }
-  return "?";
-}
-
-Metric metric_from_name(const std::string& name) {
-  for (Metric m : all_metrics()) {
-    if (metric_name(m) == name) return m;
+  for (std::size_t i = 0; i < std::size(kMetricRows); ++i) {
+    if (kMetricRows[i].metric != static_cast<Metric>(i)) return false;
   }
-  check(false, "metric_from_name: unknown metric '" + name + "'");
-  return Metric::kPathStats;
+  return true;
 }
+static_assert(rows_in_enum_order(), "metric_info indexes the table by enum value");
 
-const std::vector<Metric>& all_metrics() {
-  static const std::vector<Metric> all = {
-      Metric::kPathStats,   Metric::kServerCdf,     Metric::kThroughput,
-      Metric::kBisection,   Metric::kRoutedThroughput, Metric::kLinkDiversity,
-      Metric::kPacketSim,   Metric::kFlowStats,     Metric::kCabling,
-      Metric::kMinPorts,    Metric::kCapacity,      Metric::kExpansionCost,
-      Metric::kRewiredCables, Metric::kExpansionBisection,
-  };
-  return all;
-}
+}  // namespace
+
+std::span<const MetricInfo> metric_table() { return kMetricRows; }
 
 }  // namespace jf::eval

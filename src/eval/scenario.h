@@ -20,7 +20,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "expansion/schedule.h"
@@ -95,42 +97,59 @@ struct TrafficSpec {
 };
 
 enum class Metric {
-  kPathStats,         // mean_path, diameter — switch-level, routing-free
-  kServerCdf,         // server_cdf_le{2..6}: server-pair path-length CDF
-  kThroughput,        // fluid MCF under optimal routing
-  kBisection,         // normalized bisection bandwidth
-  kRoutedThroughput,  // fluid MCF restricted to the scheme's path sets
-  kLinkDiversity,     // div_frac_le2, div_mean, div_p50, div_p90, div_max
-  kPacketSim,         // sim_goodput, sim_fairness, sim_drops
-  kFlowStats,         // per-flow telemetry: fct_p50/p99, flow_tput_*, link_util_*
-  kCabling,           // §6 cable counts/lengths/costs via layout/cabling
-  kMinPorts,          // Fig. 2(b): min total ports at full bisection (analytic)
-  kCapacity,          // Fig. 2(c): max servers at full capacity (search)
-  kExpansionCost,     // §6/Fig. 7: cumulative cost + size per growth step
-  kRewiredCables,     // §6/Fig. 7: cables moved/touched per growth step
-  kExpansionBisection,  // §6/Fig. 7: normalized bisection per growth step
+  kPathStats,
+  kServerCdf,
+  kThroughput,
+  kBisection,
+  kRoutedThroughput,
+  kLinkDiversity,
+  kPacketSim,
+  kFlowStats,
+  kCabling,
+  kMinPorts,
+  kCapacity,
+  kExpansionCost,
+  kRewiredCables,
+  kExpansionBisection,
 };
+
+// What a metric's evaluator reads, which fixes the cells it runs in and the
+// shared state the engine prepares for it. Ordered by how much of a cell it
+// needs: the first two never build the cell's topology, the last two run
+// once per routing scheme.
+enum class MetricInput : std::uint8_t {
+  kSpec,      // the TopologySpec alone (design-space metrics)
+  kGrowth,    // Scenario::growth, which grows its own network
+  kTopology,  // the built topology
+  kPaths,     // the routing scheme's path sets
+  kSim,       // a packet-sim run routed by the scheme
+};
+
+// One row of the metric table.
+struct MetricInfo {
+  Metric metric;
+  std::string_view name;         // in scenario files and jf_eval list
+  std::string_view description;  // one line for jf_eval list
+  MetricInput reads;
+};
+
+// Every metric, one row each, in enum order.
+std::span<const MetricInfo> metric_table();
+
+inline const MetricInfo& metric_info(Metric m) {
+  return metric_table()[static_cast<std::size_t>(m)];
+}
 
 // True for metrics evaluated once per (topology, routing, seed) cell; false
 // for metrics evaluated once per (topology, seed) regardless of routing.
-bool metric_needs_routing(Metric m);
+inline bool metric_needs_routing(Metric m) {
+  return metric_info(m).reads >= MetricInput::kPaths;
+}
 
-// False for design-space metrics (kMinPorts, kCapacity) computed from the
-// TopologySpec alone; cells skip building the topology when every requested
-// routing-free metric is spec-only.
-bool metric_needs_build(Metric m);
-
-// Metric enum -> stable name prefix used in Sample::metric.
-std::string metric_name(Metric m);
-
-// One-line human description (jf_eval list, docs).
-std::string metric_description(Metric m);
-
-// Inverse of metric_name; throws std::invalid_argument for unknown names.
-Metric metric_from_name(const std::string& name);
-
-// Every Metric, in enum order (for CLIs and serialization).
-const std::vector<Metric>& all_metrics();
+// False for metrics that never read the cell's built topology.
+inline bool metric_needs_build(Metric m) {
+  return metric_info(m).reads >= MetricInput::kTopology;
+}
 
 struct Scenario {
   std::string name = "scenario";

@@ -385,22 +385,37 @@ constexpr Field<expansion::GrowthSchedule> kGrowthRows[] = {
 
 Value metrics_to_json(const Scenario& s) {
   Array metrics;
-  for (Metric m : s.metrics) metrics.emplace_back(metric_name(m));
+  for (Metric m : s.metrics) metrics.emplace_back(std::string(metric_info(m).name));
   return Value(std::move(metrics));
 }
 
-void metrics_from_json(const Value& v, Scenario& s, const std::string& ctx) {
-  s.metrics.clear();
-  with_ctx(ctx, [&] {
-    for (const auto& m : v.as_array()) {
-      try {
-        s.metrics.push_back(metric_from_name(m.as_string()));
-      } catch (const std::invalid_argument& e) {
-        throw std::runtime_error(e.what());
-      }
+// Reads a non-empty array of distinct elements: a repeated metric or seed
+// would count its samples twice in every aggregate.
+template <typename T, typename ReadOne>
+void read_distinct(const Value& v, std::vector<T>& out, const std::string& ctx,
+                   std::string_view noun, ReadOne&& read_one) {
+  out.clear();
+  const Array& arr = with_ctx(ctx, [&]() -> const Array& { return v.as_array(); });
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    const std::string elem = ctx + "[" + std::to_string(i) + "]";
+    const T x = read_one(arr[i], elem);
+    if (std::ranges::find(out, x) != out.end()) {
+      const std::string shown = arr[i].is_string() ? arr[i].as_string() : arr[i].dump();
+      schema_error(elem, "repeated " + std::string(noun) + " '" + shown + "'");
     }
+    out.push_back(x);
+  }
+  if (out.empty()) schema_error(ctx, "must be non-empty");
+}
+
+void metrics_from_json(const Value& v, Scenario& s, const std::string& ctx) {
+  read_distinct(v, s.metrics, ctx, "metric", [](const Value& m, const std::string& elem) {
+    const std::string name = with_ctx(elem, [&] { return m.as_string(); });
+    for (const MetricInfo& row : metric_table()) {
+      if (row.name == name) return row.metric;
+    }
+    unknown_name("metric", name, elem);
   });
-  if (s.metrics.empty()) schema_error(ctx, "must be non-empty");
 }
 
 Value seeds_to_json(const Scenario& s) {
@@ -410,11 +425,9 @@ Value seeds_to_json(const Scenario& s) {
 }
 
 void seeds_from_json(const Value& v, Scenario& s, const std::string& ctx) {
-  s.seeds.clear();
-  with_ctx(ctx, [&] {
-    for (const auto& seed : v.as_array()) s.seeds.push_back(seed.as_uint());
+  read_distinct(v, s.seeds, ctx, "seed", [](const Value& seed, const std::string& elem) {
+    return with_ctx(elem, [&] { return seed.as_uint(); });
   });
-  if (s.seeds.empty()) schema_error(ctx, "must be non-empty");
 }
 
 constexpr Field<Scenario> kScenarioRows[] = {
@@ -680,38 +693,6 @@ Value report_to_json(const Report& r) {
   return Value(std::move(o));
 }
 
-Report report_from_json(const Value& v) {
-  const std::string ctx = "report";
-  ObjectReader r(v, ctx);
-  Report out;
-  // Absent = a pre-versioning file; those predate every format change, so
-  // they are accepted. Any explicit mismatch is a hard error: the sample
-  // semantics may have shifted under the same shape.
-  int schema_version = kReportSchemaVersion;
-  r.read("schema_version", schema_version);
-  if (schema_version != kReportSchemaVersion) {
-    schema_error(ctx + ".schema_version",
-                 "unsupported schema_version " + std::to_string(schema_version) +
-                     " (this build reads version " +
-                     std::to_string(kReportSchemaVersion) + ")");
-  }
-  r.read("scenario", out.scenario);
-  if (const Value* topos = r.get("topologies")) {
-    for (const auto& label : topos->as_array()) out.topology_labels.push_back(label.as_string());
-  }
-  if (const Value* routings = r.get("routings")) {
-    for (const auto& label : routings->as_array()) {
-      out.routing_labels.push_back(label.as_string());
-    }
-  }
-  if (const Value* samples = r.get("samples")) {
-    out.samples = with_ctx(ctx + ".samples", [&] { return samples_from_json(*samples); });
-  }
-  r.get("aggregates");  // derived from samples; accepted and ignored
-  r.done();
-  return out;
-}
-
 Value sweep_report_to_json(const SweepReport& r) {
   Object o;
   o.emplace_back("name", r.name);
@@ -782,80 +763,6 @@ Value telemetry_cell_to_json(const CellTelemetry& c) {
   return Value(std::move(o));
 }
 
-CellTelemetry telemetry_cell_from_json(const Value& v, const std::string& ctx) {
-  ObjectReader r(v, ctx);
-  CellTelemetry c;
-  r.read("topology", c.topology);
-  r.read("routing", c.routing);
-  if (const Value* s = r.get("seed")) {
-    c.seed = with_ctx(ctx + ".seed", [&] { return s->as_uint(); });
-  }
-  r.read("sample", c.sample);
-  r.read("epoch_ns", c.data.epoch_ns);
-  r.read("t_end_ns", c.data.t_end_ns);
-  if (const Value* flows = r.get("flows")) {
-    c.data.flows = with_ctx(ctx + ".flows", [&] {
-      std::vector<sim::FlowRecord> out;
-      for (const auto& row_v : flows->as_array()) {
-        const Array& row = row_v.as_array();
-        if (row.size() != 11) throw std::runtime_error("json: flow rows have 11 entries");
-        sim::FlowRecord f;
-        f.src_server = static_cast<int>(row[0].as_int());
-        f.dst_server = static_cast<int>(row[1].as_int());
-        f.start_ns = row[2].as_int();
-        f.finish_ns = row[3].as_int();
-        f.completed = row[4].as_int() != 0;
-        f.bytes_acked = row[5].as_int();
-        f.packets_sent = row[6].as_int();
-        f.retransmits = row[7].as_int();
-        f.timeouts = row[8].as_int();
-        f.path_drops = row[9].as_int();
-        f.hop_count = static_cast<int>(row[10].as_int());
-        out.push_back(f);
-      }
-      return out;
-    });
-  }
-  if (const Value* links = r.get("links")) {
-    const Array& arr =
-        with_ctx(ctx + ".links", [&]() -> const Array& { return links->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      const std::string lctx = ctx + ".links[" + std::to_string(i) + "]";
-      ObjectReader lr(arr[i], lctx);
-      sim::LinkSeries series;
-      lr.read("rate_bps", series.rate_bps);
-      if (const Value* epochs = lr.get("epochs")) {
-        series.epochs = with_ctx(lctx + ".epochs", [&] {
-          std::vector<sim::LinkEpoch> out;
-          for (const auto& row_v : epochs->as_array()) {
-            const Array& row = row_v.as_array();
-            if (row.size() != 4 + sim::kQueueDepthBuckets) {
-              throw std::runtime_error("json: epoch rows have " +
-                                       std::to_string(4 + sim::kQueueDepthBuckets) +
-                                       " entries");
-            }
-            sim::LinkEpoch e;
-            e.tx_packets = row[0].as_int();
-            e.tx_bytes = row[1].as_int();
-            e.drops = row[2].as_int();
-            e.utilization = row[3].as_number();
-            for (int b = 0; b < sim::kQueueDepthBuckets; ++b) {
-              e.queue_hist[static_cast<std::size_t>(b)] =
-                  row[static_cast<std::size_t>(4 + b)].as_int();
-            }
-            out.push_back(e);
-          }
-          return out;
-        });
-      }
-      lr.done();
-      c.data.links.push_back(std::move(series));
-    }
-  }
-  r.done();
-  return c;
-}
-
 }  // namespace
 
 Value telemetry_dump_to_json(const TelemetryDump& d) {
@@ -873,43 +780,6 @@ Value telemetry_dump_to_json(const TelemetryDump& d) {
   }
   o.emplace_back("points", Value(std::move(points)));
   return Value(std::move(o));
-}
-
-TelemetryDump telemetry_dump_from_json(const Value& v) {
-  const std::string ctx = "telemetry";
-  ObjectReader r(v, ctx);
-  TelemetryDump out;
-  int schema_version = kTelemetrySchemaVersion;
-  r.read("schema_version", schema_version);
-  if (schema_version != kTelemetrySchemaVersion) {
-    schema_error(ctx + ".schema_version",
-                 "unsupported schema_version " + std::to_string(schema_version) +
-                     " (this build reads version " +
-                     std::to_string(kTelemetrySchemaVersion) + ")");
-  }
-  r.read("name", out.name);
-  if (const Value* points = r.get("points")) {
-    const Array& arr =
-        with_ctx(ctx + ".points", [&]() -> const Array& { return points->as_array(); });
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      const std::string pctx = ctx + ".points[" + std::to_string(i) + "]";
-      ObjectReader pr(arr[i], pctx);
-      TelemetryPoint p;
-      pr.read("label", p.label);
-      if (const Value* cells = pr.get("cells")) {
-        const Array& carr =
-            with_ctx(pctx + ".cells", [&]() -> const Array& { return cells->as_array(); });
-        for (std::size_t j = 0; j < carr.size(); ++j) {
-          p.cells.cells.push_back(telemetry_cell_from_json(
-              carr[j], pctx + ".cells[" + std::to_string(j) + "]"));
-        }
-      }
-      pr.done();
-      out.points.push_back(std::move(p));
-    }
-  }
-  r.done();
-  return out;
 }
 
 }  // namespace jf::eval

@@ -1,10 +1,11 @@
 // JSON serialization for the experiment farm: Scenario/SweepSpec loaders and
-// Report writers.
+// writers, Report and telemetry writers, and the sample rows the result store
+// reads back.
 //
 // Scenario files are strict — an unknown key anywhere is an error naming the
 // offending key and its context path (catching config typos beats silently
 // running the wrong experiment) — while known keys may be omitted and take
-// the C++ defaults. Writers emit every field in a fixed order, so
+// the C++ defaults. Writers emit every field in a fixed order, so a scenario's
 // write -> load -> write is byte-identical, and Report JSON carries both the
 // raw per-seed samples and the derived aggregates.
 //
@@ -49,7 +50,7 @@ namespace jf::eval {
 json::Value scenario_to_json(const Scenario& s);
 // Strict loader; throws std::invalid_argument on unknown keys, bad kinds,
 // unknown names (metric, traffic kind, topology family, routing scheme,
-// ...), or bad sweep ranges.
+// ...), a repeated metric or seed, or bad sweep ranges.
 Scenario scenario_from_json(const json::Value& v);
 
 // Scenario fields plus the "sweep" key (omitted when there are no axes).
@@ -68,10 +69,6 @@ SweepSpec load_sweep_file(const std::string& path);
 //  "samples": [[topology, routing, seed, sample, metric, value], ...],
 //  "aggregates": [{topology, routing, metric, mean, stddev, min, max, n}]}
 json::Value report_to_json(const Report& r);
-// Rebuilds a Report from its JSON (aggregates are recomputed from samples).
-// A "schema_version" different from kReportSchemaVersion is rejected with
-// std::invalid_argument — old report files must fail loudly, not mis-parse.
-Report report_from_json(const json::Value& v);
 
 // Raw sample rows <-> [[topology, routing, seed, sample, metric, value],
 // ...]. The same encoding report JSON uses for its "samples" key; also the
@@ -88,8 +85,7 @@ json::Value sweep_report_to_json(const SweepReport& r);
 // --- Telemetry dumps (jf_eval run --telemetry-out) ---
 
 // Version of the telemetry dump format, independent of the report schema.
-// Bump on any change to the dump's shape or field semantics; loads reject
-// mismatches.
+// Bump on any change to the dump's shape or field semantics.
 inline constexpr int kTelemetrySchemaVersion = 1;
 
 // One sweep point's telemetry (a plain run is a single point labeled with
@@ -111,9 +107,7 @@ struct TelemetryDump {
 //            ...],
 //  "links": [{"rate_bps", "epochs": [[tx_packets, tx_bytes, drops,
 //             utilization, hist0..hist7], ...]}, ...]}]}]}
-// Strict round trip: unknown keys error, numbers use shortest-round-trip
-// formatting, and write -> load -> write is byte-identical.
+// Numbers use shortest-round-trip formatting, so the dump is exact.
 json::Value telemetry_dump_to_json(const TelemetryDump& d);
-TelemetryDump telemetry_dump_from_json(const json::Value& v);
 
 }  // namespace jf::eval

@@ -1,5 +1,5 @@
 // jf::eval engine: scenario execution, thread-count determinism, failure and
-// fluid-vs-packet sanity on single networks, and registry extensibility.
+// fluid-vs-packet sanity on single networks, and up-front scenario checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -190,6 +190,44 @@ TEST(EvalEngine, UnknownFamilyAndSchemeThrow) {
   s2.metrics = {eval::Metric::kRoutedThroughput};
   s2.seeds = {1};
   EXPECT_THROW(eval::Engine({.threads = 1}).run(s2), std::invalid_argument);
+}
+
+// A scenario the engine cannot run fails before any cell of the batch runs,
+// not partway through from a worker.
+TEST(EvalEngine, RejectsBadScenariosBeforeAnyCellRuns) {
+  eval::Scenario good;
+  good.topologies = {{.family = "fattree", .fattree_k = 4}};
+  good.metrics = {eval::Metric::kPathStats};
+  good.seeds = {1};
+
+  // Both sim metrics need a route for every flow.
+  eval::Scenario flow_stats = good;
+  flow_stats.topologies = {{.family = "jellyfish", .switches = 16, .ports = 6, .servers = 32,
+                            .fail_links = 0.6}};
+  flow_stats.routings = {{"ksp", 4}};
+  flow_stats.metrics = {eval::Metric::kFlowStats};
+  // A repeat would count its samples twice in every aggregate.
+  eval::Scenario repeated_metric = good;
+  repeated_metric.metrics = {eval::Metric::kPathStats, eval::Metric::kPathStats};
+  eval::Scenario repeated_seed = good;
+  repeated_seed.seeds = {1, 1, 2};
+
+  for (const auto& [bad, needle] :
+       {std::pair{flow_stats, "flow_stats does not support fail_links"},
+        std::pair{repeated_metric, "a metric is listed twice"},
+        std::pair{repeated_seed, "a seed is listed twice"}}) {
+    const eval::Scenario batch[] = {good, bad};
+    int reports_done = 0;
+    try {
+      eval::Engine({.threads = 1}).run_batch(batch, [&](std::size_t, eval::Report&) {
+        ++reports_done;
+      });
+      ADD_FAILURE() << "accepted: " << needle;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(reports_done, 0) << needle;
+  }
 }
 
 TEST(RestrictedMcf, NeverBeatsUnrestrictedByMuchAndKspRecoversCapacity) {

@@ -140,6 +140,8 @@ TEST(Serialize, LoaderErrorPaths) {
       FAIL() << "expected std::invalid_argument for " << text;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+      // Load errors speak of the file, never of this library's sources.
+      EXPECT_EQ(std::string(e.what()).find(".cc:"), std::string::npos) << e.what();
     }
   };
   expect_context(R"({"topologies": [{"family": "jellyfish", "switches": "eight"}]})",
@@ -167,9 +169,17 @@ TEST(Serialize, LoaderErrorPaths) {
                  "scenario.topologies[1].family");
   expect_context(R"({"routings": [{"scheme": "kspp", "width": 8}]})",
                  "scenario.routings[0].scheme");
+  // Metric names come from the metric table; the error names the element.
+  expect_context(R"({"metrics": ["path_stat"]})",
+                 "scenario.metrics[0]: unknown metric 'path_stat'");
+  expect_context(R"({"metrics": [7]})", "scenario.metrics[0]");
+  // A repeated metric or seed would be counted twice in every aggregate.
+  expect_context(R"({"metrics": ["path_stats", "path_stats"]})",
+                 "scenario.metrics[1]: repeated metric 'path_stats'");
+  expect_context(R"({"seeds": [1, 1, 2]})", "scenario.seeds[1]: repeated seed '1'");
 }
 
-TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
+TEST(Serialize, SampleRowsRoundTripExactlyAndAggregatesMatch) {
   eval::Scenario s;
   s.name = "report-rt";
   s.topologies = {{.family = "jellyfish", .switches = 12, .ports = 5, .servers = 24}};
@@ -180,19 +190,20 @@ TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
   const auto report = eval::Engine({.threads = 2}).run(s);
   ASSERT_FALSE(report.samples.empty());
 
+  // The report's sample rows parse back, through the codec the result store
+  // reads its payloads with, bit for bit.
   const auto j = eval::report_to_json(report);
-  const auto reloaded = eval::report_from_json(json::Value::parse(j.dump(2)));
-  ASSERT_EQ(reloaded.samples.size(), report.samples.size());
+  const auto reloaded =
+      eval::samples_from_json(*json::Value::parse(j.dump(2)).find("samples"));
+  ASSERT_EQ(reloaded.size(), report.samples.size());
   for (std::size_t i = 0; i < report.samples.size(); ++i) {
-    EXPECT_EQ(reloaded.samples[i].topology, report.samples[i].topology);
-    EXPECT_EQ(reloaded.samples[i].routing, report.samples[i].routing);
-    EXPECT_EQ(reloaded.samples[i].seed, report.samples[i].seed);
-    EXPECT_EQ(reloaded.samples[i].sample, report.samples[i].sample);
-    EXPECT_EQ(reloaded.samples[i].metric, report.samples[i].metric);
-    EXPECT_EQ(reloaded.samples[i].value, report.samples[i].value);
+    EXPECT_EQ(reloaded[i].topology, report.samples[i].topology);
+    EXPECT_EQ(reloaded[i].routing, report.samples[i].routing);
+    EXPECT_EQ(reloaded[i].seed, report.samples[i].seed);
+    EXPECT_EQ(reloaded[i].sample, report.samples[i].sample);
+    EXPECT_EQ(reloaded[i].metric, report.samples[i].metric);
+    EXPECT_EQ(reloaded[i].value, report.samples[i].value);
   }
-  EXPECT_EQ(reloaded.topology_labels, report.topology_labels);
-  EXPECT_EQ(reloaded.routing_labels, report.routing_labels);
 
   // The serialized aggregates match what the Report computes.
   const auto& aggs = j.find("aggregates")->as_array();
@@ -202,12 +213,6 @@ TEST(Serialize, ReportRoundTripPreservesSamplesAndAggregates) {
     EXPECT_EQ(aggs[i].find("metric")->as_string(), rows[i].metric);
     EXPECT_DOUBLE_EQ(aggs[i].find("mean")->as_number(), rows[i].summary.mean);
     EXPECT_EQ(aggs[i].find("n")->as_uint(), rows[i].summary.count);
-  }
-  // Reloaded reports recompute identical aggregates.
-  const auto reloaded_rows = reloaded.aggregates();
-  ASSERT_EQ(reloaded_rows.size(), rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(reloaded_rows[i].summary.mean, rows[i].summary.mean);
   }
 }
 

@@ -2,13 +2,12 @@
 // the per-link series, the observational contract (telemetry on vs off
 // leaves the WorkloadResult bit-identical), byte-identical datasets across
 // shard and thread counts, sized-flow
-// completion records, and the strict JSON round-trip of telemetry dumps.
+// completion records, and byte-identical telemetry dumps.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "eval/serialize.h"
@@ -242,31 +241,6 @@ TEST(Telemetry, SizedFlowsRecordCompletion) {
   Telemetry sharded_rec(TelemetryConfig{fx.cfg.telemetry_epoch_ns});
   run_at(fx, /*shards=*/8, /*threads=*/4, &sharded_rec);
   EXPECT_TRUE(sharded_rec.dataset() == d);
-}
-
-// Strict JSON round-trip: parse(serialize(x)) re-serializes byte-identically.
-TEST(Telemetry, DumpJsonRoundTripsByteIdentically) {
-  const Fixture fx = make_fixture(0);
-  Telemetry rec(TelemetryConfig{fx.cfg.telemetry_epoch_ns});
-  run_at(fx, /*shards=*/8, /*threads=*/1, &rec);
-
-  eval::TelemetryDump dump;
-  dump.name = "roundtrip";
-  dump.points.push_back(
-      {.label = "cell",
-       .cells = {{{.topology = 1, .routing = 0, .seed = 7, .sample = 2,
-                   .data = rec.take_dataset()}}}});
-
-  const std::string first = eval::telemetry_dump_to_json(dump).dump();
-  const eval::TelemetryDump parsed =
-      eval::telemetry_dump_from_json(json::Value::parse(first));
-  const std::string second = eval::telemetry_dump_to_json(parsed).dump();
-  EXPECT_EQ(first, second);
-  ASSERT_EQ(parsed.points.size(), 1u);
-  ASSERT_EQ(parsed.points[0].cells.cells.size(), 1u);
-  EXPECT_EQ(parsed.points[0].cells.cells[0].sample, 2);
-  EXPECT_TRUE(parsed.points[0].cells.cells[0].data ==
-              dump.points[0].cells.cells[0].data);
 }
 
 }  // namespace
