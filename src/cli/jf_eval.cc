@@ -15,6 +15,11 @@
 // With --out the rendering goes to the file (default json); without it, to
 // stdout (default table). Reports are byte-identical at any --threads, and
 // — with --cache-dir — whether the result store is absent, cold, or warm.
+// After the report, `run` checks the file's paper claims (eval/sweep.h) and
+// prints one "[claim] pass|FAIL" line each on stderr.
+//
+// Exit status: 0 on success, 1 on an error, 2 on a usage error, 3 when the
+// run finished but a claim failed.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -43,6 +48,9 @@ namespace {
 
 using namespace jf;
 namespace fs = std::filesystem;
+
+// `run` finished and wrote its report, but a paper claim did not hold.
+constexpr int kClaimFailed = 3;
 
 int usage(std::ostream& os, int code) {
   os << "usage: jf_eval <command> [args]\n"
@@ -92,8 +100,12 @@ int usage(std::ostream& os, int code) {
         "                    telemetry.\n"
         "                    Works with --quiet (the line is suppressed, the\n"
         "                    file is still written).\n"
+        "      The file's claims are checked after the report is written: one\n"
+        "      [claim] line each on stderr (also with --quiet), and exit status 3\n"
+        "      if any failed.\n"
         "  print <scenario.json>\n"
-        "      Validate the file and list the expanded sweep points (dry run).\n"
+        "      Validate the file and every sweep point, and list the points (dry\n"
+        "      run).\n"
         "  list\n"
         "      Show topology families, routing schemes, metrics, and sweep fields.\n";
   return code;
@@ -394,7 +406,13 @@ int cmd_run(int argc, char** argv) {
                 << out_path << "\n";
     }
   }
-  return 0;
+  bool claims_hold = true;
+  for (const eval::Claim& claim : spec.claims) {
+    const eval::ClaimResult result = eval::check_claim(claim, report);
+    std::cerr << eval::claim_line(spec.base.name, claim, result) << "\n";
+    claims_hold = claims_hold && result.pass;
+  }
+  return claims_hold ? 0 : kClaimFailed;
 }
 
 int cmd_print(int argc, char** argv) {
@@ -404,6 +422,7 @@ int cmd_print(int argc, char** argv) {
   }
   eval::SweepSpec spec = eval::load_sweep_file(argv[0]);
   auto points = eval::expand_sweep(spec);
+  for (const eval::SweepPoint& point : points) eval::validate_scenario(point.scenario);
   std::cout << "scenario: " << spec.base.name << "\n"
             << "topologies: " << spec.base.topologies.size()
             << "  routings: " << spec.base.routings.size()

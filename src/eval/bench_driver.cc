@@ -1,7 +1,6 @@
 #include "eval/bench_driver.h"
 
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -10,17 +9,6 @@
 #include "eval/serialize.h"
 
 namespace jf::eval {
-
-double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric, std::string_view routing_prefix) {
-  for (const auto& row : point.report.aggregates()) {
-    if (row.metric == metric && row.topology.starts_with(label_prefix) &&
-        row.routing.starts_with(routing_prefix)) {
-      return row.summary.mean;
-    }
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
 
 int sweep_bench_main(int argc, char** argv, std::string_view banner,
                      std::string_view default_scenario_path,

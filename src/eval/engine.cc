@@ -473,16 +473,23 @@ bool distinct(std::vector<T> v) {
   return std::ranges::adjacent_find(v) == v.end();
 }
 
+}  // namespace
+
+// Scenario errors reach users through jf_eval, so they name the scenario's
+// fields and never a source location.
 void validate_scenario(const Scenario& s) {
-  check(!s.topologies.empty(), "Engine::run: scenario needs >= 1 topology");
-  check(!s.seeds.empty(), "Engine::run: scenario needs >= 1 seed");
-  check(s.samples_per_seed >= 1, "Engine::run: samples_per_seed must be >= 1");
-  check(!s.metrics.empty(), "Engine::run: scenario needs >= 1 metric");
+  auto fail = [](const std::string& msg) { throw std::invalid_argument(msg); };
+  if (s.topologies.empty()) fail("scenario needs >= 1 topology");
+  if (s.seeds.empty()) fail("scenario needs >= 1 seed");
+  if (s.samples_per_seed < 1) fail("samples_per_seed must be >= 1");
+  if (s.metrics.empty()) fail("scenario needs >= 1 metric");
   // A repeat would count its samples twice in every aggregate.
-  check(distinct(s.metrics), "Engine::run: a metric is listed twice");
-  check(distinct(s.seeds), "Engine::run: a seed is listed twice");
-  check(!std::ranges::any_of(s.metrics, metric_needs_routing) || !s.routings.empty(),
-        "Engine::run: routing-dependent metrics need >= 1 routing spec");
+  if (!distinct(s.metrics)) fail("a metric is listed twice");
+  if (!distinct(s.seeds)) fail("a seed is listed twice");
+  const auto routed_metric = std::ranges::find_if(s.metrics, metric_needs_routing);
+  if (routed_metric != s.metrics.end() && s.routings.empty()) {
+    fail(std::string(metric_info(*routed_metric).name) + " needs >= 1 routing spec");
+  }
   const bool has_expansion_metrics = reads(s, MetricInput::kGrowth);
   const auto sim_metric = std::ranges::find_if(
       s.metrics, [](Metric m) { return metric_info(m).reads == MetricInput::kSim; });
@@ -492,9 +499,9 @@ void validate_scenario(const Scenario& s) {
     // fraction that disconnects a pair would abort the batch mid-run, so
     // refuse the combination up front (fluid metrics degrade gracefully).
     if (sim_metric != s.metrics.end() && spec.fail_links > 0.0) {
-      check(false, "Engine::run: " + std::string(metric_info(*sim_metric).name) +
-                       " does not support fail_links (topology '" + spec.display() +
-                       "'); use the fluid throughput metrics");
+      fail(std::string(metric_info(*sim_metric).name) +
+           " does not support fail_links (topology '" + spec.display() +
+           "'); use the fluid throughput metrics");
     }
     if (!has_expansion_metrics) continue;
     // Dry-run the schedule under this row's policy override so a bad
@@ -505,10 +512,12 @@ void validate_scenario(const Scenario& s) {
     try {
       expansion::resolve_growth_steps(sched);
     } catch (const std::invalid_argument& e) {
-      check(false, "Engine::run: topology '" + spec.display() + "': " + e.what());
+      fail("topology '" + spec.display() + "': " + e.what());
     }
   }
 }
+
+namespace {
 
 // Canonical cell order: per topology, the routing-free cell block first,
 // then one block per routing scheme; seeds vary fastest.

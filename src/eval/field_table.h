@@ -12,10 +12,15 @@
 //
 // The tables are defined in serialize.cc. Nested objects and arrays are
 // rows with a Hook that walks the child table; metrics and seeds have
-// hand-written hooks.
+// hand-written hooks. A SweepSpec's own keys ("sweep", "claims") are a
+// table too, written after the base scenario's rows.
+//
+// Optional keys are not written when unset: an empty std::optional member,
+// an enum value with no name in its Choices, or a Hook that writes null.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -23,6 +28,7 @@
 
 #include "common/json.h"
 #include "eval/scenario.h"
+#include "eval/sweep.h"
 
 namespace jf::eval::fields {
 
@@ -75,8 +81,8 @@ struct Hook {
 };
 
 template <typename S>
-using Member = std::variant<int S::*, std::int64_t S::*, double S::*, std::string S::*,
-                            Named<S>, Enum<S>, Hook<S>>;
+using Member = std::variant<int S::*, std::int64_t S::*, double S::*, std::optional<double> S::*,
+                            std::string S::*, Named<S>, Enum<S>, Hook<S>>;
 
 template <typename S>
 struct Field {
@@ -104,5 +110,8 @@ extern const Table<flow::CapacitySearchOptions> kCapacity;
 extern const Table<expansion::GrowthSchedule> kGrowth;
 extern const Table<expansion::InitialBuild> kGrowthInitial;
 extern const Table<expansion::GrowthStep> kGrowthStep;
+extern const Table<SweepSpec> kSweep;
+extern const Table<Claim> kClaim;
+extern const Table<ClaimSelector> kClaimSelector;
 
 }  // namespace jf::eval::fields

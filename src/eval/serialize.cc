@@ -127,11 +127,13 @@ struct Overload : Fs... {
 template <typename S, typename T>
 S owner_of(T S::*);
 
-std::string_view choice_name(const Choices& c, int value) {
+// The value's name, or null (not written) for a value the set leaves
+// unnamed, such as an optional enum's unset state.
+Value choice_name(const Choices& c, int value) {
   for (const Choice& ch : c.names) {
-    if (ch.value == value) return ch.name;
+    if (ch.value == value) return Value(std::string(ch.name));
   }
-  return "?";
+  return Value();
 }
 
 [[noreturn]] void unknown_name(std::string_view noun, const std::string& name,
@@ -146,21 +148,20 @@ const Choice& find_choice(const Choices& c, const std::string& name, const std::
   unknown_name(c.noun, name, ctx);
 }
 
-// The canonical writer: every row, in table order.
+// The canonical writer: every row, in table order, except unset optionals.
 template <typename S>
 Object write_fields(Table<S> rows, const S& obj) {
   Object o;
   o.reserve(rows.size());
   for (const Field<S>& f : rows) {
-    o.emplace_back(
-        std::string(f.key),
-        std::visit(Overload{[&](const Named<S>& n) { return Value(obj.*n.member); },
-                            [&](const Enum<S>& e) {
-                              return Value(std::string(choice_name(*e.choices, e.get(obj))));
-                            },
-                            [&](const Hook<S>& h) { return h.write(obj); },
-                            [&](auto m) { return Value(obj.*m); }},
-                   f.member));
+    Value v = std::visit(
+        Overload{[&](const Named<S>& n) { return Value(obj.*n.member); },
+                 [&](const Enum<S>& e) { return choice_name(*e.choices, e.get(obj)); },
+                 [&](const Hook<S>& h) { return h.write(obj); },
+                 [&](std::optional<double> S::*m) { return obj.*m ? Value(*(obj.*m)) : Value(); },
+                 [&](auto m) { return Value(obj.*m); }},
+        f.member);
+    if (!v.is_null()) o.emplace_back(std::string(f.key), std::move(v));
   }
   return o;
 }
@@ -193,6 +194,10 @@ void read_fields(ObjectReader& r, Table<S> rows, S& obj) {
                             schema_error(r.path(f.key), "must be in [0, 1]");
                           }
                         },
+                        [&](std::optional<double> S::*m) {
+                          double x = 0.0;
+                          if (r.read(f.key, x)) obj.*m = x;
+                        },
                         [&](auto m) { r.read(f.key, obj.*m); }},
                f.member);
   }
@@ -219,6 +224,16 @@ template <auto M, const auto& Rows>
 constexpr auto nested() {
   using S = decltype(owner_of(M));
   return Hook<S>{[](const S& s) { return Value(write_fields(Rows, s.*M)); },
+                 [](const Value& v, S& s, const std::string& ctx) {
+                   s.*M = object_from_json(Rows, v, ctx);
+                 }};
+}
+
+// An optional nested object member: written only when set.
+template <auto M, const auto& Rows>
+constexpr auto optional_nested() {
+  using S = decltype(owner_of(M));
+  return Hook<S>{[](const S& s) { return s.*M ? Value(write_fields(Rows, *(s.*M))) : Value(); },
                  [](const Value& v, S& s, const std::string& ctx) {
                    s.*M = object_from_json(Rows, v, ctx);
                  }};
@@ -557,8 +572,100 @@ Value axis_to_json(const SweepAxis& axis) {
   return Value(std::move(axis_obj));
 }
 
-// Shared scenario-body loader; `sweep_out` non-null permits a "sweep" key.
-Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_out) {
+Value axes_to_json(const SweepSpec& spec) {
+  if (spec.axes.empty()) return Value();
+  Array sweep;
+  for (const auto& axis : spec.axes) sweep.push_back(axis_to_json(axis));
+  return Value(std::move(sweep));
+}
+
+void axes_from_json(const Value& v, SweepSpec& spec, const std::string& ctx) {
+  const Array& arr = with_ctx(ctx, [&]() -> const Array& { return v.as_array(); });
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    spec.axes.push_back(axis_from_json(arr[i], ctx + "[" + std::to_string(i) + "]"));
+  }
+}
+
+}  // namespace
+
+// --- claims, and the SweepSpec's own keys ---
+
+namespace fields {
+namespace {
+
+constexpr Choice kClaimOpNames[] = {
+    {"ratio", static_cast<int>(Claim::Op::kRatio)},
+    {"difference", static_cast<int>(Claim::Op::kDifference)},
+};
+constexpr Choice kTrendNames[] = {
+    {"increasing", static_cast<int>(Claim::Trend::kIncreasing)},
+    {"decreasing", static_cast<int>(Claim::Trend::kDecreasing)},
+};
+constexpr Choices kClaimOps{"claim op", kClaimOpNames};
+constexpr Choices kTrends{"trend", kTrendNames};
+
+constexpr Field<ClaimSelector> kClaimSelectorRows[] = {
+    {"topology", &ClaimSelector::topology},
+    {"routing", &ClaimSelector::routing},
+    {"metric", &ClaimSelector::metric},
+};
+
+constexpr Field<Claim> kClaimRows[] = {
+    {"text", &Claim::text},
+    {"a", nested<&Claim::a, kClaimSelector>()},
+    {"b", optional_nested<&Claim::b, kClaimSelector>()},
+    {"op", enum_member<&Claim::op>(kClaimOps)},
+    {"min", &Claim::min},
+    {"max", &Claim::max},
+    {"trend", enum_member<&Claim::trend>(kTrends)},
+};
+
+// What a claim needs beyond its rows' own load rules.
+void check_claim_fields(const Claim& c, const std::string& ctx) {
+  if (c.text.empty()) schema_error(ctx, "missing required key 'text'");
+  if (c.a.metric.empty()) schema_error(ctx + ".a", "missing required key 'metric'");
+  if (c.b && c.b->metric.empty()) schema_error(ctx + ".b", "missing required key 'metric'");
+  if (!c.b && c.op != Claim::Op::kValue) schema_error(ctx + ".op", "needs 'b'");
+  if (c.b && c.op == Claim::Op::kValue) {
+    schema_error(ctx + ".b", "needs 'op' (ratio or difference)");
+  }
+  if (!c.min && !c.max && c.trend == Claim::Trend::kNone) {
+    schema_error(ctx, "needs 'min', 'max' or 'trend'");
+  }
+  if (c.min && c.max && *c.min > *c.max) schema_error(ctx + ".min", "greater than 'max'");
+}
+
+constexpr Hook<SweepSpec> kClaimArray = array_of<&SweepSpec::claims, kClaim>();
+
+Value claims_to_json(const SweepSpec& spec) {
+  return spec.claims.empty() ? Value() : kClaimArray.write(spec);
+}
+
+void claims_from_json(const Value& v, SweepSpec& spec, const std::string& ctx) {
+  kClaimArray.read(v, spec, ctx);
+  for (std::size_t i = 0; i < spec.claims.size(); ++i) {
+    check_claim_fields(spec.claims[i], ctx + "[" + std::to_string(i) + "]");
+  }
+}
+
+constexpr Field<SweepSpec> kSweepRows[] = {
+    {"sweep", Hook<SweepSpec>{axes_to_json, axes_from_json}},
+    {"claims", Hook<SweepSpec>{claims_to_json, claims_from_json}},
+};
+
+}  // namespace
+
+const Table<SweepSpec> kSweep = kSweepRows;
+const Table<Claim> kClaim = kClaimRows;
+const Table<ClaimSelector> kClaimSelector = kClaimSelectorRows;
+
+}  // namespace fields
+
+namespace {
+
+// Shared scenario-body loader; a non-null `spec` also takes the SweepSpec's
+// own keys.
+Scenario scenario_from_json_impl(const Value& v, SweepSpec* spec) {
   const std::string ctx = "scenario";
   ObjectReader r(v, ctx);
   Scenario s;
@@ -583,45 +690,30 @@ Scenario scenario_from_json_impl(const Value& v, std::vector<SweepAxis>* sweep_o
     validate_growth(s.topologies[i].growth_policy,
                     ctx + ".topologies[" + std::to_string(i) + "].growth_policy");
   }
-  if (sweep_out != nullptr) {
-    if (const Value* sweep = r.get("sweep")) {
-      const Array& arr = with_ctx(ctx + ".sweep",
-                                  [&]() -> const Array& { return sweep->as_array(); });
-      for (std::size_t i = 0; i < arr.size(); ++i) {
-        sweep_out->push_back(
-            axis_from_json(arr[i], ctx + ".sweep[" + std::to_string(i) + "]"));
-      }
-    }
-  }
+  if (spec != nullptr) fields::read_fields(r, fields::kSweep, *spec);
   r.done();
   return s;
 }
 
-Value scenario_to_json_impl(const Scenario& s, const std::vector<SweepAxis>* axes) {
-  Object o = fields::write_fields(fields::kScenario, s);
-  if (axes != nullptr && !axes->empty()) {
-    Array sweep;
-    for (const auto& axis : *axes) sweep.push_back(axis_to_json(axis));
-    o.emplace_back("sweep", Value(std::move(sweep)));
-  }
-  return Value(std::move(o));
-}
-
 }  // namespace
 
-Value scenario_to_json(const Scenario& s) { return scenario_to_json_impl(s, nullptr); }
+Value scenario_to_json(const Scenario& s) {
+  return Value(fields::write_fields(fields::kScenario, s));
+}
 
 Scenario scenario_from_json(const Value& v) {
   return scenario_from_json_impl(v, nullptr);
 }
 
 Value sweep_to_json(const SweepSpec& spec) {
-  return scenario_to_json_impl(spec.base, &spec.axes);
+  Object o = fields::write_fields(fields::kScenario, spec.base);
+  for (auto& member : fields::write_fields(fields::kSweep, spec)) o.push_back(std::move(member));
+  return Value(std::move(o));
 }
 
 SweepSpec sweep_from_json(const Value& v) {
   SweepSpec spec;
-  spec.base = scenario_from_json_impl(v, &spec.axes);
+  spec.base = scenario_from_json_impl(v, &spec);
   return spec;
 }
 

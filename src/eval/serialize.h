@@ -32,6 +32,23 @@
 // Sweep axes accept a bare entry object ({"field", "only"?, and either
 // "values": [...] or "from"/"to"/"step"}) or {"entries": [entry, ...]} for
 // zipped multi-field axes. Ranges are inclusive and expand at load time.
+//
+// An optional "claims" key lists the paper's claims about the figure, which
+// `jf_eval run` checks against the finished report (Claim, check_claim in
+// sweep.h). Claims belong to the file, not to any point's Scenario, so they
+// never change a report, a cell key or a store digest:
+//
+//   "claims": [{"text": "Jellyfish supports more servers, more so at scale",
+//               "a": {"topology": "jellyfish", "metric": "max_servers"},
+//               "b": {"topology": "fattree", "metric": "max_servers"},
+//               "op": "ratio", "min": 1.0, "trend": "increasing"}]
+//
+// "a" and "b" select one aggregate row per point: "topology" and "routing"
+// are label prefixes ("routing" empty or absent matches any row) and
+// "metric" is a row's metric name. "b" and "op" ("ratio" or "difference")
+// come together; without them the claim bounds a's mean itself. A claim
+// needs "text" and at least one of "min", "max" (inclusive) or "trend"
+// ("increasing" or "decreasing", non-strict, in sweep point order).
 #pragma once
 
 #include <string>
@@ -53,7 +70,8 @@ json::Value scenario_to_json(const Scenario& s);
 // ...), a repeated metric or seed, or bad sweep ranges.
 Scenario scenario_from_json(const json::Value& v);
 
-// Scenario fields plus the "sweep" key (omitted when there are no axes).
+// Scenario fields plus the "sweep" and "claims" keys (each omitted when
+// empty).
 json::Value sweep_to_json(const SweepSpec& spec);
 // Accepts a plain scenario object too (no "sweep" key -> zero axes).
 SweepSpec sweep_from_json(const json::Value& v);

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <sstream>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -276,6 +278,90 @@ SweepReport run_sweep(const SweepSpec& spec, const EngineOptions& opts,
     }
   });
   return out;
+}
+
+// --- paper claims ---
+
+namespace {
+
+// The rows of `report` a selector matches: how many, and the first one's
+// mean (NaN when none).
+struct RowMatch {
+  double mean = std::numeric_limits<double>::quiet_NaN();
+  int rows = 0;
+};
+
+RowMatch match_rows(const Report& report, std::string_view topology, std::string_view routing,
+                    std::string_view metric) {
+  RowMatch m;
+  for (const auto& row : report.aggregates()) {
+    if (row.metric != metric || !row.topology.starts_with(topology) ||
+        !row.routing.starts_with(routing)) {
+      continue;
+    }
+    if (m.rows++ == 0) m.mean = row.summary.mean;
+  }
+  return m;
+}
+
+RowMatch match_rows(const Report& report, const ClaimSelector& sel) {
+  return match_rows(report, sel.topology, sel.routing, sel.metric);
+}
+
+}  // namespace
+
+double mean_for(const SweepPointResult& point, std::string_view label_prefix,
+                std::string_view metric, std::string_view routing_prefix) {
+  return match_rows(point.report, label_prefix, routing_prefix, metric).mean;
+}
+
+ClaimResult check_claim(const Claim& claim, const SweepReport& report) {
+  ClaimResult out;
+  out.values.reserve(report.points.size());
+  std::optional<double> prev;
+  bool holds = true;
+  for (const auto& point : report.points) {
+    std::optional<double>& value = out.values.emplace_back();
+    const RowMatch a = match_rows(point.report, claim.a);
+    const RowMatch b = claim.b ? match_rows(point.report, *claim.b) : RowMatch{};
+    if (a.rows > 1 || b.rows > 1) out.ambiguous = true;
+    if (a.rows != 1 || (claim.b && b.rows != 1)) continue;
+    switch (claim.op) {
+      case Claim::Op::kValue: value = a.mean; break;
+      case Claim::Op::kRatio:
+        if (b.mean <= 0.0) continue;
+        value = a.mean / b.mean;
+        break;
+      case Claim::Op::kDifference: value = a.mean - b.mean; break;
+    }
+    const double v = *value;
+    holds = holds && !std::isnan(v) && !(claim.min && v < *claim.min) &&
+            !(claim.max && v > *claim.max);
+    if (prev) {
+      if (claim.trend == Claim::Trend::kIncreasing) holds = holds && v >= *prev;
+      if (claim.trend == Claim::Trend::kDecreasing) holds = holds && v <= *prev;
+    }
+    prev = v;
+  }
+  out.pass = holds && prev.has_value() && !out.ambiguous;
+  return out;
+}
+
+std::string claim_line(std::string_view name, const Claim& claim, const ClaimResult& result) {
+  std::ostringstream os;
+  os.precision(4);
+  os << "[claim] " << (result.pass ? "pass" : "FAIL") << " " << name << ": " << claim.text
+     << ":";
+  for (const auto& v : result.values) {
+    os << " ";
+    if (v) {
+      os << *v;
+    } else {
+      os << "-";
+    }
+  }
+  if (result.ambiguous) os << " (a selector matches more than one row)";
+  return os.str();
 }
 
 }  // namespace jf::eval

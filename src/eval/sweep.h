@@ -12,9 +12,16 @@
 // share the global worker budget — while buffering completions so progress
 // callbacks stream strictly in point order. Reports are byte-identical at
 // any thread count.
+//
+// A SweepSpec may also carry the paper's claims about its figure (Claim):
+// bounds and trends on row means, checked against the finished SweepReport
+// by check_claim. Claims never enter a point's Scenario, so they cannot
+// change a report, a cell key or a result-store digest.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,9 +50,38 @@ struct SweepAxis {
   std::vector<AxisEntry> entries;
 };
 
+// Picks one aggregate row at a sweep point: metric `metric`, a topology
+// label starting with `topology` (sweep suffixes make exact labels
+// point-dependent) and a routing label starting with `routing` (empty
+// matches any row; routing-free rows are labelled "-").
+struct ClaimSelector {
+  std::string topology;
+  std::string routing;
+  std::string metric;
+};
+
+// One claim the paper makes about a figure. At each sweep point its value
+// is a's mean, a / b (kRatio) or a - b (kDifference). It holds when at
+// least one point was evaluated, every value lies in [min, max], the values
+// follow `trend` (non-strictly) in sweep order, and no selector matched
+// more than one row at any point.
+struct Claim {
+  enum class Op : std::uint8_t { kValue, kRatio, kDifference };
+  enum class Trend : std::uint8_t { kNone, kIncreasing, kDecreasing };
+
+  std::string text;
+  ClaimSelector a;
+  std::optional<ClaimSelector> b;  // set exactly when op is not kValue
+  Op op = Op::kValue;
+  std::optional<double> min;
+  std::optional<double> max;
+  Trend trend = Trend::kNone;
+};
+
 struct SweepSpec {
   Scenario base;
   std::vector<SweepAxis> axes;  // cartesian product, first axis slowest
+  std::vector<Claim> claims;    // checked after the run, never part of a point
 
   // True when some axis entry sweeps `field`.
   bool sweeps(std::string_view field) const;
@@ -111,5 +147,28 @@ using SweepProgress =
 // order are byte-identical at any thread count.
 SweepReport run_sweep(const SweepSpec& spec, const EngineOptions& opts = {},
                       const SweepProgress& progress = {});
+
+// --- paper claims ---
+
+struct ClaimResult {
+  // The claim's value at each point, or nullopt where the point is skipped:
+  // a selector matched no row, or a ratio's b was <= 0 (an infeasible
+  // design point such as fig02b's fat-tree between k^3/4 steps).
+  std::vector<std::optional<double>> values;
+  bool ambiguous = false;  // a selector matched more than one row at a point
+  bool pass = false;
+};
+
+ClaimResult check_claim(const Claim& claim, const SweepReport& report);
+
+// "[claim] pass|FAIL <name>: <text>: <value per point>", skipped points as
+// "-"; the line jf_eval run prints per claim.
+std::string claim_line(std::string_view name, const Claim& claim, const ClaimResult& result);
+
+// Mean of the first aggregate row of `point` matching the selector fields
+// (see ClaimSelector), or NaN when no row matches; the row lookup claims
+// use, for drivers whose figure is more than a claim.
+double mean_for(const SweepPointResult& point, std::string_view label_prefix,
+                std::string_view metric, std::string_view routing_prefix = {});
 
 }  // namespace jf::eval

@@ -211,11 +211,14 @@ TEST(EvalEngine, RejectsBadScenariosBeforeAnyCellRuns) {
   repeated_metric.metrics = {eval::Metric::kPathStats, eval::Metric::kPathStats};
   eval::Scenario repeated_seed = good;
   repeated_seed.seeds = {1, 1, 2};
+  eval::Scenario no_routings = good;
+  no_routings.metrics = {eval::Metric::kRoutedThroughput};
 
   for (const auto& [bad, needle] :
        {std::pair{flow_stats, "flow_stats does not support fail_links"},
         std::pair{repeated_metric, "a metric is listed twice"},
-        std::pair{repeated_seed, "a seed is listed twice"}}) {
+        std::pair{repeated_seed, "a seed is listed twice"},
+        std::pair{no_routings, "routed_throughput needs >= 1 routing spec"}}) {
     const eval::Scenario batch[] = {good, bad};
     int reports_done = 0;
     try {
@@ -225,6 +228,8 @@ TEST(EvalEngine, RejectsBadScenariosBeforeAnyCellRuns) {
       ADD_FAILURE() << "accepted: " << needle;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+      // Scenario errors speak of the scenario, never of this library's sources.
+      EXPECT_EQ(std::string(e.what()).find(".cc:"), std::string::npos) << e.what();
     }
     EXPECT_EQ(reports_done, 0) << needle;
   }

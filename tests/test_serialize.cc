@@ -1,9 +1,11 @@
-// eval/serialize: Scenario/SweepSpec/Report JSON round trips, strict loader
-// error paths, and validity of the shipped scenarios/ files.
+// eval/serialize: Scenario/SweepSpec/Report JSON round trips (claims
+// included), strict loader error paths, and validity of the shipped
+// scenarios/ files.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <variant>
 
@@ -67,12 +69,44 @@ TEST(Serialize, SweepRoundTripIsByteIdentical) {
       {{{"topology.servers", "jellyfish", {20, 30, 40}}}},
       {{{"routing.width", "", {2, 4}}, {"traffic.demand", "", {0.5, 1.0}}}},
   };
+  spec.claims = {
+      {.text = "bounded", .a = {"jf", "", "throughput"}, .min = 0.5, .max = 1.0},
+      {.text = "growing",
+       .a = {"jf", "ksp", "sim_goodput"},
+       .b = eval::ClaimSelector{"fattree", "ecmp", "sim_goodput"},
+       .op = eval::Claim::Op::kRatio,
+       .trend = eval::Claim::Trend::kIncreasing},
+  };
   const std::string once = eval::sweep_to_json(spec).dump(2);
   const auto reloaded = eval::sweep_from_json(json::Value::parse(once));
   EXPECT_EQ(once, eval::sweep_to_json(reloaded).dump(2));
   ASSERT_EQ(reloaded.axes.size(), 2u);
   EXPECT_EQ(reloaded.axes[0].entries[0].only, "jellyfish");
   EXPECT_EQ(reloaded.axes[1].entries.size(), 2u);
+  ASSERT_EQ(reloaded.claims.size(), 2u);
+  EXPECT_EQ(reloaded.claims[0].max.value_or(0.0), 1.0);
+  EXPECT_FALSE(reloaded.claims[0].b.has_value());
+  EXPECT_EQ(reloaded.claims[1].b->routing, "ecmp");
+  EXPECT_EQ(reloaded.claims[1].trend, eval::Claim::Trend::kIncreasing);
+  // Unset optionals are left out of the canonical bytes, not written as null.
+  EXPECT_EQ(once.find("null"), std::string::npos) << once;
+}
+
+// Claims belong to the file, not to a point: every point's Scenario, and
+// with it every cell key, is the same with or without them.
+TEST(Serialize, ClaimsNeverReachAPointScenario) {
+  const eval::SweepSpec spec = eval::load_sweep_file(JF_SCENARIO_DIR "/fig1x.json");
+  ASSERT_FALSE(spec.claims.empty());
+  eval::SweepSpec bare = spec;
+  bare.claims.clear();
+  const auto points = eval::expand_sweep(spec);
+  const auto bare_points = eval::expand_sweep(bare);
+  ASSERT_EQ(points.size(), bare_points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(eval::scenario_to_json(points[i].scenario).dump(),
+              eval::scenario_to_json(bare_points[i].scenario).dump());
+  }
+  EXPECT_EQ(eval::sweep_to_json(bare).dump().find("claims"), std::string::npos);
 }
 
 TEST(Serialize, RangeAxisExpandsInclusively) {
@@ -177,6 +211,40 @@ TEST(Serialize, LoaderErrorPaths) {
   expect_context(R"({"metrics": ["path_stats", "path_stats"]})",
                  "scenario.metrics[1]: repeated metric 'path_stats'");
   expect_context(R"({"seeds": [1, 1, 2]})", "scenario.seeds[1]: repeated seed '1'");
+  // Claims: b and op come together, a claim needs a bound or a trend, and
+  // its bounds must be ordered.
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"},
+                                 "op": "ratio", "min": 1}]})",
+                 "scenario.claims[0].op: needs 'b'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"},
+                                 "b": {"topology": "ft", "metric": "m"}, "min": 1}]})",
+                 "scenario.claims[0].b: needs 'op'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"}}]})",
+                 "scenario.claims[0]: needs 'min', 'max' or 'trend'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"},
+                                 "min": 2, "max": 1}]})",
+                 "scenario.claims[0].min: greater than 'max'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"},
+                                 "b": {"topology": "ft", "metric": "m"},
+                                 "op": "quotient", "min": 1}]})",
+                 "scenario.claims[0].op: unknown claim op 'quotient'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"},
+                                 "trend": "flat"}]})",
+                 "scenario.claims[0].trend: unknown trend 'flat'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metrc": "m"},
+                                 "max": 1}]})",
+                 "scenario.claims[0].a: unknown key 'metrc'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf"}, "max": 1}]})",
+                 "scenario.claims[0].a: missing required key 'metric'");
+  expect_context(R"({"claims": [{"a": {"topology": "jf", "metric": "m"}, "max": 1}]})",
+                 "scenario.claims[0]: missing required key 'text'");
+  expect_context(R"({"claims": [{"text": "t", "a": {"topology": "jf", "metric": "m"},
+                                 "max": "one"}]})",
+                 "scenario.claims[0].max");
+  expect_context(R"({"claims": {"text": "t"}})", "scenario.claims");
+  // A plain scenario has no claims.
+  EXPECT_THROW(eval::scenario_from_json(json::Value::parse(R"({"claims": []})")),
+               std::invalid_argument);
 }
 
 TEST(Serialize, SampleRowsRoundTripExactlyAndAggregatesMatch) {
@@ -244,45 +312,55 @@ struct Overload : Fs... {
   using Fs::operator()...;
 };
 
-// Scenarios in which every field table has an instance, one per growth
+// Sweep specs in which every field table has an instance, one per growth
 // schedule shape a row may need: the default schedule; zero initial servers,
 // so the uniform-regime network_degree may take any legal value; and one
-// explicit step, which excludes the generator's target_switches.
-std::vector<eval::Scenario> probe_bases() {
-  eval::Scenario s;
-  s.topologies = {{.family = "jellyfish", .switches = 20, .ports = 6, .servers = 40}};
-  s.routings = {{"ksp", 4}};
-  std::vector<eval::Scenario> bases(3, s);
-  bases[1].growth.initial.servers = 0;
-  bases[2].growth.steps = {expansion::GrowthStep{}};
+// explicit step, which excludes the generator's target_switches. Each
+// carries one ratio claim, so every claim row has a legal non-default value.
+std::vector<eval::SweepSpec> probe_bases() {
+  eval::SweepSpec spec;
+  spec.base.topologies = {{.family = "jellyfish", .switches = 20, .ports = 6, .servers = 40}};
+  spec.base.routings = {{"ksp", 4}};
+  spec.claims = {{.text = "claim",
+                  .a = {"jf", "", "throughput"},
+                  .b = eval::ClaimSelector{"ft", "", "throughput"},
+                  .op = eval::Claim::Op::kRatio,
+                  .min = 0.5}};
+  std::vector<eval::SweepSpec> bases(3, spec);
+  bases[1].base.growth.initial.servers = 0;
+  bases[2].base.growth.steps = {expansion::GrowthStep{}};
   return bases;
 }
 
-// Calls fn(table, pick) for every field table, where pick(scenario) points
-// at the table's struct inside a probe_bases() scenario (nullptr if absent).
+// Calls fn(table, pick) for every field table, where pick(spec) points at
+// the table's struct inside a probe_bases() spec (nullptr if absent).
 template <typename Fn>
 void for_each_table(Fn&& fn) {
   namespace f = eval::fields;
-  fn(f::kScenario, [](eval::Scenario& s) { return &s; });
-  fn(f::kTopology, [](eval::Scenario& s) { return &s.topologies[0]; });
-  fn(f::kRouting, [](eval::Scenario& s) { return &s.routings[0]; });
-  fn(f::kTraffic, [](eval::Scenario& s) { return &s.traffic; });
-  fn(f::kMcf, [](eval::Scenario& s) { return &s.mcf; });
-  fn(f::kSim, [](eval::Scenario& s) { return &s.sim; });
-  fn(f::kSimNet, [](eval::Scenario& s) { return &s.sim.sim; });
-  fn(f::kCapacity, [](eval::Scenario& s) { return &s.capacity; });
-  fn(f::kGrowth, [](eval::Scenario& s) { return &s.growth; });
-  fn(f::kGrowthInitial, [](eval::Scenario& s) { return &s.growth.initial; });
-  fn(f::kGrowthStep, [](eval::Scenario& s) {
-    return s.growth.steps.empty() ? nullptr : &s.growth.steps[0];
+  fn(f::kScenario, [](eval::SweepSpec& s) { return &s.base; });
+  fn(f::kTopology, [](eval::SweepSpec& s) { return &s.base.topologies[0]; });
+  fn(f::kRouting, [](eval::SweepSpec& s) { return &s.base.routings[0]; });
+  fn(f::kTraffic, [](eval::SweepSpec& s) { return &s.base.traffic; });
+  fn(f::kMcf, [](eval::SweepSpec& s) { return &s.base.mcf; });
+  fn(f::kSim, [](eval::SweepSpec& s) { return &s.base.sim; });
+  fn(f::kSimNet, [](eval::SweepSpec& s) { return &s.base.sim.sim; });
+  fn(f::kCapacity, [](eval::SweepSpec& s) { return &s.base.capacity; });
+  fn(f::kGrowth, [](eval::SweepSpec& s) { return &s.base.growth; });
+  fn(f::kGrowthInitial, [](eval::SweepSpec& s) { return &s.base.growth.initial; });
+  fn(f::kGrowthStep, [](eval::SweepSpec& s) {
+    return s.base.growth.steps.empty() ? nullptr : &s.base.growth.steps[0];
   });
+  fn(f::kSweep, [](eval::SweepSpec& s) { return &s; });
+  fn(f::kClaim, [](eval::SweepSpec& s) { return &s.claims[0]; });
+  fn(f::kClaimSelector, [](eval::SweepSpec& s) { return &s.claims[0].a; });
 }
 
 template <typename T>
 std::vector<T> probe_values() {
   if constexpr (std::is_same_v<T, std::string>) {
     return {"probe"};
-  } else if constexpr (std::is_floating_point_v<T>) {
+  } else if constexpr (std::is_floating_point_v<T> ||
+                       std::is_same_v<T, std::optional<double>>) {
     return {0.25, 0.75, 2.5};
   } else {
     return {1, 2, 7, 100};
@@ -294,21 +372,21 @@ std::vector<T> probe_values() {
 // byte for byte and survive the load. Returns whether one did.
 template <typename S, typename Pick>
 bool probe_row(const eval::fields::Field<S>& f, Pick pick) {
-  for (const eval::Scenario& base : probe_bases()) {
-    const std::string base_bytes = eval::scenario_to_json(base).dump(2);
+  for (const eval::SweepSpec& base : probe_bases()) {
+    const std::string base_bytes = eval::sweep_to_json(base).dump(2);
     auto attempt = [&](auto set, auto same) {
-      eval::Scenario s = base;
+      eval::SweepSpec s = base;
       if (pick(s) == nullptr) return false;
       set(*pick(s));
-      const std::string once = eval::scenario_to_json(s).dump(2);
+      const std::string once = eval::sweep_to_json(s).dump(2);
       if (once == base_bytes) return false;
-      eval::Scenario loaded;
+      eval::SweepSpec loaded;
       try {
-        loaded = eval::scenario_from_json(json::Value::parse(once));
+        loaded = eval::sweep_from_json(json::Value::parse(once));
       } catch (const std::invalid_argument&) {
         return false;
       }
-      EXPECT_EQ(eval::scenario_to_json(loaded).dump(2), once);
+      EXPECT_EQ(eval::sweep_to_json(loaded).dump(2), once);
       EXPECT_TRUE(same(*pick(loaded), *pick(s)));
       return true;
     };
@@ -368,7 +446,8 @@ TEST(Serialize, EverySweepFieldReachesTheCanonicalBytes) {
   for (const auto& field : eval::sweep_fields()) {
     SCOPED_TRACE(field);
     bool changed = false;
-    for (const eval::Scenario& base : probe_bases()) {
+    for (const eval::SweepSpec& spec : probe_bases()) {
+      const eval::Scenario& base = spec.base;
       const std::string base_bytes = eval::scenario_to_json(base).dump(2);
       for (double v : {0.25, 3.0}) {
         eval::Scenario s = base;

@@ -1,9 +1,13 @@
 // eval/sweep: axis expansion (cartesian, zipped, filtered), label
 // auto-suffixing, run_sweep determinism at any thread count, the shared
-// PathCache fast path for deterministic topology families, and the bench
-// driver's argument parsing.
+// PathCache fast path for deterministic topology families, paper claims
+// checked against hand-built reports, and the bench driver's argument
+// parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -330,6 +334,188 @@ TEST(Sweep, SweepReportTableHasPointColumn) {
   report.to_table().print(os);
   EXPECT_NE(os.str().find("point"), std::string::npos);
   EXPECT_NE(os.str().find("servers=24"), std::string::npos);
+}
+
+// --- paper claims, against hand-built reports ---
+
+// One single-sample aggregate row: routing "-" is routing-free.
+struct Row {
+  std::string topology;
+  std::string routing;
+  std::string metric;
+  double value;
+};
+
+int label_index(std::vector<std::string>& labels, const std::string& label) {
+  auto it = std::ranges::find(labels, label);
+  if (it == labels.end()) it = labels.insert(labels.end(), label);
+  return static_cast<int>(it - labels.begin());
+}
+
+// One sweep point per entry of `points`.
+eval::SweepReport hand_report(const std::vector<std::vector<Row>>& points) {
+  eval::SweepReport report;
+  report.name = "hand";
+  for (const auto& rows : points) {
+    eval::SweepPointResult& point = report.points.emplace_back();
+    for (const Row& row : rows) {
+      eval::Sample& s = point.report.samples.emplace_back();
+      s.topology = label_index(point.report.topology_labels, row.topology);
+      s.routing = row.routing == "-" ? -1 : label_index(point.report.routing_labels, row.routing);
+      s.metric = row.metric;
+      s.value = row.value;
+    }
+  }
+  return report;
+}
+
+// a = 2, 3, 8 and b = 1, 1, 2 over three points: values 2, 3, 8; ratios
+// 2, 3, 4; differences 1, 2, 6. Each series increases.
+eval::SweepReport abc_report() {
+  std::vector<std::vector<Row>> points;
+  for (auto [a, b] : {std::pair{2.0, 1.0}, {3.0, 1.0}, {8.0, 2.0}}) {
+    points.push_back({{"jf/x=1", "-", "tput", a}, {"ft/x=1", "-", "tput", b}});
+  }
+  return hand_report(points);
+}
+
+eval::Claim abc_claim(eval::Claim::Op op) {
+  eval::Claim c{.text = "claim", .a = {"jf", "", "tput"}, .op = op};
+  if (op != eval::Claim::Op::kValue) c.b = eval::ClaimSelector{"ft", "", "tput"};
+  return c;
+}
+
+TEST(Claims, BoundsAndTrendsForEveryOp) {
+  using Op = eval::Claim::Op;
+  using Trend = eval::Claim::Trend;
+  const eval::SweepReport report = abc_report();
+  const std::pair<Op, std::vector<double>> series[] = {
+      {Op::kValue, {2, 3, 8}}, {Op::kRatio, {2, 3, 4}}, {Op::kDifference, {1, 2, 6}}};
+  for (const auto& [op, values] : series) {
+    SCOPED_TRACE(static_cast<int>(op));
+    const double lo = values.front();
+    const double hi = values.back();
+    auto check = [&](std::optional<double> min, std::optional<double> max, Trend trend) {
+      eval::Claim c = abc_claim(op);
+      c.min = min;
+      c.max = max;
+      c.trend = trend;
+      const eval::ClaimResult r = eval::check_claim(c, report);
+      EXPECT_EQ(r.values.size(), values.size());
+      for (std::size_t i = 0; i < values.size() && i < r.values.size(); ++i) {
+        EXPECT_EQ(r.values[i].value_or(-1), values[i]) << i;
+      }
+      EXPECT_FALSE(r.ambiguous);
+      return r.pass;
+    };
+    // Bounds are inclusive.
+    EXPECT_TRUE(check(lo, std::nullopt, Trend::kNone));
+    EXPECT_FALSE(check(lo + 0.5, std::nullopt, Trend::kNone));
+    EXPECT_TRUE(check(std::nullopt, hi, Trend::kNone));
+    EXPECT_FALSE(check(std::nullopt, hi - 0.5, Trend::kNone));
+    EXPECT_TRUE(check(lo, hi, Trend::kNone));
+    EXPECT_TRUE(check(std::nullopt, std::nullopt, Trend::kIncreasing));
+    EXPECT_FALSE(check(std::nullopt, std::nullopt, Trend::kDecreasing));
+    // A trend and a bound must both hold.
+    EXPECT_FALSE(check(lo + 0.5, std::nullopt, Trend::kIncreasing));
+  }
+}
+
+TEST(Claims, TrendsAreNonStrict) {
+  auto series = [](double x, double y, double z) {
+    return hand_report({{{"jf", "-", "tput", x}}, {{"jf", "-", "tput", y}},
+                        {{"jf", "-", "tput", z}}});
+  };
+  eval::Claim c = abc_claim(eval::Claim::Op::kValue);
+  c.trend = eval::Claim::Trend::kDecreasing;
+  EXPECT_TRUE(eval::check_claim(c, series(1.0, 1.0, 0.5)).pass);
+  EXPECT_FALSE(eval::check_claim(c, series(0.5, 1.0, 1.0)).pass);
+  c.trend = eval::Claim::Trend::kIncreasing;
+  EXPECT_TRUE(eval::check_claim(c, series(0.5, 1.0, 1.0)).pass);
+  EXPECT_FALSE(eval::check_claim(c, series(1.0, 1.0, 0.5)).pass);
+}
+
+TEST(Claims, NoEvaluatedPointFails) {
+  eval::Claim c = abc_claim(eval::Claim::Op::kValue);
+  c.a.metric = "missing";
+  c.max = 100.0;
+  const eval::ClaimResult r = eval::check_claim(c, abc_report());
+  EXPECT_FALSE(r.pass);
+  EXPECT_EQ(std::ranges::count(r.values, std::optional<double>()), 3);
+  EXPECT_EQ(eval::claim_line("hand", c, r), "[claim] FAIL hand: claim: - - -");
+}
+
+TEST(Claims, AmbiguousSelectorFails) {
+  // Both routings carry the metric at the first point: an empty routing
+  // prefix matches two rows there, and one at the second point.
+  const eval::SweepReport report = hand_report({{{"jf", "ecmp", "goodput", 0.5},
+                                                 {"jf", "ksp", "goodput", 0.9},
+                                                 {"jf", "-", "tput", 1.0}},
+                                                {{"jf", "ksp", "goodput", 0.9},
+                                                 {"jf", "-", "tput", 1.0}}});
+  eval::Claim c{.text = "claim", .a = {"jf", "", "goodput"}, .max = 1.0};
+  eval::ClaimResult r = eval::check_claim(c, report);
+  EXPECT_FALSE(r.pass);
+  EXPECT_TRUE(r.ambiguous);
+  EXPECT_FALSE(r.values[0].has_value());
+  EXPECT_EQ(r.values[1].value_or(-1), 0.9);
+  EXPECT_EQ(eval::claim_line("hand", c, r),
+            "[claim] FAIL hand: claim: - 0.9 (a selector matches more than one row)");
+  // A routing prefix picks one, and an empty one matches a routing-free row.
+  c.a.routing = "ksp";
+  c.b = eval::ClaimSelector{"jf", "", "tput"};
+  c.op = eval::Claim::Op::kRatio;
+  r = eval::check_claim(c, report);
+  EXPECT_TRUE(r.pass);
+  EXPECT_EQ(r.values[0].value_or(-1), 0.9);
+  // An ambiguous b fails the claim too.
+  c.b->metric = "goodput";
+  EXPECT_TRUE(eval::check_claim(c, report).ambiguous);
+  EXPECT_FALSE(eval::check_claim(c, report).pass);
+}
+
+TEST(Claims, RatioSkipsPointsWhereBIsNotPositive) {
+  // fig02b-style: b is 0 where the fat-tree design point is infeasible.
+  std::vector<std::vector<Row>> points;
+  for (auto [a, b] : {std::pair{1.0, 2.0}, {1.0, 0.0}, {1.0, -1.0}, {3.0, 4.0}}) {
+    points.push_back({{"jf", "-", "ports", a}, {"ft", "-", "ports", b}});
+  }
+  eval::Claim c{.text = "fewer ports",
+                .a = {"jf", "", "ports"},
+                .b = eval::ClaimSelector{"ft", "", "ports"},
+                .op = eval::Claim::Op::kRatio,
+                .max = 1.0};
+  const eval::ClaimResult r = eval::check_claim(c, hand_report(points));
+  EXPECT_TRUE(r.pass);
+  ASSERT_EQ(r.values.size(), 4u);
+  EXPECT_EQ(r.values[0].value_or(-1), 0.5);
+  EXPECT_FALSE(r.values[1].has_value());
+  EXPECT_FALSE(r.values[2].has_value());
+  EXPECT_EQ(r.values[3].value_or(-1), 0.75);
+  EXPECT_EQ(eval::claim_line("fig", c, r), "[claim] pass fig: fewer ports: 0.5 - - 0.75");
+  // A difference has no such skip.
+  c.op = eval::Claim::Op::kDifference;
+  c.max = 0.0;
+  EXPECT_TRUE(eval::check_claim(c, hand_report(points)).values[1].has_value());
+  // Every point skipped is the zero-point failure.
+  c.op = eval::Claim::Op::kRatio;
+  c.max = 1.0;
+  EXPECT_FALSE(eval::check_claim(c, hand_report({points[1], points[2]})).pass);
+}
+
+TEST(Claims, NanValueFailsItsBound) {
+  const eval::SweepReport report = hand_report({{{"jf", "-", "tput", std::nan("")}}});
+  eval::Claim c{.text = "claim", .a = {"jf", "", "tput"}, .trend = eval::Claim::Trend::kIncreasing};
+  EXPECT_FALSE(eval::check_claim(c, report).pass);
+}
+
+TEST(Claims, MeanForReadsTheFirstMatchingRow) {
+  const eval::SweepReport report = hand_report({{{"jf-a", "ecmp", "goodput", 0.5},
+                                                 {"jf-b", "ksp", "goodput", 0.9}}});
+  const auto& point = report.points[0];
+  EXPECT_EQ(eval::mean_for(point, "jf", "goodput"), 0.5);
+  EXPECT_EQ(eval::mean_for(point, "jf", "goodput", "ksp"), 0.9);
+  EXPECT_TRUE(std::isnan(eval::mean_for(point, "ft", "goodput")));
 }
 
 // Malformed bench-driver arguments exit 2 before any sweep runs. The
