@@ -195,6 +195,55 @@ void WorkerTeam::work(int slot) {
   }
 }
 
+namespace {
+
+// Bounded spin before parking: about a microsecond or two of `pause`s.
+constexpr int kBarrierSpins = 256;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+EpochBarrier::EpochBarrier(int participants) : participants_(participants) {
+  check(participants >= 1, "EpochBarrier: need >= 1 participant");
+}
+
+bool EpochBarrier::arrive_and_wait() {
+  if (aborted_.load(std::memory_order_acquire)) return false;
+  const std::uint32_t epoch = epoch_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    epoch_.store(epoch + 1, std::memory_order_release);
+    epoch_.notify_all();
+    return !aborted_.load(std::memory_order_acquire);
+  }
+  for (int spin = 0; spin < kBarrierSpins; ++spin) {
+    if (epoch_.load(std::memory_order_acquire) != epoch) {
+      return !aborted_.load(std::memory_order_acquire);
+    }
+    cpu_relax();
+  }
+  // abort() sets the flag before it bumps the epoch, so a waiter that read
+  // the bumped epoch above also sees the flag here.
+  while (!aborted_.load(std::memory_order_acquire) &&
+         epoch_.load(std::memory_order_acquire) == epoch) {
+    epoch_.wait(epoch, std::memory_order_acquire);
+  }
+  return !aborted_.load(std::memory_order_acquire);
+}
+
+void EpochBarrier::abort() {
+  aborted_.store(true, std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+}
+
 void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
   check(n >= 0, "parallel_for: negative range");
   if (n == 0) return;

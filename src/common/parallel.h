@@ -1,4 +1,5 @@
-// Shared threading primitives: nested work budgets and fork-join teams.
+// Shared threading primitives: nested work budgets, fork-join teams and an
+// epoch barrier for teams that meet many times inside one fork/join.
 //
 // The eval engine parallelizes across (topology, routing, seed) cells whose
 // RNG streams are derived purely from scenario indices, so any assignment of
@@ -102,6 +103,48 @@ class WorkerTeam {
   std::atomic<std::int64_t> round_busy_ns_{0};
   std::exception_ptr error_;
   std::vector<std::thread> workers_;
+};
+
+// A reusable barrier for a fixed group of threads that meet many times in a
+// row, e.g. the participants of one WorkerTeam::run that advance a
+// simulation window by window.
+//
+// Epoch protocol: a participant reads the epoch counter, then arrives by
+// incrementing `arrived_`. The last arriver resets the count and bumps the
+// epoch; everyone else waits for the epoch to move, spinning a bounded
+// number of `pause`s first (a back-to-back window is usually only a few
+// microseconds of slack away) and then parking on std::atomic::wait. The
+// arrivals are a chain of acq_rel read-modify-writes and the bump is a
+// release store that every waiter reads with acquire, so every write a
+// participant made before arriving at epoch k is visible to every
+// participant once it leaves epoch k. Nobody can arrive at epoch k + 1
+// before the last arriver of epoch k has reset the count, because nobody
+// leaves epoch k before the bump that follows the reset.
+//
+// abort() releases every current and future waiter: arrive_and_wait()
+// returns false from then on. A participant that fails calls it so that
+// the others stop instead of waiting forever for an arrival that never
+// comes. The spin is kept short because a spinner can share a vCPU with
+// the participant it waits for.
+class EpochBarrier {
+ public:
+  explicit EpochBarrier(int participants);
+
+  EpochBarrier(const EpochBarrier&) = delete;
+  EpochBarrier& operator=(const EpochBarrier&) = delete;
+
+  // Blocks until every participant arrived at the current epoch; returns
+  // true, or false (at once, or as soon as it happens) once abort() was
+  // called.
+  bool arrive_and_wait();
+  void abort();
+
+ private:
+  const int participants_;
+  // Separate lines: arrivals must not invalidate the line waiters poll.
+  alignas(64) std::atomic<int> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<bool> aborted_{false};
 };
 
 // Runs fn(i) for every i in [0, n) on `threads` workers. With `threads` <= 1

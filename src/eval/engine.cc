@@ -486,6 +486,7 @@ void validate_scenario(const Scenario& s) {
   // A repeat would count its samples twice in every aggregate.
   if (!distinct(s.metrics)) fail("a metric is listed twice");
   if (!distinct(s.seeds)) fail("a seed is listed twice");
+  flow::check_mcf_options(s.mcf);
   const auto routed_metric = std::ranges::find_if(s.metrics, metric_needs_routing);
   if (routed_metric != s.metrics.end() && s.routings.empty()) {
     fail(std::string(metric_info(*routed_metric).name) + " needs >= 1 routing spec");

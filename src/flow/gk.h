@@ -150,11 +150,7 @@ class Driver {
 
  private:
   static const Solver& start(const Solver& solver, const McfOptions& opts) {
-    require(solver, opts.epsilon > 0 && opts.epsilon < 0.5, "epsilon in (0, 0.5)");
-    require(solver, opts.link_capacity > 0, "capacity must be positive");
-    require(solver, opts.max_phases >= 1, "max_phases must be >= 1");
-    require(solver, opts.convergence_window >= 1, "convergence_window >= 1");
-    require(solver, opts.convergence_tol >= 0, "convergence_tol >= 0");
+    check_mcf_options(opts);
     solver.solves.increment();
     return solver;
   }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.h"
 #include "flow/gk.h"
@@ -173,6 +175,17 @@ void dijkstra(const ArcGraph& a, const std::vector<double>& len, int s, int num_
 }
 
 }  // namespace
+
+void check_mcf_options(const McfOptions& opts) {
+  auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("mcf.") + what);
+  };
+  require(opts.epsilon > 0 && opts.epsilon < 0.5, "epsilon must be in (0, 0.5)");
+  require(opts.link_capacity > 0, "link_capacity must be > 0");
+  require(opts.max_phases >= 1, "max_phases must be >= 1");
+  require(opts.convergence_window >= 1, "convergence_window must be >= 1");
+  require(opts.convergence_tol >= 0, "convergence_tol must be >= 0");
+}
 
 double gk_initial_length(std::size_t num_arcs, double epsilon, double capacity) {
   check(num_arcs > 0, "gk_initial_length: need >= 1 arc");

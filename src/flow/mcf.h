@@ -48,6 +48,14 @@ struct McfOptions {
   double link_capacity = 1.0;  // capacity per direction per cable, NIC units
 };
 
+// Range-checks the options: epsilon in (0, 0.5), link_capacity > 0,
+// max_phases >= 1, convergence_window >= 1, convergence_tol >= 0. Throws
+// std::invalid_argument naming the field as a scenario file spells it
+// ("mcf.max_phases must be >= 1"), with no source locator. Both solvers
+// call it on entry, and eval::validate_scenario calls it before any cell
+// runs.
+void check_mcf_options(const McfOptions& opts);
+
 struct McfResult {
   double lambda = 0.0;        // certified feasible concurrent fraction
   double lambda_upper = std::numeric_limits<double>::infinity();  // dual bound

@@ -55,16 +55,21 @@ struct SimConfig {
 };
 
 // A packet in flight. Packets are source-routed: `hop` indexes into the
-// owning subflow's data or ACK path.
+// owning subflow's data or ACK path. Its size follows from is_ack (see
+// packet_bytes).
 struct Packet {
   std::int32_t flow = -1;
   std::int16_t subflow = 0;
   std::int16_t hop = 0;
   bool is_ack = false;
   std::int32_t seq = 0;       // packet-number sequence space
-  std::int32_t size_bytes = 0;
   TimeNs ts = 0;              // sender timestamp, echoed in ACKs for RTT
 };
+
+// Wire size of a packet: an ACK, or an MTU-sized data packet.
+inline int packet_bytes(const SimConfig& cfg, const Packet& pkt) {
+  return pkt.is_ack ? cfg.ack_bytes : cfg.payload_bytes;
+}
 
 // One TCP (sub)connection: sender and receiver state plus its pinned paths.
 //
@@ -150,6 +155,8 @@ struct Link {
   TimeNs delay_ns;
   int queue_capacity;
   std::deque<Packet> queue;
+  // queue.size(), kept by hand: deque::size() is an iterator difference.
+  int depth = 0;
   bool busy = false;
   std::int64_t drops = 0;
   std::int64_t tx_packets = 0;
@@ -211,15 +218,28 @@ enum class EventType : std::uint8_t {
   kLossNotify,  // a queue dropped a data packet; tell its sender (oracle SACK)
 };
 
+// What a kTimeout/kFlowStart event names besides its flow.
+struct TimerArgs {
+  std::int32_t subflow;
+  std::uint32_t gen;  // timer generation (kTimeout)
+};
+
 struct Event {
   TimeNs time = 0;
   EventOrder order;
   EventType type = EventType::kArrive;
-  std::int32_t a = -1;      // link id (kLinkDone) or flow id (kTimeout/kFlowStart)
-  std::int32_t b = -1;      // subflow index for kTimeout/kFlowStart
-  std::uint32_t gen = 0;    // timer generation for kTimeout
-  Packet pkt;               // payload for kArrive/kLossNotify
+  // link id (kLinkDone), next link or -1 at the path's end (kArrive), or
+  // flow id (kTimeout/kFlowStart)
+  std::int32_t a = -1;
+  // Packet events (kArrive/kLossNotify) carry a packet and timer events a
+  // TimerArgs, never both, so they share bytes: an Event is one 64-byte
+  // cache line's worth, which every queue push and pop moves.
+  union {
+    Packet pkt{};
+    TimerArgs timer;
+  };
 };
+static_assert(sizeof(Event) == 64, "Event should stay 64 bytes");
 
 // "Pops after" comparator over the canonical (time, order) total order:
 // mixed rank first, raw (src, seq) as the collision backstop. The full key

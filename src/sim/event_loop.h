@@ -38,7 +38,7 @@ struct EngineOps {
   // timestamp.
   static void enqueue_packet(sharded::Shard& eng, int link_id, const Packet& pkt) {
     Link& l = eng.links_[static_cast<std::size_t>(link_id)];
-    if (static_cast<int>(l.queue.size()) >= l.queue_capacity) {
+    if (l.depth >= l.queue_capacity) {
       ++l.drops;
       if (eng.telemetry_) eng.telemetry_->on_drop(link_id, eng.now_);
       if (!pkt.is_ack) {
@@ -56,9 +56,8 @@ struct EngineOps {
       return;
     }
     l.queue.push_back(pkt);
-    if (eng.telemetry_) {
-      eng.telemetry_->on_enqueue(link_id, eng.now_, static_cast<int>(l.queue.size()));
-    }
+    ++l.depth;
+    if (eng.telemetry_) eng.telemetry_->on_enqueue(link_id, eng.now_, l.depth);
     if (!l.busy) start_transmission(eng, link_id);
   }
 
@@ -68,19 +67,17 @@ struct EngineOps {
     l.busy = true;
     const Packet& head = l.queue.front();
     Event ev;
-    ev.time = eng.now_ + transmit_time_ns(head.size_bytes, l.rate_bps);
+    ev.time = eng.now_ + transmit_time_ns(packet_bytes(eng.cfg_, head), l.rate_bps);
     ev.order = make_order(link_order_src(link_id), l.order_seq++);
     ev.type = EventType::kLinkDone;
     ev.a = link_id;
     eng.schedule_self(std::move(ev));
   }
 
-  static void forward_or_deliver(sharded::Shard& eng, Packet pkt) {
-    Flow& f = eng.flows_[static_cast<std::size_t>(pkt.flow)];
-    Subflow& sf = f.subflows[static_cast<std::size_t>(pkt.subflow)];
-    const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
-    if (pkt.hop < static_cast<std::int16_t>(path.size())) {
-      const int next_link = path[static_cast<std::size_t>(pkt.hop)];
+  // A kArrive event: `next_link` is the link the packet enters next, or -1
+  // when it reached the end of its path.
+  static void forward_or_deliver(sharded::Shard& eng, Packet pkt, int next_link) {
+    if (next_link >= 0) {
       ++pkt.hop;
       enqueue_packet(eng, next_link, pkt);
       return;
@@ -95,30 +92,40 @@ struct EngineOps {
       case EventType::kLinkDone: {
         Link& l = eng.links_[static_cast<std::size_t>(ev.a)];
         ensure(l.busy && !l.queue.empty(), "kLinkDone: inconsistent link state");
-        Packet pkt = l.queue.front();
-        l.queue.pop_front();
-        ++l.tx_packets;
-        l.tx_bytes += pkt.size_bytes;
-        if (eng.telemetry_) eng.telemetry_->on_transmit(ev.a, eng.now_, pkt.size_bytes);
-        // Propagate to the next hop after the wire delay.
+        // Propagate to the next hop after the wire delay. The next link is
+        // looked up here, once per hop, and travels in the event: the
+        // hand-off routing and the kArrive handler both read it.
         Event arrive;
         arrive.time = eng.now_ + l.delay_ns;
         arrive.order = make_order(link_order_src(ev.a), l.order_seq++);
         arrive.type = EventType::kArrive;
-        arrive.pkt = pkt;
+        arrive.pkt = l.queue.front();
+        l.queue.pop_front();
+        --l.depth;
+        const Packet& pkt = arrive.pkt;
+        const int bytes = packet_bytes(eng.cfg_, pkt);
+        ++l.tx_packets;
+        l.tx_bytes += bytes;
+        if (eng.telemetry_) eng.telemetry_->on_transmit(ev.a, eng.now_, bytes);
+        const Subflow& sf = eng.flows_[static_cast<std::size_t>(pkt.flow)]
+                                .subflows[static_cast<std::size_t>(pkt.subflow)];
+        const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
+        arrive.a = pkt.hop < static_cast<std::int16_t>(path.size())
+                       ? path[static_cast<std::size_t>(pkt.hop)]
+                       : -1;
         eng.dispatch_arrival(std::move(arrive));
         if (!l.queue.empty()) start_transmission(eng, ev.a);
         else l.busy = false;
         break;
       }
       case EventType::kArrive:
-        forward_or_deliver(eng, ev.pkt);
+        forward_or_deliver(eng, ev.pkt, ev.a);
         break;
       case EventType::kTimeout:
-        TransportOps::on_timeout(eng, ev.a, ev.b, ev.gen);
+        TransportOps::on_timeout(eng, ev.a, ev.timer.subflow, ev.timer.gen);
         break;
       case EventType::kFlowStart:
-        TransportOps::try_send(eng, ev.a, ev.b);
+        TransportOps::try_send(eng, ev.a, ev.timer.subflow);
         break;
       case EventType::kLossNotify:
         TransportOps::on_loss(eng, ev.pkt);

@@ -4,8 +4,8 @@
 // Layout. Every pending event lives in one slab (a vector of Events with a
 // free list), wherever it is filed:
 //
-//   run     the events of the *active* bucket `cursor_`, as slab indices
-//           sorted by EventAfter with the minimum at back()
+//   run     the events of the *active* bucket `cursor_`, as {time, tie,
+//           slab index} keys sorted by EventAfter with the minimum at back()
 //   wheel   kWheel buckets, each kBucketNs = 2^kBucketShift ns wide; bucket
 //           number b = time >> kBucketShift is filed in slot b mod kWheel,
 //           an intrusive singly linked list threaded through the slab
@@ -40,7 +40,12 @@
 //
 // Cost. push is O(1) into the wheel, a sorted insert into the (short) run,
 // or O(log F) into the far heap; pop is O(1) plus an amortized bucket scan
-// and one sort per bucket. The defaults, 512 buckets of 128 ns (a 65.5 us
+// and one sort per bucket. The run's keys carry the event's time and tie
+// rank inline, so its sorts, sorted inserts and top_time() compare keys
+// without touching the slab; only a tie-rank collision (equal time and
+// tie) falls back to the slab's raw (src, seq). Collecting a bucket reads
+// each event's time from the slab once, and the key is built from that
+// same line. The defaults, 512 buckets of 128 ns (a 65.5 us
 // span), fit the simulator's time mix: a 320 ns ACK serialization, 5 us
 // wire delays and 12 us MTU serializations land in the wheel, and only RTO
 // timers (8 ms and more) and late loss notifications go to the far heap —
@@ -75,30 +80,31 @@ class EventQueue {
   std::size_t size() const { return size_; }
 
   void push(Event&& ev) {
+    // The common case, kept small enough to inline into the handlers: a
+    // later bucket inside the wheel's span, into a recycled slab slot.
     const std::int64_t b = bucket_of(ev.time);
-    const std::uint32_t idx = alloc(std::move(ev));
-    if (b < cursor_) rewind(b);
-    if (b == cursor_ && !run_.empty()) {
-      run_.insert(std::lower_bound(run_.begin(), run_.end(), idx, after()), idx);
-    } else if (b - cursor_ < kWheel) {
+    if (b > cursor_ && b - cursor_ < kWheel && free_ != kNil) {
+      const std::uint32_t idx = free_;
+      free_ = next_[idx];
+      slab_[idx] = std::move(ev);
+      ++size_;
       link(idx, slot_of(b));
-    } else {
-      far_.push_back(idx);
-      std::push_heap(far_.begin(), far_.end(), after());
+      return;
     }
+    push_any(std::move(ev));
   }
 
   // Time of the minimum pending event; settles the cursor on its bucket.
   // Requires !empty().
   TimeNs top_time() {
-    settle();
-    return slab_[run_.back()].time;
+    if (run_.empty()) settle();
+    return run_.back().time;
   }
 
   // Removes and returns the minimum pending event. Requires !empty().
   Event pop() {
-    settle();
-    const std::uint32_t idx = run_.back();
+    if (run_.empty()) settle();
+    const std::uint32_t idx = run_.back().idx;
     run_.pop_back();
     Event ev = std::move(slab_[idx]);
     next_[idx] = free_;
@@ -109,6 +115,25 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+  // push() for any event: below or at the cursor, past the wheel's span,
+  // or into a slab that must grow.
+  void push_any(Event&& ev) {
+    const TimeNs time = ev.time;
+    const std::uint64_t tie = ev.order.tie;
+    const std::int64_t b = bucket_of(time);
+    const std::uint32_t idx = alloc(std::move(ev));
+    if (b < cursor_) rewind(b);
+    if (b == cursor_ && !run_.empty()) {
+      const Key key{time, tie, idx};
+      run_.insert(std::lower_bound(run_.begin(), run_.end(), key, key_after()), key);
+    } else if (b - cursor_ < kWheel) {
+      link(idx, slot_of(b));
+    } else {
+      far_.push_back(idx);
+      std::push_heap(far_.begin(), far_.end(), after());
+    }
+  }
 
   static std::int64_t bucket_of(TimeNs t) { return t >> kBucketShift; }
   static std::size_t slot_of(std::int64_t b) {
@@ -123,6 +148,24 @@ class EventQueue {
     }
   };
   After after() const { return After{&slab_}; }
+
+  // A run entry: the event's sort key up to the tie rank, inline.
+  struct Key {
+    TimeNs time;
+    std::uint64_t tie;
+    std::uint32_t idx;
+  };
+  // Key comparator, "a pops after b": EventAfter's order, reading the slab
+  // only when time and tie rank are equal.
+  struct KeyAfter {
+    const std::vector<Event>* slab;
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.tie != b.tie) return a.tie > b.tie;
+      return EventAfter{}((*slab)[a.idx], (*slab)[b.idx]);
+    }
+  };
+  KeyAfter key_after() const { return KeyAfter{&slab_}; }
 
   std::uint32_t alloc(Event&& ev) {
     ++size_;
@@ -148,7 +191,7 @@ class EventQueue {
   // the cursor, so every pending event is again at or past it.
   void rewind(std::int64_t b) {
     const std::size_t slot = slot_of(cursor_);
-    for (std::uint32_t idx : run_) link(idx, slot);
+    for (const Key& key : run_) link(key.idx, slot);
     run_.clear();
     cursor_ = b;
   }
@@ -169,10 +212,11 @@ class EventQueue {
     std::uint32_t* prev = &heads_[slot_of(cursor_)];
     while (*prev != kNil) {
       const std::uint32_t idx = *prev;
-      if (bucket_of(slab_[idx].time) == cursor_) {
+      const Event& ev = slab_[idx];
+      if (bucket_of(ev.time) == cursor_) {
         *prev = next_[idx];
         --wheel_count_;
-        run_.push_back(idx);
+        run_.push_back({ev.time, ev.order.tie, idx});
       } else {
         prev = &next_[idx];
       }
@@ -191,17 +235,16 @@ class EventQueue {
     return best;
   }
 
-  // Makes the run non-empty: advances the cursor to the next occupied
+  // Makes an empty run non-empty: advances the cursor to the next occupied
   // bucket and collects it, sorted with the minimum at back().
   void settle() {
-    if (!run_.empty()) return;
     ensure(size_ > 0, "EventQueue: pop/top on an empty queue");
     while (true) {
       pull_far();
       for (int step = 0; step < kWheel && wheel_count_ > 0; ++step) {
         collect();
         if (!run_.empty()) {
-          std::sort(run_.begin(), run_.end(), after());
+          std::sort(run_.begin(), run_.end(), key_after());
           return;
         }
         ++cursor_;
@@ -222,7 +265,7 @@ class EventQueue {
   std::vector<std::uint32_t> next_;
   std::uint32_t free_ = kNil;
   std::array<std::uint32_t, kWheel> heads_;
-  std::vector<std::uint32_t> run_;
+  std::vector<Key> run_;
   std::vector<std::uint32_t> far_;
   std::int64_t cursor_ = 0;
   std::size_t wheel_count_ = 0;

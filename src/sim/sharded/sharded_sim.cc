@@ -23,17 +23,11 @@ void Shard::dispatch_arrival(Event&& ev) {
     events_.push(std::move(ev));
     return;
   }
-  const Packet& pkt = ev.pkt;
-  const Subflow& sf = flows_[static_cast<std::size_t>(pkt.flow)]
-                          .subflows[static_cast<std::size_t>(pkt.subflow)];
-  const auto& path = pkt.is_ack ? sf.ack_path : sf.data_path;
-  int dest;
-  if (pkt.hop < static_cast<std::int16_t>(path.size())) {
-    dest = owner_.link_shard_[static_cast<std::size_t>(path[static_cast<std::size_t>(pkt.hop)])];
-  } else {
-    dest = pkt.is_ack ? owner_.flow_src_shard_[static_cast<std::size_t>(pkt.flow)]
-                      : owner_.flow_dst_shard_[static_cast<std::size_t>(pkt.flow)];
-  }
+  // The kLinkDone handler resolved the next link (or -1: the endpoint).
+  const std::size_t flow = static_cast<std::size_t>(ev.pkt.flow);
+  const int dest = ev.a >= 0 ? owner_.link_shard_[static_cast<std::size_t>(ev.a)]
+                   : ev.pkt.is_ack ? owner_.flow_src_shard_[flow]
+                                   : owner_.flow_dst_shard_[flow];
   route(std::move(ev), dest);
 }
 
@@ -46,8 +40,9 @@ void Shard::route(Event&& ev, int dest) {
     events_.push(std::move(ev));
   } else {
     ++handoffs_;
-    ++staged_;
-    outbox_[static_cast<std::size_t>(dest)].push_back(std::move(ev));
+    staged_min_ = std::min(staged_min_, ev.time);
+    outbox_[static_cast<std::size_t>(parity_)][static_cast<std::size_t>(dest)].push_back(
+        std::move(ev));
   }
 }
 
@@ -63,12 +58,16 @@ void Shard::run_round(TimeNs horizon, TimeNs t_end) {
   }
 }
 
+TimeNs Shard::next_time() {
+  return events_.empty() ? ShardedSimulator::kMaxTime : events_.top_time();
+}
+
 ShardedSimulator::ShardedSimulator(SimConfig cfg, int num_shards) : cfg_(cfg) {
   check(num_shards >= 1, "ShardedSimulator: need >= 1 shard");
   shards_.reserve(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     shards_.emplace_back(*this, s);
-    shards_.back().outbox_.resize(static_cast<std::size_t>(num_shards));
+    for (auto& boxes : shards_.back().outbox_) boxes.resize(static_cast<std::size_t>(num_shards));
   }
 }
 
@@ -213,7 +212,7 @@ void ShardedSimulator::finalize() {
       ev.order = make_order(subflow_order_src(fid, static_cast<int>(s)), sf.order_seq++);
       ev.type = EventType::kFlowStart;
       ev.a = fid;
-      ev.b = static_cast<std::int32_t>(s);
+      ev.timer = {static_cast<std::int32_t>(s), 0};
       shards_[static_cast<std::size_t>(flow_src_shard_[static_cast<std::size_t>(fid)])]
           .events_.push(std::move(ev));
     }
@@ -221,11 +220,11 @@ void ShardedSimulator::finalize() {
 }
 
 void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
-  // Round telemetry: counts are exact and schedule-independent (the round
-  // structure is decided by timestamps and the lookahead, never by worker
-  // scheduling); barrier_wait_ns is each worker slot's slack within each
-  // round (round wall minus the busy time of the shards that slot ran) —
-  // the load-imbalance signal ROADMAP's sharded-sim speedup item needs.
+  // Window telemetry: counts are exact and schedule-independent (the window
+  // sequence is decided by timestamps and the lookahead, never by worker
+  // scheduling); barrier_wait_ns takes one sample per participant per
+  // window, the time it spent blocked in that window's barrier — the
+  // load-imbalance signal.
   static obs::Counter& obs_runs = obs::counter("sim.runs");
   static obs::Counter& obs_rounds = obs::counter("sim.rounds");
   static obs::Counter& obs_events = obs::counter("sim.events");
@@ -246,60 +245,79 @@ void ShardedSimulator::run_until(TimeNs t_end, parallel::WorkBudget* budget) {
   const bool obs_on = obs::metrics_enabled();
   const int num = num_shards();
   parallel::WorkerTeam team(budget, num - 1);
-  // Busy time per worker slot this round; each slot is one thread, so every
-  // element has a single writer, read after the round's join.
-  std::vector<std::int64_t> slot_busy_ns(static_cast<std::size_t>(team.size()), 0);
-  while (true) {
-    // Barrier section: deliver staged hand-offs in canonical shard order,
-    // then restart from the global minimum pending timestamp. (Mailboxes
-    // written during round k are only read here, after the round's join.)
-    for (Shard& src : shards_) {
-      if (src.staged_ == 0) continue;
-      src.staged_ = 0;
-      for (int dst = 0; dst < num; ++dst) {
-        auto& box = src.outbox_[static_cast<std::size_t>(dst)];
-        for (Event& ev : box) shards_[static_cast<std::size_t>(dst)].events_.push(std::move(ev));
-        box.clear();
-      }
-    }
-    TimeNs t = kMaxTime;
-    for (Shard& sh : shards_) {
-      if (!sh.events_.empty()) t = std::min(t, sh.events_.top_time());
-    }
-    if (t == kMaxTime || t > t_end) break;
-    const TimeNs horizon = lookahead_ns_ >= kMaxTime - t ? kMaxTime : t + lookahead_ns_;
-    ++rounds_;
-    obs_rounds.increment();
-    std::int64_t round_events = 0, round_handoffs = 0;
-    if (obs_on) {
-      for (const Shard& sh : shards_) {
-        round_events -= sh.events_processed_;
-        round_handoffs -= sh.handoffs_;
-      }
-      std::fill(slot_busy_ns.begin(), slot_busy_ns.end(), 0);
-    }
-    const std::int64_t round_t0 = obs_on ? obs::monotonic_ns() : 0;
-    team.run(num, [&](int s, int slot) {
-      const std::int64_t t0 = obs_on ? obs::monotonic_ns() : 0;
-      shards_[static_cast<std::size_t>(s)].run_round(horizon, t_end);
-      if (obs_on) slot_busy_ns[static_cast<std::size_t>(slot)] += obs::monotonic_ns() - t0;
-    });
-    if (obs_on) {
-      // Shards joined: single-threaded barrier section reads their totals.
-      const std::int64_t round_wall = obs::monotonic_ns() - round_t0;
-      for (const Shard& sh : shards_) {
-        round_events += sh.events_processed_;
-        round_handoffs += sh.handoffs_;
-      }
-      for (std::int64_t busy : slot_busy_ns) {
-        obs_barrier_wait_ns.record(std::max<std::int64_t>(0, round_wall - busy));
-      }
-      obs_events.add(round_events);
-      obs_handoffs.add(round_handoffs);
-      obs_round_events.record(round_events);
-      obs_round_handoffs.record(round_handoffs);
-    }
+  const int parts = team.size();
+  parallel::EpochBarrier barrier(parts);
+  // Each shard's earliest pending event, by window parity: window k reads
+  // next_min[k & 1] and writes next_min[(k + 1) & 1] (see the header).
+  std::array<std::vector<TimeNs>, 2> next_min;
+  for (auto& mins : next_min) mins.resize(static_cast<std::size_t>(num));
+  for (int s = 0; s < num; ++s) {
+    next_min[0][static_cast<std::size_t>(s)] = shards_[static_cast<std::size_t>(s)].next_time();
   }
+  // Per-participant work of a window, by parity; participant 0 sums window
+  // k - 1's at the start of window k.
+  struct Tally {
+    std::int64_t events = 0;
+    std::int64_t handoffs = 0;
+  };
+  std::array<std::vector<Tally>, 2> tally;
+  for (auto& t : tally) t.resize(static_cast<std::size_t>(parts));
+
+  team.run(parts, [&](int p, int) {
+    try {
+      for (std::int64_t k = 0;; ++k) {
+        const auto cur = static_cast<std::size_t>(k & 1);
+        const std::size_t prev = cur ^ 1;
+        for (int d = p; d < num; d += parts) {
+          Shard& dst = shards_[static_cast<std::size_t>(d)];
+          for (Shard& src : shards_) {
+            auto& box = src.outbox_[prev][static_cast<std::size_t>(d)];
+            for (Event& ev : box) dst.events_.push(std::move(ev));
+            box.clear();
+          }
+        }
+        if (obs_on && p == 0 && k > 0) {
+          Tally sum;
+          for (const Tally& t : tally[prev]) {
+            sum.events += t.events;
+            sum.handoffs += t.handoffs;
+          }
+          obs_events.add(sum.events);
+          obs_handoffs.add(sum.handoffs);
+          obs_round_events.record(sum.events);
+          obs_round_handoffs.record(sum.handoffs);
+        }
+        TimeNs t = kMaxTime;
+        for (TimeNs m : next_min[cur]) t = std::min(t, m);
+        if (t == kMaxTime || t > t_end) return;
+        const TimeNs horizon = lookahead_ns_ >= kMaxTime - t ? kMaxTime : t + lookahead_ns_;
+        if (p == 0) {
+          ++rounds_;
+          obs_rounds.increment();
+        }
+        Tally mine;
+        for (int s = p; s < num; s += parts) {
+          Shard& sh = shards_[static_cast<std::size_t>(s)];
+          mine.events -= sh.events_processed_;
+          mine.handoffs -= sh.handoffs_;
+          sh.parity_ = static_cast<int>(cur);
+          sh.run_round(horizon, t_end);
+          next_min[prev][static_cast<std::size_t>(s)] = std::min(sh.next_time(), sh.staged_min_);
+          sh.staged_min_ = kMaxTime;
+          mine.events += sh.events_processed_;
+          mine.handoffs += sh.handoffs_;
+        }
+        if (obs_on) tally[cur][static_cast<std::size_t>(p)] = mine;
+        const std::int64_t wait_t0 = obs_on ? obs::monotonic_ns() : 0;
+        const bool go = barrier.arrive_and_wait();
+        if (obs_on) obs_barrier_wait_ns.record(obs::monotonic_ns() - wait_t0);
+        if (!go) return;
+      }
+    } catch (...) {
+      barrier.abort();  // release the participants waiting for this one
+      throw;
+    }
+  });
   for (Shard& sh : shards_) sh.now_ = std::max(sh.now_, t_end);
 }
 

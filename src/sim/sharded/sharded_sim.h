@@ -15,25 +15,58 @@
 // assigned to it and runs the shared event mechanics (sim/event_loop.h)
 // over its own event queue: a calendar queue (sim/event_queue.h) that pops
 // in the canonical (time, EventOrder) order. Shards advance in
-// barrier-synchronous rounds:
+// conservative-lookahead windows:
 //
-//   round k:  every shard processes its events with time in [T, T + L)
-//   barrier:  staged cross-shard events are merged, T advances
+//   window k:  every shard processes its events with time in [T_k, T_k + L)
+//   barrier k: every participant has published its shards' minima
 //
-// where T is the global minimum pending timestamp and L — the *lookahead* —
-// is the minimum latency of any cross-shard interaction: the smallest
+// where T_k is the global minimum pending timestamp and L — the *lookahead*
+// — is the minimum latency of any cross-shard interaction: the smallest
 // delay_ns over cut links (a packet handed to another shard arrives one
 // wire delay after the transmitting link, in the transmitting link's shard,
 // completed it) min'd with loss_feedback_floor_ns when a data path crosses
 // shards (a drop anywhere on the path notifies the sender no earlier than
-// the floor). Every event another shard can send into round k therefore
-// carries a timestamp >= T + L and lands in a later round, so within a
-// round shards only touch disjoint state: their own links, and the
+// the floor). Every event another shard can send into window k therefore
+// carries a timestamp >= T_k + L and lands in a later window, so within a
+// window shards only touch disjoint state: their own links, and the
 // sender/receiver halves of Subflow state (see sim/core.h).
 //
+// One fork/join per run_until. The worker team's P participants each own a
+// fixed set of shards (shard s belongs to participant s % P, so a shard's
+// state stays in one core's cache) and loop over the windows together,
+// meeting once per window at a parallel::EpochBarrier. In window k a
+// participant:
+//   1. merges into each shard it owns the hand-offs other shards staged
+//      for it in window k - 1, in canonical source-shard order;
+//   2. computes T_k itself, as the minimum of the per-shard minima
+//      published in window k - 1 (every participant computes the same T_k,
+//      so all leave the loop in the same window without another barrier);
+//   3. runs each owned shard's events below T_k + L, staging hand-offs to
+//      other shards in the shard's outbox of parity k & 1;
+//   4. publishes, per owned shard, min(queue top, earliest event the shard
+//      staged this window) into the minima of parity (k + 1) & 1. Every
+//      pending event is either queued or staged, so the minimum of these is
+//      the global minimum pending timestamp T_{k+1}, although no outbox has
+//      been merged yet.
+//
+// Race-freedom. The outboxes and the minima (and the per-window work
+// tallies behind the metrics) are double-buffered by window parity. Window
+// k writes only the outboxes of parity k and the minima of parity k + 1,
+// and reads only the outboxes of parity k - 1 and the minima of parity k,
+// which window k - 1 finished writing before barrier k - 1. A buffer read
+// in window k is written next in window k + 1 (parity k + 1 = k - 1), after
+// barrier k, and every reader of window k reached barrier k only after its
+// last read. So a writer in window k + 1 touches only buffers that every
+// reader finished with before barrier k, and one barrier per window
+// suffices. (The destination's owner also clears the outbox it merged; the
+// source writes that outbox again only in window k + 1.) A participant
+// whose shard throws aborts the barrier, which releases the others, and
+// run_until rethrows the exception.
+//
 // With one shard nothing is cut: the lookahead is kMaxTime and the whole run
-// is one round over one canonical (time, EventOrder) queue — the reference
-// run every partition reproduces.
+// is one window over one canonical (time, EventOrder) queue — the reference
+// run every partition reproduces. One participant, or metrics on, runs the
+// same loop.
 //
 // Determinism: results are bit-identical to the one-shard run at any shard
 // and worker count. Each shard's pop sequence equals the one-shard run's
@@ -41,12 +74,14 @@
 // owns — the keys derive from per-entity emission counters
 // (pre-shard global state), not arrival interleaving, and same-time events
 // in different shards commute because they share no mutable state. Staged
-// hand-offs are merged at the barrier in canonical shard order; since the
-// order keys are collision-free, insertion order cannot influence the pop
-// sequence anyway. A shard that staged no hand-off in a round skips the
-// merge.
+// hand-offs are merged in canonical shard order; since the order keys are
+// collision-free, insertion order cannot influence the pop sequence anyway.
+// The window sequence depends only on timestamps and the lookahead, so the
+// window count and the per-window work counters do not depend on worker
+// scheduling either.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -67,8 +102,9 @@ namespace jf::sim::sharded {
 class ShardedSimulator;
 
 // One shard: the engine state TransportOps and EngineOps (sim/event_loop.h)
-// run against.
-class Shard {
+// run against. Cache-line aligned: neighbouring shards run on different
+// threads, and their counters and clocks must not share a line.
+class alignas(64) Shard {
  public:
   Shard(ShardedSimulator& owner, int id);
 
@@ -90,6 +126,10 @@ class Shard {
   // Processes this shard's events with time < horizon (and <= t_end).
   void run_round(TimeNs horizon, TimeNs t_end);
 
+  // Earliest pending event of this shard (ShardedSimulator::kMaxTime if
+  // none); settles the queue on it.
+  TimeNs next_time();
+
   ShardedSimulator& owner_;
   int id_ = 0;
   // The shared-state view the mechanics read. links_/flows_ alias the
@@ -107,14 +147,16 @@ class Shard {
   Telemetry* telemetry_ = nullptr;
   TimeNs now_ = 0;
   EventQueue<> events_;
-  // Cross-shard hand-offs staged during a round (dest shard -> events),
-  // merged serially at the barrier; `staged_` counts them, so a shard that
-  // staged nothing skips the merge.
-  std::vector<std::vector<Event>> outbox_;
-  std::int64_t staged_ = 0;
-  // Telemetry (shard-local, single-writer; read at the barrier): lifetime
-  // event/hand-off totals. Plain counters — they never feed back into the
-  // simulation.
+  // Cross-shard hand-offs staged in window k, by window parity k & 1 and
+  // then destination shard; the destination's owner merges (and clears)
+  // them in window k + 1. `parity_` selects the buffer of the current
+  // window and `staged_min_` is the earliest event staged in it (kMaxTime
+  // if none). See the header comment for why two buffers suffice.
+  std::array<std::vector<std::vector<Event>>, 2> outbox_;
+  int parity_ = 0;
+  TimeNs staged_min_ = std::numeric_limits<TimeNs>::max();
+  // Telemetry (shard-local, single-writer): lifetime event/hand-off totals.
+  // Plain counters — they never feed back into the simulation.
   std::int64_t events_processed_ = 0;
   std::int64_t handoffs_ = 0;
 };
@@ -164,10 +206,11 @@ class ShardedSimulator {
   // once, after run_until.
   void finalize_telemetry();
 
-  // Advances to t_end in conservative-lookahead rounds; shards run in
-  // parallel on workers borrowed from `budget` (may be null: the calling
-  // thread sweeps the shards alone). The borrow grant changes wall-clock
-  // time only, never results.
+  // Advances to t_end in conservative-lookahead windows, in one fork/join:
+  // shards run in parallel on workers borrowed from `budget` (may be null:
+  // the calling thread sweeps the shards alone). The borrow grant changes
+  // wall-clock time only, never results. Rethrows the first exception a
+  // shard's handlers raised.
   void run_until(TimeNs t_end, parallel::WorkBudget* budget = nullptr);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -181,8 +224,8 @@ class ShardedSimulator {
   // Normalized goodput of a flow over the measurement window (1.0 = NIC rate).
   double normalized_goodput(int flow_id) const;
 
-  // Introspection (valid once run_until has been called): the round bound
-  // (kMaxTime when nothing crosses shards) and rounds executed so far.
+  // Introspection (valid once run_until has been called): the window bound
+  // (kMaxTime when nothing crosses shards) and windows executed so far.
   TimeNs lookahead_ns() const;
   std::int64_t rounds() const { return rounds_; }
 

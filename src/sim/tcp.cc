@@ -57,7 +57,6 @@ void TransportOps::send_data(sharded::Shard& sim, int flow, int subflow, std::in
   pkt.hop = 1;  // consumed index 0 below
   pkt.is_ack = false;
   pkt.seq = seq;
-  pkt.size_bytes = sim.cfg_.payload_bytes;
   pkt.ts = sim.now_;
   ++sf.packets_sent;
   if (retransmit) ++sf.retransmits;
@@ -73,7 +72,6 @@ void TransportOps::send_ack(sharded::Shard& sim, const Packet& data) {
   ack.hop = 1;
   ack.is_ack = true;
   ack.seq = sf.rcv_next;  // cumulative
-  ack.size_bytes = sim.cfg_.ack_bytes;
   ack.ts = data.ts;  // echo the sender timestamp for RTT sampling
   EngineOps::enqueue_packet(sim, sf.ack_path.front(), ack);
 }
@@ -96,8 +94,8 @@ void TransportOps::arm_timer(sharded::Shard& sim, int flow, int subflow, bool re
   ev.order = make_order(subflow_order_src(flow, subflow), sf.order_seq++);
   ev.type = EventType::kTimeout;
   ev.a = flow;
-  ev.b = subflow;
-  ev.gen = sf.timer_gen;
+  ev.timer.subflow = subflow;
+  ev.timer.gen = sf.timer_gen;
   sim.schedule_transport(std::move(ev));
 }
 
@@ -226,8 +224,8 @@ void TransportOps::on_timeout(sharded::Shard& sim, int flow, int subflow, std::u
     ev.order = make_order(subflow_order_src(flow, subflow), sf.order_seq++);
     ev.type = EventType::kTimeout;
     ev.a = flow;
-    ev.b = subflow;
-    ev.gen = sf.timer_gen;
+    ev.timer.subflow = subflow;
+    ev.timer.gen = sf.timer_gen;
     sim.schedule_transport(std::move(ev));
     return;
   }

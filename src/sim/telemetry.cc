@@ -16,16 +16,21 @@ void Telemetry::attach(std::size_t num_links, std::size_t num_flows) {
   data_.epoch_ns = cfg_.epoch_ns;
   data_.flows.assign(num_flows, FlowRecord{});
   data_.links.assign(num_links, LinkSeries{});
+  cursors_.assign(num_links, EpochCursor{});
   attached_ = true;
 }
 
 LinkEpoch& Telemetry::epoch_slot(int link, TimeNs now) {
   auto& series = data_.links[static_cast<std::size_t>(link)];
-  const auto idx = static_cast<std::size_t>(now / cfg_.epoch_ns);
-  // Grows only from the link's single writer; intermediate epochs (the link
-  // was idle) materialize as zero rows.
-  if (series.epochs.size() <= idx) series.epochs.resize(idx + 1);
-  return series.epochs[idx];
+  EpochCursor& cur = cursors_[static_cast<std::size_t>(link)];
+  if (now < cur.begin || now >= cur.end) {
+    const TimeNs idx = now / cfg_.epoch_ns;
+    cur = {idx * cfg_.epoch_ns, (idx + 1) * cfg_.epoch_ns, static_cast<std::size_t>(idx)};
+    // Grows only from the link's single writer; intermediate epochs (the
+    // link was idle) materialize as zero rows.
+    if (series.epochs.size() <= cur.index) series.epochs.resize(cur.index + 1);
+  }
+  return series.epochs[cur.index];
 }
 
 void Telemetry::on_enqueue(int link, TimeNs now, int depth_after) {

@@ -158,7 +158,16 @@ class Telemetry {
  private:
   LinkEpoch& epoch_slot(int link, TimeNs now);
 
+  // Each link's current epoch, [begin, end), and its index: a hook inside
+  // it skips the division. Single writer per slot, like the link's series.
+  struct EpochCursor {
+    TimeNs begin = 0;
+    TimeNs end = 0;
+    std::size_t index = 0;
+  };
+
   TelemetryConfig cfg_;
+  std::vector<EpochCursor> cursors_;
   bool attached_ = false;
   bool finalized_ = false;
   TelemetryDataset data_;

@@ -1,11 +1,16 @@
 // common/parallel: work-budget accounting, worker teams (slot ids, reuse
-// across rounds, error propagation), and parallel_for (fixed thread counts
-// plus budgeted nesting with early slot release).
+// across rounds, error propagation), parallel_for (fixed thread counts
+// plus budgeted nesting with early slot release), and the epoch barrier
+// (visibility across epochs, abort).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -149,6 +154,80 @@ TEST(BudgetedParallelFor, NestedRegionsShareOneBudget) {
   });
   for (const auto& h : inner_hits) EXPECT_EQ(h.load(), 1);
   EXPECT_EQ(budget.available(), 3);
+}
+
+// Each participant writes its own slot of a plain (non-atomic) array before
+// arriving and reads every slot after leaving: the barrier alone must make
+// the writes visible (and, under ThreadSanitizer, ordered). Slots are
+// double-buffered by epoch parity, the way the packet simulator uses the
+// barrier, so a participant that leaves epoch e first cannot overwrite what
+// a slower one still reads. Every 1000th epoch one participant sleeps, so
+// the others also take the parked (atomic wait) path.
+TEST(EpochBarrier, EveryEpochsWritesAreVisibleToAllAfterIt) {
+  constexpr int kParticipants = 3;
+  constexpr std::int64_t kEpochs = 20'000;
+  EpochBarrier barrier(kParticipants);
+  std::array<std::array<std::int64_t, kParticipants>, 2> slots{};
+  std::array<std::int64_t, kParticipants> mismatches{};
+  std::array<std::int64_t, kParticipants> passed{};
+  auto participant = [&](int p) {
+    for (std::int64_t e = 0; e < kEpochs; ++e) {
+      const auto parity = static_cast<std::size_t>(e & 1);
+      slots[parity][static_cast<std::size_t>(p)] = e * kParticipants + p;
+      if (e % 1000 == 0 && (e / 1000) % kParticipants == p) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (!barrier.arrive_and_wait()) return;
+      ++passed[static_cast<std::size_t>(p)];
+      for (int q = 0; q < kParticipants; ++q) {
+        if (slots[parity][static_cast<std::size_t>(q)] != e * kParticipants + q) {
+          ++mismatches[static_cast<std::size_t>(p)];
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int p = 1; p < kParticipants; ++p) threads.emplace_back(participant, p);
+  participant(0);
+  for (auto& t : threads) t.join();
+  for (int p = 0; p < kParticipants; ++p) {
+    EXPECT_EQ(passed[static_cast<std::size_t>(p)], kEpochs) << "participant " << p;
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(p)], 0) << "participant " << p;
+  }
+}
+
+// A participant that fails calls abort() instead of arriving: the others,
+// waiting for it, are released with false, and every later arrival returns
+// false at once.
+TEST(EpochBarrier, AbortReleasesTheOtherParticipants) {
+  constexpr int kParticipants = 3;
+  constexpr int kEpochsBeforeAbort = 100;
+  EpochBarrier barrier(kParticipants);
+  std::array<int, kParticipants> passed{};
+  auto waiter = [&](int p) {
+    while (barrier.arrive_and_wait()) ++passed[static_cast<std::size_t>(p)];
+  };
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kParticipants - 1; ++p) threads.emplace_back(waiter, p);
+  for (int e = 0; e < kEpochsBeforeAbort; ++e) {
+    ASSERT_TRUE(barrier.arrive_and_wait());
+  }
+  // Let the waiters reach the next epoch and park before aborting it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  barrier.abort();
+  for (auto& t : threads) t.join();
+  for (int p = 0; p < kParticipants - 1; ++p) {
+    EXPECT_EQ(passed[static_cast<std::size_t>(p)], kEpochsBeforeAbort) << "participant " << p;
+  }
+  EXPECT_FALSE(barrier.arrive_and_wait());
+}
+
+TEST(EpochBarrier, OneParticipantNeverWaits) {
+  EpochBarrier barrier(1);
+  for (int e = 0; e < 1000; ++e) ASSERT_TRUE(barrier.arrive_and_wait());
+  barrier.abort();
+  EXPECT_FALSE(barrier.arrive_and_wait());
+  EXPECT_THROW(EpochBarrier(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <variant>
 
 #include "eval/engine.h"
@@ -245,6 +247,33 @@ TEST(Serialize, LoaderErrorPaths) {
   // A plain scenario has no claims.
   EXPECT_THROW(eval::scenario_from_json(json::Value::parse(R"({"claims": []})")),
                std::invalid_argument);
+}
+
+// Out-of-range solver options load (they are well-formed numbers), but
+// validate_scenario — which `jf_eval print` runs on every sweep point —
+// rejects them before any cell runs, naming the field as the file spells it.
+TEST(Serialize, McfOptionErrorsNameTheField) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("max_phases": 0)", "mcf.max_phases must be >= 1"},
+      {R"("epsilon": 0.5)", "mcf.epsilon must be in (0, 0.5)"},
+      {R"("epsilon": 0)", "mcf.epsilon must be in (0, 0.5)"},
+      {R"("link_capacity": 0)", "mcf.link_capacity must be > 0"},
+      {R"("convergence_window": 0)", "mcf.convergence_window must be >= 1"},
+      {R"("convergence_tol": -1)", "mcf.convergence_tol must be >= 0"},
+  };
+  for (const auto& [field, message] : cases) {
+    const std::string text = std::string(R"({"topologies": [{"family": "fattree", "fattree_k": 4}],
+        "routings": [{"scheme": "ksp", "width": 8}], "metrics": ["routed_throughput"],
+        "seeds": [1], "mcf": {)") + field + "}}";
+    const auto points = eval::expand_sweep(eval::sweep_from_json(json::Value::parse(text)));
+    ASSERT_EQ(points.size(), 1u);
+    try {
+      eval::validate_scenario(points[0].scenario);
+      ADD_FAILURE() << "accepted " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 TEST(Serialize, SampleRowsRoundTripExactlyAndAggregatesMatch) {

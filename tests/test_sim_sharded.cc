@@ -4,6 +4,7 @@
 // lookahead bound, and the Link-through-config contract.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -279,6 +280,52 @@ TEST(ShardedSim, LookaheadBoundedByCutDelayButNeverReorders) {
   // A cut link with minimal delay forces short rounds: 15x less lookahead
   // must cost substantially more rounds over the same simulated time.
   EXPECT_GT(rounds_short, 2 * rounds_long);
+}
+
+// A handler that throws inside one shard's window ends the whole run: the
+// participant that owns the shard aborts the window barrier, the others
+// leave it, and run_until rethrows. Each shard in turn is the failing one,
+// so the throw comes from the calling thread and from borrowed workers. A
+// participant left parked at the barrier would hang here (the ctest
+// TIMEOUT turns that into a failure).
+TEST(ShardedSim, HandlerExceptionIsRethrownAndReleasesEveryParticipant) {
+  SimConfig cfg;
+  const std::pair<int, int> runs[] = {{3, 2}, {8, 4}};  // (shards, threads)
+  for (const auto& [shards, threads] : runs) {
+    for (int victim = 0; victim < shards; ++victim) {
+      // A ring: flow s runs from shard s to shard s + 1 over a cut link.
+      sharded::ShardedSimulator sim(cfg, shards);
+      for (int a = 0; a < shards; ++a) {
+        const int b = (a + 1) % shards;
+        const int up = sim.add_link(a);
+        const int x = sim.add_link(a);
+        const int down = sim.add_link(b);
+        const int rup = sim.add_link(b);
+        const int rx = sim.add_link(b);
+        const int rdown = sim.add_link(a);
+        const int f = sim.add_flow(a, b, /*mptcp=*/false, a, b);
+        sim.add_subflow(f, {up, x, down}, {rup, rx, rdown}, 0);
+      }
+      parallel::WorkBudget budget(threads - 1);
+      sim.run_until(kMillisecond, &budget);
+      // Break one busy link of the victim shard (no API mutates a link, so
+      // through const_cast): empty its queue and mark it full, so arrivals
+      // are dropped instead of refilling it. Its pending completion then
+      // finds the queue empty and trips the kLinkDone invariant check
+      // inside the victim's window.
+      int broken = -1;
+      for (int l = 0; l < 6 * shards && broken < 0; ++l) {
+        if (sim.link_shard(l) == victim && sim.link(l).busy) broken = l;
+      }
+      ASSERT_GE(broken, 0) << "no busy link in shard " << victim;
+      Link& link = const_cast<Link&>(sim.link(broken));
+      link.queue.clear();
+      link.depth = link.queue_capacity;
+      EXPECT_THROW(sim.run_until(2 * kMillisecond, &budget), std::logic_error)
+          << "shards=" << shards << " threads=" << threads << " victim=" << victim;
+      EXPECT_EQ(budget.available(), threads - 1);
+    }
+  }
 }
 
 TEST(ShardedSim, ZeroLatencyCutIsRejected) {
