@@ -197,7 +197,8 @@ void WorkerTeam::work(int slot) {
 
 namespace {
 
-// Bounded spin before parking: about a microsecond or two of `pause`s.
+// Bounded spin before parking: a few microseconds of `pause`s (about 6 us
+// on a 4-vCPU AMD EPYC host).
 constexpr int kBarrierSpins = 256;
 
 inline void cpu_relax() {

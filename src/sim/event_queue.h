@@ -80,18 +80,20 @@ class EventQueue {
   std::size_t size() const { return size_; }
 
   void push(Event&& ev) {
-    // The common case, kept small enough to inline into the handlers: a
-    // later bucket inside the wheel's span, into a recycled slab slot.
-    const std::int64_t b = bucket_of(ev.time);
-    if (b > cursor_ && b - cursor_ < kWheel && free_ != kNil) {
-      const std::uint32_t idx = free_;
-      free_ = next_[idx];
-      slab_[idx] = std::move(ev);
-      ++size_;
+    const TimeNs time = ev.time;
+    const std::uint64_t tie = ev.order.tie;
+    const std::int64_t b = bucket_of(time);
+    const std::uint32_t idx = alloc(std::move(ev));
+    if (b < cursor_) rewind(b);
+    if (b == cursor_ && !run_.empty()) {
+      const Key key{time, tie, idx};
+      run_.insert(std::lower_bound(run_.begin(), run_.end(), key, key_after()), key);
+    } else if (b - cursor_ < kWheel) {
       link(idx, slot_of(b));
-      return;
+    } else {
+      far_.push_back(idx);
+      std::push_heap(far_.begin(), far_.end(), after());
     }
-    push_any(std::move(ev));
   }
 
   // Time of the minimum pending event; settles the cursor on its bucket.
@@ -115,25 +117,6 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-  // push() for any event: below or at the cursor, past the wheel's span,
-  // or into a slab that must grow.
-  void push_any(Event&& ev) {
-    const TimeNs time = ev.time;
-    const std::uint64_t tie = ev.order.tie;
-    const std::int64_t b = bucket_of(time);
-    const std::uint32_t idx = alloc(std::move(ev));
-    if (b < cursor_) rewind(b);
-    if (b == cursor_ && !run_.empty()) {
-      const Key key{time, tie, idx};
-      run_.insert(std::lower_bound(run_.begin(), run_.end(), key, key_after()), key);
-    } else if (b - cursor_ < kWheel) {
-      link(idx, slot_of(b));
-    } else {
-      far_.push_back(idx);
-      std::push_heap(far_.begin(), far_.end(), after());
-    }
-  }
 
   static std::int64_t bucket_of(TimeNs t) { return t >> kBucketShift; }
   static std::size_t slot_of(std::int64_t b) {

@@ -1,7 +1,8 @@
 // Tests for the sharded conservative-lookahead packet-sim engine: exact
 // (byte-identical) agreement with the one-shard reference run (a single
 // canonical queue) across shard and thread counts, exact work counters, the
-// lookahead bound, and the Link-through-config contract.
+// lookahead bound, a handler failure inside a window, and the
+// Link-through-config contract.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
