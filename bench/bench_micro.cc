@@ -70,7 +70,7 @@ jf::graph::Graph jellyfish_245() {
 }
 
 // Fat-tree k=14 over the same switch count: every pair has many equal-cost
-// paths, so spur searches and the ECMP DAG walk are tie-heavy.
+// paths, so the path DFS and the ECMP DAG walk are tie-heavy.
 jf::graph::Graph fattree_k14() { return jf::topo::build_fattree(14).switches(); }
 
 // One path set per iteration, computed the way a PathCache does: one sorted
@@ -89,18 +89,18 @@ void path_sets(benchmark::State& state, const jf::graph::Graph& g, Kernel kernel
   }
 }
 
-auto yen8 = [](const jf::graph::SortedAdjacency& adj, int t, jf::graph::SearchScratch& sc) {
+auto ksp8 = [](const jf::graph::SortedAdjacency& adj, int t, jf::graph::SearchScratch& sc) {
   return jf::graph::k_shortest_paths(adj, 0, t, 8, sc);
 };
 auto ecmp8 = [](const jf::graph::SortedAdjacency& adj, int t, jf::graph::SearchScratch& sc) {
   return jf::graph::equal_cost_paths(adj, 0, t, 8, sc);
 };
 
-void BM_YenKShortest(benchmark::State& state) { path_sets(state, jellyfish_245(), yen8); }
-BENCHMARK(BM_YenKShortest);
+void BM_KShortest(benchmark::State& state) { path_sets(state, jellyfish_245(), ksp8); }
+BENCHMARK(BM_KShortest);
 
-void BM_YenKShortestFatTree(benchmark::State& state) { path_sets(state, fattree_k14(), yen8); }
-BENCHMARK(BM_YenKShortestFatTree);
+void BM_KShortestFatTree(benchmark::State& state) { path_sets(state, fattree_k14(), ksp8); }
+BENCHMARK(BM_KShortestFatTree);
 
 void BM_EcmpPaths(benchmark::State& state) { path_sets(state, jellyfish_245(), ecmp8); }
 BENCHMARK(BM_EcmpPaths);

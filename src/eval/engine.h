@@ -74,7 +74,7 @@ struct EngineOptions {
   // and warm one PathProvider per routing scheme with the union of switch
   // pairs the scenario's traffic will query (PathProvider::warm, on the batch's borrowed workers), then
   // share both read-only across seed cells — pairs repeated across
-  // seeds/samples run Yen/ECMP enumeration once instead of once per seed.
+  // seeds/samples run KSP/ECMP enumeration once instead of once per seed.
   // Results are identical either way; this is purely a time/memory trade.
   bool share_path_cache = true;
   // Across a batch (typically one sweep), cells whose full configuration —

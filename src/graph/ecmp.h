@@ -6,19 +6,20 @@
 // between two nodes, deterministically and with an enumeration cap, so the
 // routing layer can model w-way ECMP faithfully.
 //
-// Every function first runs a BFS from t for distances to t, then follows
-// the shortest-path DAG (u -> v iff dist_t(v) == dist_t(u) - 1) from s.
+// Both functions first run the BFS from t that SearchScratch keeps
+// (graph/adjacency.h), stopping once it labels s, then follow the
+// shortest-path DAG (u -> v iff dist_t(v) == dist_t(u) - 1) from s.
 // Tie-breaking is by node id: the DAG is walked in ascending neighbor order,
-// read from a SortedAdjacency (graph/adjacency.h) built once per graph. That
-// order fixes every path set and route; the PathGolden.* tests pin them.
+// read from a SortedAdjacency built once per graph. That order fixes every
+// path set and route; the PathGolden.* tests pin them.
 //
-// The BFS stops as soon as it discovers s. At that moment every node closer
-// to t than s is already discovered with its final distance, and every
-// undiscovered node lies at least as far from t as s. A node u on a
-// shortest s-t path has dist_t(u) <= dist_t(s), so its DAG successors (at
-// dist_t(u) - 1) are all discovered, and no undiscovered node can pass for
-// one. The distances live in a SearchScratch, stamped by epoch, so the
-// search itself allocates nothing once the scratch fits the graph.
+// Labeling s means its whole level d - 1 is labeled, and a node u on a
+// shortest s-t path has dist_t(u) <= d, so its DAG successors (at
+// dist_t(u) - 1 <= d - 1) are all labeled, and no unlabeled node can pass
+// for one. The shortest paths are the simple paths of exactly d hops, so
+// equal_cost_paths is the k-shortest-paths DFS (graph/yen.h) at that one
+// length: there every step goes one level closer to t, and every DAG node
+// reaches t, so the DFS never backs out of a dead end.
 #pragma once
 
 #include <cstdint>

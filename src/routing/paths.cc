@@ -18,9 +18,11 @@ PathSet compute(const graph::SortedAdjacency& adj, graph::NodeId s, graph::NodeI
                 const RoutingOptions& opts, graph::SearchScratch& sc) {
   static obs::Counter& obs_pairs = obs::counter("routing.pairs");
   static obs::Counter& obs_paths = obs::counter("routing.paths");
-  static obs::Counter& obs_spurs = obs::counter("routing.spur_searches");
+  static obs::Counter& obs_steps = obs::counter("routing.dfs_steps");
+  static obs::Counter& obs_fallbacks = obs::counter("routing.ksp_fallbacks");
   check(opts.width >= 1, "PathCache: width must be >= 1");
-  const std::int64_t spurs_before = sc.spur_searches;
+  const std::int64_t steps_before = sc.dfs_steps;
+  const std::int64_t fallbacks_before = sc.ksp_fallbacks;
   PathSet out;
   switch (opts.scheme) {
     case Scheme::kEcmp:
@@ -32,7 +34,8 @@ PathSet compute(const graph::SortedAdjacency& adj, graph::NodeId s, graph::NodeI
   }
   obs_pairs.increment();
   obs_paths.add(static_cast<std::int64_t>(out.size()));
-  obs_spurs.add(sc.spur_searches - spurs_before);
+  obs_steps.add(sc.dfs_steps - steps_before);
+  obs_fallbacks.add(sc.ksp_fallbacks - fallbacks_before);
   return out;
 }
 

@@ -3,7 +3,7 @@
 // Two families are modeled, matching the paper's comparison:
 //   * ECMP-w: up to w equal-cost *shortest* paths per switch pair — what
 //     commodity hardware gives you (w = 8 or 64);
-//   * KSP-k: Yen's k shortest paths, which may be longer than shortest —
+//   * KSP-k: the k shortest simple paths, which may be longer than shortest —
 //     the scheme the paper shows is necessary to exploit Jellyfish capacity.
 // Flow placement onto a path set uses a deterministic 64-bit hash of the
 // flow identity, modeling per-flow ECMP hashing / MPTCP subflow pinning.
@@ -28,7 +28,7 @@ namespace jf::routing {
 // RoutingSpec and resolved by make_path_provider (routing/path_provider.h).
 enum class Scheme {
   kEcmp,  // equal-cost shortest paths, capped at `width`
-  kKsp,   // Yen's k-shortest paths, k = `width`
+  kKsp,   // k shortest simple paths, k = `width`
 };
 
 struct RoutingOptions {
@@ -43,9 +43,9 @@ std::size_t select_path(std::size_t num_paths, std::uint64_t flow_key);
 // Demand-driven path cache: computes each pair's path set once.
 //
 // The cache sorts the graph's neighbor lists once, into the SortedAdjacency
-// every Yen/ECMP search reads, and keeps one SearchScratch for paths().
+// every KSP/ECMP search reads, and keeps one SearchScratch for paths().
 // Every path set it computes counts in the exact obs counters
-// routing.pairs, routing.paths and routing.spur_searches.
+// routing.pairs, routing.paths, routing.dfs_steps and routing.ksp_fallbacks.
 class PathCache {
  public:
   PathCache(const graph::Graph& g, RoutingOptions opts);
@@ -83,7 +83,7 @@ class PathCache {
   // find/emplace, warm() a try_emplace (and an erase on failure), and
   // pairs_cached() reads size(); nothing iterates the table, so its hash-
   // and insertion-order-dependent layout cannot reach a Report, serializer,
-  // or digest. The path sets themselves come from the Yen/ECMP kernels, a
+  // or digest. The path sets themselves come from the KSP/ECMP kernels, a
   // pure function of (graph, pair, options), whichever thread or scratch
   // computes them. warm() inserts its entries in canonical pair order
   // before any worker starts, so even the table's layout does not depend

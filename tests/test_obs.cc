@@ -243,12 +243,13 @@ std::vector<json::Value> trace_events(const std::string& name) {
   return out;
 }
 
-// The 4-cycle 0-1-2-3-0, counted by hand. KSP-4 from 0 to 2 accepts
-// [0,1,2], then spurs at 0 (first hop 1 blocked: finds [0,3,2]) and at 1
-// (node 0 and hop 2 blocked: nothing); it accepts [0,3,2], then spurs at 0
-// (hops 1 and 3 blocked) and at 3 (node 0 and hop 2 blocked), both empty.
-// So: 1 pair, 2 paths, 4 spur searches. ECMP's (0,2) and (1,3) add 2 pairs,
-// 2 paths each, and no spur search.
+// The 4-cycle 0-1-2-3-0, counted by hand. KSP-4 from 0 to 2: the BFS from
+// 2 labels 1 and 3 (distance 1) and 0 (distance 2), so d = 2. Length 2
+// steps 0->1->2 and 0->3->2: 4 steps, 2 paths. No step was pruned as too
+// far from 2 (0's neighbors are both taken; 1 and 3 have no neighbor
+// besides 0 and 2), so no simple 0-2 path is longer and length 3 is never
+// tried. So: 1 pair, 2 paths, 4 DFS steps, no fallback to Yen. ECMP's
+// (0,2) and (1,3) add 2 pairs, 2 paths and 4 steps each (the same DFS).
 TEST(ObsRouting, CountersExactOnFourCycle) {
   ObsGuard on(/*metrics=*/true, /*trace=*/true);
   obs::reset_metrics();
@@ -261,7 +262,8 @@ TEST(ObsRouting, CountersExactOnFourCycle) {
   EXPECT_EQ(ksp.paths(0, 2).size(), 2u);  // cached: counts nothing
   EXPECT_EQ(obs::counter("routing.pairs").value(), 1);
   EXPECT_EQ(obs::counter("routing.paths").value(), 2);
-  EXPECT_EQ(obs::counter("routing.spur_searches").value(), 4);
+  EXPECT_EQ(obs::counter("routing.dfs_steps").value(), 4);
+  EXPECT_EQ(obs::counter("routing.ksp_fallbacks").value(), 0);
 
   // warm() computes each uncached pair once, however often it is listed.
   routing::PathCache ecmp(g, {routing::Scheme::kEcmp, 8});
@@ -271,7 +273,8 @@ TEST(ObsRouting, CountersExactOnFourCycle) {
   ecmp.warm(pairs, &budget);  // all cached: a span with zero counts
   EXPECT_EQ(obs::counter("routing.pairs").value(), 3);
   EXPECT_EQ(obs::counter("routing.paths").value(), 6);
-  EXPECT_EQ(obs::counter("routing.spur_searches").value(), 4);
+  EXPECT_EQ(obs::counter("routing.dfs_steps").value(), 12);
+  EXPECT_EQ(obs::counter("routing.ksp_fallbacks").value(), 0);
 
   const std::vector<json::Value> warms = trace_events("routing.warm");
   ASSERT_EQ(warms.size(), 2u);

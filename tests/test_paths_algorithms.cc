@@ -1,10 +1,12 @@
-// Tests for Yen's k-shortest paths, ECMP enumeration and the
-// Kernighan-Lin bisection heuristic — including property sweeps.
+// Tests for the k-shortest-paths and ECMP kernels and the Kernighan-Lin
+// bisection heuristic — including property sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -13,7 +15,11 @@
 #include "graph/ecmp.h"
 #include "graph/partition.h"
 #include "graph/yen.h"
+#include "topo/degree_diameter.h"
+#include "topo/fattree.h"
 #include "topo/jellyfish.h"
+#include "topo/swdc.h"
+#include "topo/twolayer.h"
 
 namespace jf::graph {
 namespace {
@@ -124,9 +130,10 @@ TEST(Ecmp, AllPathsAreShortest) {
 
 // --- differential tests against the plain algorithms ---
 //
-// The kernels read a sorted adjacency, reuse epoch-stamped scratch, keep
-// Yen's blocked edges as first-hop marks and search spurs depth-first
-// before falling back to BFS. The reference versions below are the
+// The kernels read a sorted adjacency, reuse epoch-stamped scratch, list
+// paths by one DFS per length over lazily labeled distances, and fall back
+// to a Yen that keeps its blocked edges as first-hop marks and searches
+// spurs depth-first before BFS. The reference versions below are the
 // textbook forms — a fresh BFS per search over id-sorted neighbor copies,
 // an explicit set of blocked undirected edges, full distance arrays — and
 // every kernel must return exactly what they return.
@@ -283,6 +290,139 @@ TEST(PathKernels, MatchReferenceOnLongRings) {
           << s << "->" << t << (chords ? " (chords)" : "");
     }
   }
+}
+
+// Every topology family the evaluator ships, at k = 1, 8 and 64 (64 asks
+// for paths up to several hops past the shortest): the DFS alone must
+// answer every pair, so this also pins that its step budget fits them.
+TEST(PathKernels, MatchReferenceOnShippedFamilies) {
+  std::vector<std::pair<std::string, Graph>> families;
+  {
+    Rng rng(4);
+    topo::Topology jf = topo::build_jellyfish(
+        {.num_switches = 245, .ports_per_switch = 14, .network_degree = 11}, rng);
+    families.emplace_back("jellyfish 245/14", jf.switches());
+    topo::fail_random_links(jf, 0.6, rng);
+    families.emplace_back("jellyfish 245/14, 60% links failed", jf.switches());
+  }
+  families.emplace_back("fat-tree k=8", topo::build_fattree(8).switches());
+  families.emplace_back("fat-tree k=14", topo::build_fattree(14).switches());
+  for (const auto& [lattice, name] :
+       {std::pair{topo::SwdcLattice::kRing, "swdc ring"},
+        std::pair{topo::SwdcLattice::kTorus2D, "swdc torus"},
+        std::pair{topo::SwdcLattice::kHexTorus3D, "swdc hex"}}) {
+    Rng rng(6);
+    const topo::SwdcParams params{.lattice = lattice,
+                                  .num_switches = topo::swdc_feasible_size(lattice, 128),
+                                  .degree = 6,
+                                  .ports_per_switch = 7};
+    families.emplace_back(name, topo::build_swdc(params, rng).switches());
+  }
+  {
+    Rng rng(7);
+    const topo::TwoLayerParams params{.num_containers = 4,
+                                      .switches_per_container = 20,
+                                      .ports_per_switch = 12,
+                                      .network_degree = 8,
+                                      .servers_per_switch = 4};
+    families.emplace_back("two-layer", topo::build_two_layer_jellyfish(params, rng).switches());
+  }
+  families.emplace_back("petersen", topo::petersen());
+  families.emplace_back("hoffman-singleton", topo::hoffman_singleton());
+
+  for (const auto& [name, g] : families) {
+    const SortedAdjacency adj(g);
+    SearchScratch scratch;
+    const int n = g.num_nodes();
+    // Spread pairs, plus each node with one neighbor u (failed links leave
+    // some) to and from u and u's other neighbors: pairs with fewer than k
+    // simple paths, whose DFS must see that no longer path exists.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (int i = 0; i < 12; ++i) pairs.emplace_back((i * 37) % n, (i * 101 + 7) % n);
+    for (NodeId v = 0; v < n; ++v) {
+      if (g.neighbors(v).size() != 1) continue;
+      const NodeId u = g.neighbors(v).front();
+      pairs.emplace_back(v, u);
+      pairs.emplace_back(u, v);
+      for (NodeId w : g.neighbors(u)) {
+        if (w == v) continue;
+        pairs.emplace_back(v, w);
+        pairs.emplace_back(w, v);
+      }
+    }
+    for (int k : {1, 8, 64}) {
+      for (const auto& [s, t] : pairs) {
+        ASSERT_EQ(k_shortest_paths(adj, s, t, k, scratch), ref::yen(g, s, t, k))
+            << name << ": " << s << "->" << t << " k=" << k;
+        ASSERT_EQ(equal_cost_paths(adj, s, t, static_cast<std::size_t>(k), scratch),
+                  ref::ecmp(g, s, t, static_cast<std::size_t>(k)))
+            << name << ": " << s << "->" << t << " limit=" << k;
+      }
+    }
+    // The step budget fits every pair from a quarter of the sources.
+    for (int k : {8, 64}) {
+      for (NodeId s = 0; s < n; s += 4) {
+        for (NodeId t = 0; t < n; ++t) (void)k_shortest_paths(adj, s, t, k, scratch);
+      }
+    }
+    EXPECT_EQ(scratch.ksp_fallbacks, 0) << name;
+  }
+}
+
+// A 100-node path with a K5 hanging off each path node by one edge: the
+// path's pairs have one simple path, and at every longer length the DFS
+// wanders into each K5 before it backs out. The step budget hands these
+// pairs to Yen, whose answer must still match the reference, and it keeps
+// the kernel's time in proportion to Yen's (without it, the DFS runs every
+// length up to the 63-hop limit, about ten times longer here).
+TEST(PathKernels, DeadEndsFallBackToYen) {
+  Graph g(600);
+  for (NodeId v = 0; v + 1 < 100; ++v) g.add_edge(v, v + 1);
+  for (NodeId v = 0; v < 100; ++v) {
+    const NodeId base = 100 + 5 * v;
+    for (NodeId a = 0; a < 5; ++a) {
+      for (NodeId b = a + 1; b < 5; ++b) g.add_edge(base + a, base + b);
+    }
+    g.add_edge(v, base);
+  }
+  const SortedAdjacency adj(g);
+  SearchScratch scratch;
+  constexpr int k = 8;
+  // Path-to-path, path-to-K5 and K5-to-K5 pairs, all under 64 hops apart.
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId i = 0; i < 30; ++i) {
+    const NodeId a = (i * 7) % 60;
+    const NodeId b = a + 1 + (i * 13) % 40;
+    pairs.emplace_back(i % 3 == 0 ? a : 100 + 5 * a + i % 5,
+                       i % 3 == 2 ? b : 100 + 5 * b + (i + 2) % 5);
+  }
+
+  using Clock = std::chrono::steady_clock;
+  std::vector<std::vector<std::vector<NodeId>>> want;
+  const auto t0 = Clock::now();
+  for (const auto& [s, t] : pairs) want.push_back(ref::yen(g, s, t, k));
+  const auto ref_time = Clock::now() - t0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [s, t] = pairs[i];
+    ASSERT_EQ(k_shortest_paths(adj, s, t, k, scratch), want[i]) << s << "->" << t;
+  }
+  EXPECT_GT(scratch.ksp_fallbacks, 0);
+  // The budget bounds each pair's DFS: at most kKspStepsPerHop * k * (d + 2)
+  // steps, d <= 63 here.
+  EXPECT_LE(scratch.dfs_steps,
+            static_cast<std::int64_t>(pairs.size()) * kKspStepsPerHop * k * (63 + 2));
+
+  // ref::yen is the plain Yen loop with a fresh BFS per spur. The kernel,
+  // budgeted DFS and fallback included, takes about 5% of its time here
+  // (without the budget, about half); the bound is a quarter, on the best
+  // of five passes so that one preemption cannot fail the test.
+  auto best = Clock::duration::max();
+  for (int pass = 0; pass < 5; ++pass) {
+    const auto p0 = Clock::now();
+    for (const auto& [s, t] : pairs) (void)k_shortest_paths(adj, s, t, k, scratch);
+    best = std::min(best, Clock::now() - p0);
+  }
+  EXPECT_LT(best * 4, ref_time);
 }
 
 TEST(Partition, BalancedAndCountsCut) {

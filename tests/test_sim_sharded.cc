@@ -126,10 +126,10 @@ TEST(ShardedSim, WorkCountersExactAtOneShard) {
   obs::set_metrics_enabled(false);
 }
 
-// sim.barrier_wait_ns takes one sample per worker slot per round: the
-// round's wall time minus the busy time of the shards that slot ran. With
-// more shards than slots, one sample per shard would count a slot's time on
-// its other shards as waiting.
+// sim.barrier_wait_ns takes one sample per participant per window: the time
+// that participant spent blocked in the window's barrier. With more shards
+// than participants, one sample per shard would count a participant's time
+// on its other shards as waiting.
 TEST(ShardedSim, BarrierWaitIsRecordedPerWorkerSlot) {
   Rng rng(42);
   auto topo = topo::build_jellyfish(
