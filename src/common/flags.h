@@ -1,5 +1,5 @@
 // Strict integer parsing for command-line flags, shared by jf_eval and the
-// bench drivers so both reject the same malformed input.
+// perf drivers so both reject the same malformed input.
 #pragma once
 
 #include <charconv>

@@ -1,5 +1,5 @@
 // Structured results of an Engine::run: raw per-seed samples plus aggregate
-// summaries, renderable as a common::table for the bench drivers.
+// summaries, renderable as a common::table for jf_eval and the examples.
 //
 // Samples are emitted in a canonical order that depends only on the Scenario
 // (never on thread scheduling), so two runs of the same scenario at any

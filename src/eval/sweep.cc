@@ -291,12 +291,11 @@ struct RowMatch {
   int rows = 0;
 };
 
-RowMatch match_rows(const Report& report, std::string_view topology, std::string_view routing,
-                    std::string_view metric) {
+RowMatch match_rows(const Report& report, const ClaimSelector& sel) {
   RowMatch m;
   for (const auto& row : report.aggregates()) {
-    if (row.metric != metric || !row.topology.starts_with(topology) ||
-        !row.routing.starts_with(routing)) {
+    if (row.metric != sel.metric || !row.topology.starts_with(sel.topology) ||
+        !row.routing.starts_with(sel.routing)) {
       continue;
     }
     if (m.rows++ == 0) m.mean = row.summary.mean;
@@ -304,16 +303,7 @@ RowMatch match_rows(const Report& report, std::string_view topology, std::string
   return m;
 }
 
-RowMatch match_rows(const Report& report, const ClaimSelector& sel) {
-  return match_rows(report, sel.topology, sel.routing, sel.metric);
-}
-
 }  // namespace
-
-double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric, std::string_view routing_prefix) {
-  return match_rows(point.report, label_prefix, routing_prefix, metric).mean;
-}
 
 ClaimResult check_claim(const Claim& claim, const SweepReport& report) {
   ClaimResult out;

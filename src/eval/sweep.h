@@ -165,10 +165,4 @@ ClaimResult check_claim(const Claim& claim, const SweepReport& report);
 // "-"; the line jf_eval run prints per claim.
 std::string claim_line(std::string_view name, const Claim& claim, const ClaimResult& result);
 
-// Mean of the first aggregate row of `point` matching the selector fields
-// (see ClaimSelector), or NaN when no row matches; the row lookup claims
-// use, for drivers whose figure is more than a claim.
-double mean_for(const SweepPointResult& point, std::string_view label_prefix,
-                std::string_view metric, std::string_view routing_prefix = {});
-
 }  // namespace jf::eval

@@ -1,10 +1,12 @@
-// Unit tests for jf_common: RNG determinism, statistics, table output.
+// Unit tests for jf_common: RNG determinism, statistics, table output,
+// integer flag parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -144,6 +146,14 @@ TEST(Table, PrintsAlignedAndCsv) {
 TEST(Table, FormatsNumbers) {
   EXPECT_EQ(Table::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(Table::fmt(42), "42");
+}
+
+// jf_eval and the perf drivers parse --threads and friends through int_flag.
+TEST(IntFlag, RejectsMalformedAndOutOfRangeValues) {
+  EXPECT_THROW(int_flag("--threads", "abc", 0), std::invalid_argument);
+  EXPECT_THROW(int_flag("--threads", "3x", 0), std::invalid_argument);
+  EXPECT_THROW(int_flag("--threads", "-1", 0), std::invalid_argument);
+  EXPECT_EQ(int_flag("--threads", "2", 0), 2);
 }
 
 }  // namespace

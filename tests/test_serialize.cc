@@ -327,6 +327,11 @@ TEST(Serialize, ShippedScenarioFilesLoadAndExpand) {
     std::vector<eval::SweepPoint> points;
     ASSERT_NO_THROW(points = eval::expand_sweep(spec));
     EXPECT_FALSE(points.empty());
+    // Every point passes the checks `jf_eval print` and `run` apply first.
+    for (const eval::SweepPoint& point : points) {
+      SCOPED_TRACE(point.label);
+      EXPECT_NO_THROW(eval::validate_scenario(point.scenario));
+    }
     // The canonical form of every shipped file round-trips byte for byte.
     const std::string once = eval::sweep_to_json(spec).dump(2);
     EXPECT_EQ(eval::sweep_to_json(eval::sweep_from_json(json::Value::parse(once))).dump(2),

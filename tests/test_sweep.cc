@@ -1,8 +1,7 @@
 // eval/sweep: axis expansion (cartesian, zipped, filtered), label
 // auto-suffixing, run_sweep determinism at any thread count, the shared
-// PathCache fast path for deterministic topology families, paper claims
-// checked against hand-built reports, and the bench driver's argument
-// parsing.
+// PathCache fast path for deterministic topology families, and paper claims
+// checked against hand-built reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "eval/bench_driver.h"
 #include "eval/engine.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
@@ -509,35 +507,21 @@ TEST(Claims, NanValueFailsItsBound) {
   EXPECT_FALSE(eval::check_claim(c, report).pass);
 }
 
-TEST(Claims, MeanForReadsTheFirstMatchingRow) {
-  const eval::SweepReport report = hand_report({{{"jf-a", "ecmp", "goodput", 0.5},
-                                                 {"jf-b", "ksp", "goodput", 0.9}}});
-  const auto& point = report.points[0];
-  EXPECT_EQ(eval::mean_for(point, "jf", "goodput"), 0.5);
-  EXPECT_EQ(eval::mean_for(point, "jf", "goodput", "ksp"), 0.9);
-  EXPECT_TRUE(std::isnan(eval::mean_for(point, "ft", "goodput")));
-}
-
-// Malformed bench-driver arguments exit 2 before any sweep runs. The
-// default scenario path does not exist, so a command line that got past
-// parsing would fail on the load with 1 instead.
-TEST(BenchDriver, RejectsMalformedArgumentsBeforeRunning) {
-  const std::string missing = "no-such-dir/default.json";
-  auto run = [&](std::vector<std::string> args) {
-    args.insert(args.begin(), "bench_test");
-    std::vector<char*> argv;
-    for (auto& a : args) argv.push_back(a.data());
-    return eval::sweep_bench_main(static_cast<int>(argv.size()), argv.data(), "test", missing);
+TEST(Claims, RoutingPrefixSelectsTheRow) {
+  // Two routings of one topology carry the metric: "ecmp-8" and "ecmp-64"
+  // share the prefix "ecmp", so only the full label picks one of them.
+  const eval::SweepReport report = hand_report({{{"jf", "ecmp-8", "div", 0.5},
+                                                 {"jf", "ecmp-64", "div", 0.6},
+                                                 {"jf", "ksp-8", "div", 0.1}}});
+  auto value = [&](const std::string& routing) {
+    const eval::Claim c{.text = "claim", .a = {"jf", routing, "div"}, .max = 1.0};
+    return eval::check_claim(c, report).values.at(0);
   };
-  EXPECT_EQ(run({"--threads", "abc"}), 2);
-  EXPECT_EQ(run({"--threads", "3x"}), 2);
-  EXPECT_EQ(run({"--threads", "-1"}), 2);
-  EXPECT_EQ(run({"a.json", "b.json"}), 2);
-  // The first positional equal to the default path still takes the slot.
-  EXPECT_EQ(run({missing, "b.json"}), 2);
-  // Well-formed arguments get past parsing and fail on the missing file.
-  EXPECT_EQ(run({"--threads", "2"}), 1);
-  EXPECT_EQ(run({missing}), 1);
+  EXPECT_EQ(value("ksp").value_or(-1), 0.1);
+  EXPECT_EQ(value("ecmp-8").value_or(-1), 0.5);
+  EXPECT_EQ(value("ecmp-64").value_or(-1), 0.6);
+  EXPECT_FALSE(value("ecmp").has_value());
+  EXPECT_FALSE(value("vlb").has_value());
 }
 
 }  // namespace
