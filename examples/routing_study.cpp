@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "common/table.h"
-#include "flow/maxmin.h"
+#include "flow/link_index.h"
 #include "routing/diversity.h"
 #include "routing/path_provider.h"
 #include "sim/workload.h"

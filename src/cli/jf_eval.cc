@@ -29,7 +29,6 @@
 #include <sstream>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "common/flags.h"
@@ -60,7 +59,7 @@ int usage(std::ostream& os, int code) {
         "                      [--format table|csv|json] [--quiet]\n"
         "                      [--cache-dir DIR] [--cache-budget-mb N]\n"
         "                      [--trace-out FILE] [--metrics-out FILE]\n"
-        "                      [--telemetry-out FILE] [--stats-json FILE]\n"
+        "                      [--telemetry-out FILE]\n"
         "      Execute the scenario (or sweep) and render the report.\n"
         "      --threads N   global worker budget shared by concurrent cells and\n"
         "                    within-cell solvers (0 = hardware concurrency);\n"
@@ -92,14 +91,6 @@ int usage(std::ostream& os, int code) {
         "                    packet_sim/flow_stats metric to produce cells; not\n"
         "                    combinable with --cache-dir (a cache hit would skip the\n"
         "                    simulation that records the data).\n"
-        "      --stats-json FILE  atomic machine-readable mirror of the stderr\n"
-        "                    [stats] line: the same entries, times as plain\n"
-        "                    seconds. The line's wall and fct_p99 are named\n"
-        "                    wall_seconds and fct_p99_seconds; per-phase times\n"
-        "                    nest under phases_seconds, telemetry entries under\n"
-        "                    telemetry.\n"
-        "                    Works with --quiet (the line is suppressed, the\n"
-        "                    file is still written).\n"
         "      The file's claims are checked after the report is written: one\n"
         "      [claim] line each on stderr (also with --quiet), and exit status 3\n"
         "      if any failed.\n"
@@ -126,16 +117,6 @@ std::string render(const eval::SweepReport& report, const std::string& format) {
   return out.str();
 }
 
-// "1.234": the fixed three-decimal form every [stats] value other than a
-// count takes.
-std::string fixed3(double x) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(3);
-  os << x;
-  return os.str();
-}
-
 // Per-phase wall-time sums: the key shown and the metrics distribution it
 // sums. t_warm/t_cells are batch phases; the remaining keys are summed task
 // time across workers, so t_solve can exceed wall on a parallel run.
@@ -146,45 +127,39 @@ constexpr std::pair<const char*, const char*> kPhases[] = {
     {"t_store_put", "store.put_ns"},
 };
 
-// One entry of a batch's [stats] accounting. The stderr line shows
-// `key=value` (a count as an integer, a time as "1.234s", a ratio as
-// "0.123"); --stats-json holds `json_key: value`, times as plain seconds,
-// nested in the object named `group` when there is one.
-struct StatRow {
-  const char* group;  // nullptr: top level
-  const char* key;
-  const char* json_key;
-  std::variant<std::int64_t, double> value;
-  const char* unit = "";  // appended to a double on the line
-};
-
-// Everything one batch's [stats] line reports, in line order; both
-// renderers below walk these rows, so the line and --stats-json carry the
-// same entries. Keys are stable (CI's cold-vs-warm gate asserts on
-// "solved=0") and new ones append only.
-std::vector<StatRow> collect_stats(const eval::BatchStats& batch,
-                                   const store::ResultStore* store, double wall_secs,
-                                   const std::vector<eval::ScenarioTelemetry>* telemetry) {
-  std::vector<StatRow> rows;
-  auto count = [&](const char* group, const char* key, std::int64_t n) {
-    rows.push_back({group, key, key, n});
+// One greppable accounting line per executed batch, as `key=value` entries:
+// a count as an integer, a time as "1.234s", a ratio as "0.123".
+// Deliberately on stderr: report bytes must not depend on cache state. Keys
+// are stable (CI's cold-vs-warm gate asserts on "solved=0") and new ones
+// append only.
+std::string stats_line(const eval::BatchStats& batch, const store::ResultStore* store,
+                       double wall_secs,
+                       const std::vector<eval::ScenarioTelemetry>* telemetry) {
+  std::string line = "[stats]";
+  auto count = [&](const char* key, std::int64_t n) {
+    line += std::string(" ") + key + "=" + std::to_string(n);
   };
-  count(nullptr, "cells", batch.cells);
-  count(nullptr, "solved", batch.solved);
-  count(nullptr, "memo_hits", batch.memo_hits);
-  count(nullptr, "store_hits", batch.store_hits);
+  auto decimal = [&](const char* key, double x, const char* unit) {
+    std::ostringstream os;
+    os.setf(std::ios::fixed);
+    os.precision(3);
+    os << " " << key << "=" << x << unit;
+    line += os.str();
+  };
+  count("cells", batch.cells);
+  count("solved", batch.solved);
+  count("memo_hits", batch.memo_hits);
+  count("store_hits", batch.store_hits);
   if (store != nullptr) {
-    count(nullptr, "store_entries", static_cast<std::int64_t>(store->entry_count()));
-    count(nullptr, "store_bytes", static_cast<std::int64_t>(store->total_bytes()));
+    count("store_entries", static_cast<std::int64_t>(store->entry_count()));
+    count("store_bytes", static_cast<std::int64_t>(store->total_bytes()));
   }
-  rows.push_back({nullptr, "wall", "wall_seconds", wall_secs, "s"});
+  decimal("wall", wall_secs, "s");
   if (obs::metrics_enabled()) {
     const obs::MetricsSnapshot snap = obs::collect_metrics();
     for (const auto& [key, dist] : kPhases) {
       const obs::DistributionSnapshot* d = snap.find_distribution(dist);
-      if (d != nullptr && d->count > 0) {
-        rows.push_back({"phases_seconds", key, key, static_cast<double>(d->sum) / 1e9, "s"});
-      }
+      if (d != nullptr && d->count > 0) decimal(key, static_cast<double>(d->sum) / 1e9, "s");
     }
   }
   if (telemetry != nullptr) {
@@ -200,44 +175,11 @@ std::vector<StatRow> collect_stats(const eval::BatchStats& batch,
         worst_link_util = std::max(worst_link_util, sim::worst_link_utilization(c.data));
       }
     }
-    count("telemetry", "flows", flows);
-    if (!fct.empty()) {
-      rows.push_back({"telemetry", "fct_p99", "fct_p99_seconds", percentile(fct, 99.0), "s"});
-    }
-    rows.push_back({"telemetry", "worst_link_util", "worst_link_util", worst_link_util});
-  }
-  return rows;
-}
-
-// One greppable accounting line per executed batch. Deliberately on
-// stderr: report bytes must not depend on cache state.
-std::string stats_line(const std::vector<StatRow>& rows) {
-  std::string line = "[stats]";
-  for (const StatRow& row : rows) {
-    line += std::string(" ") + row.key + "=";
-    if (const auto* n = std::get_if<std::int64_t>(&row.value)) {
-      line += std::to_string(*n);
-    } else {
-      line += fixed3(std::get<double>(row.value)) + row.unit;
-    }
+    count("flows", flows);
+    if (!fct.empty()) decimal("fct_p99", percentile(fct, 99.0), "s");
+    decimal("worst_link_util", worst_link_util, "");
   }
   return line;
-}
-
-// Machine-readable mirror of the [stats] line (--stats-json), so a harness
-// never re-parses the human format.
-json::Value stats_json(const std::vector<StatRow>& rows) {
-  json::Object o;
-  for (const StatRow& row : rows) {
-    json::Value v = std::visit([](auto x) { return json::Value(x); }, row.value);
-    if (row.group == nullptr) {
-      o.emplace_back(row.json_key, std::move(v));
-      continue;
-    }
-    if (o.empty() || o.back().first != row.group) o.emplace_back(row.group, json::Object{});
-    o.back().second.as_object().emplace_back(row.json_key, std::move(v));
-  }
-  return json::Value(std::move(o));
 }
 
 // Zips the collected per-point telemetry with the sweep report's point
@@ -286,7 +228,6 @@ int cmd_run(int argc, char** argv) {
   std::string trace_out;
   std::string metrics_out;
   std::string telemetry_out;
-  std::string stats_json_out;
   int cache_budget_mb = 0;
   int threads = 0;
   int sim_shards = 0;
@@ -315,8 +256,6 @@ int cmd_run(int argc, char** argv) {
       metrics_out = value();
     } else if (arg == "--telemetry-out") {
       telemetry_out = value();
-    } else if (arg == "--stats-json") {
-      stats_json_out = value();
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -370,18 +309,15 @@ int cmd_run(int argc, char** argv) {
   // Collection is purely observational (the report is byte-identical either
   // way — gated in tests and CI), so metrics default on whenever the stats
   // line will be shown or a dump was requested.
-  obs::set_metrics_enabled(!quiet || !metrics_out.empty() || !stats_json_out.empty());
+  obs::set_metrics_enabled(!quiet || !metrics_out.empty());
   obs::set_trace_enabled(!trace_out.empty());
   // detlint: ok(wall time feeds only the stderr [stats] line, never the report)
   const auto run_t0 = std::chrono::steady_clock::now();
   eval::SweepReport report = eval::run_sweep(spec, opts, progress);
   const double wall_secs =  // detlint: ok(stderr [stats] accounting only)
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_t0).count();
-  const std::vector<StatRow> record =
-      collect_stats(stats, store.get(), wall_secs, opts.telemetry);
-  if (!quiet) std::cerr << stats_line(record) << "\n";
-  if (!stats_json_out.empty()) {
-    common::write_file_atomic(fs::path(stats_json_out), stats_json(record).dump(2) + "\n");
+  if (!quiet) {
+    std::cerr << stats_line(stats, store.get(), wall_secs, opts.telemetry) << "\n";
   }
   export_observability(trace_out, metrics_out);
   if (!telemetry_out.empty()) {

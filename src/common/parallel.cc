@@ -245,18 +245,6 @@ void EpochBarrier::abort() {
   epoch_.notify_all();
 }
 
-void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
-  check(n >= 0, "parallel_for: negative range");
-  if (n == 0) return;
-  threads = std::min(resolve_threads(threads), n);
-  if (threads == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  WorkBudget budget(threads - 1);
-  parallel_for(n, &budget, fn);
-}
-
 void parallel_for(int n, WorkBudget* budget, const std::function<void(int)>& fn) {
   check(n >= 0, "parallel_for: negative range");
   if (n == 0) return;

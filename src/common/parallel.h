@@ -147,18 +147,14 @@ class EpochBarrier {
   std::atomic<bool> aborted_{false};
 };
 
-// Runs fn(i) for every i in [0, n) on `threads` workers. With `threads` <= 1
-// the loop runs inline (no pool, deterministic and allocation-free);
-// `threads` <= 0 selects hardware concurrency. Rethrows the first task
-// exception. Workers claim indices dynamically, so uneven per-index costs
-// still balance.
-void parallel_for(int n, int threads, const std::function<void(int)>& fn);
-
-// Budgeted variant: borrows up to n - 1 workers from `budget` (which may be
-// null) and runs the rest on the calling thread. Each borrowed worker
-// returns its slot to the budget as soon as it runs out of indices, so when
-// a long-tail index is the only one left, nested budgeted regions inside it
-// (e.g. an MCF solve) can immediately re-borrow the freed workers.
+// Runs fn(i) for every i in [0, n): borrows up to n - 1 workers from
+// `budget` (which may be null; then, or with no slot free, the loop runs
+// inline) and runs the rest on the calling thread. Workers claim indices
+// dynamically, so uneven per-index costs still balance. Rethrows the first
+// task exception. Each borrowed worker returns its slot to the budget as
+// soon as it runs out of indices, so when a long-tail index is the only one
+// left, nested budgeted regions inside it (e.g. an MCF solve) can
+// immediately re-borrow the freed workers.
 void parallel_for(int n, WorkBudget* budget, const std::function<void(int)>& fn);
 
 }  // namespace jf::parallel

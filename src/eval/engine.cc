@@ -104,7 +104,7 @@ struct Cell {
 };
 
 // Per-topology resources built once and shared read-only across seed cells
-// when the family is deterministic (see EngineOptions::share_path_cache).
+// when the family is deterministic (see prepare_shared).
 struct SharedTopology {
   std::optional<topo::Topology> topology;
   // One fully warmed provider per routing index; null entries mean the cell
@@ -544,12 +544,12 @@ std::vector<Cell> build_cells(const Scenario& s) {
 // is safe to share; see PathProvider). Fills shared/query_pairs/warm_jobs;
 // the warming itself (PathProvider::warm, on the batch's borrowed workers)
 // is the caller's job, once per batch.
-void prepare_shared(PreparedScenario& p, bool share_path_cache) {
+void prepare_shared(PreparedScenario& p) {
   const Scenario& s = *p.s;
   p.shared.resize(s.topologies.size());
   p.query_pairs.resize(s.topologies.size());
   const bool any_build = std::ranges::any_of(s.metrics, metric_needs_build);
-  if (!share_path_cache || s.seeds.size() <= 1 || !any_build) return;
+  if (s.seeds.size() <= 1 || !any_build) return;
 
   const bool has_routing_metrics = std::ranges::any_of(s.metrics, metric_needs_routing);
   const bool wants_path_metrics = reads(s, MetricInput::kPaths);
@@ -667,23 +667,33 @@ std::string cell_payload(const std::string& key, const std::vector<Sample>& samp
 }
 
 std::optional<std::vector<Sample>> load_cached_cell(store::ResultStore& store,
-                                                    const std::string& key,
-                                                    const std::string& digest) {
+                                                    const std::string& key, const Cell& cell) {
+  const std::string digest = cell_digest(key);
   auto bytes = store.get(digest);
   if (!bytes) return std::nullopt;
+  // Every row must name this cell: a payload with the right key whose row
+  // names another topology would make Report::aggregates() throw at render,
+  // and one naming another seed would be averaged in silently. The ids are
+  // compared as stored, before samples_from_json narrows them to int.
+  auto names_cell = [&](const json::Value& row_v) {
+    const json::Array& row = row_v.as_array();
+    return row.size() >= 3 && row[0].as_int() == cell.topo &&
+           row[1].as_int() == cell.routing && row[2].as_uint() == cell.seed;
+  };
   try {
     const json::Value v = json::Value::parse(*bytes);
     const json::Value* schema = v.find("schema");
     const json::Value* stored_key = v.find("key");
     const json::Value* samples = v.find("samples");
     if (schema != nullptr && schema->as_int() == kReportSchemaVersion &&
-        stored_key != nullptr && stored_key->as_string() == key && samples != nullptr) {
+        stored_key != nullptr && stored_key->as_string() == key && samples != nullptr &&
+        std::ranges::all_of(samples->as_array(), names_cell)) {
       return samples_from_json(*samples);
     }
   } catch (const std::exception&) {
   }
-  // Torn, truncated, stale-schema, or colliding entry: drop it and let the
-  // caller recompute (which re-puts a good entry).
+  // Torn, truncated, stale-schema, colliding or foreign-row entry: drop it
+  // and let the caller recompute (which re-puts a good entry).
   store.erase(digest);
   return std::nullopt;
 }
@@ -761,7 +771,7 @@ std::vector<Report> Engine::run_batch(
     p.results.resize(p.cells.size());
     p.cell_telemetry.resize(p.cells.size());
     p.cells_left = static_cast<int>(p.cells.size());
-    prepare_shared(p, opts_.share_path_cache);
+    prepare_shared(p);
   }
 
   // One budget for the whole batch: the calling thread is free, so a global
@@ -798,16 +808,15 @@ std::vector<Report> Engine::run_batch(
   // cell (byte-identical spec slice + indices + seed — see cell_key) do not
   // enter the queue; the leader cell splices its samples into their slots
   // when it finishes. Sweeps with a fixed reference row collapse that row
-  // to one evaluation; any key miss just runs the cell.
+  // to one evaluation. The leader's key is also its store key.
   struct CellRef {
     std::size_t run;
     int cell;
   };
   std::vector<CellRef> queue;
   std::vector<std::vector<CellRef>> followers;  // duplicates of queue[i]'s key
-  std::vector<std::string> keys;  // per queue entry; empty when nothing needs them
-  const bool want_keys = opts_.memoize_cells || opts_.store != nullptr;
-  if (opts_.memoize_cells) {
+  std::vector<std::string> keys;                // queue[i]'s cell key
+  {
     std::map<std::string, std::size_t> leader_of;  // key -> queue index
     for (std::size_t i = 0; i < runs.size(); ++i) {
       for (int c = 0; c < static_cast<int>(runs[i].cells.size()); ++c) {
@@ -822,16 +831,6 @@ std::vector<Report> Engine::run_batch(
         }
       }
     }
-  } else {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      for (int c = 0; c < static_cast<int>(runs[i].cells.size()); ++c) {
-        queue.push_back({i, c});
-        if (want_keys) {
-          keys.push_back(cell_key(*runs[i].s, runs[i].cells[static_cast<std::size_t>(c)]));
-        }
-      }
-    }
-    followers.resize(queue.size());
   }
 
   std::vector<Report> reports(scenarios.size());
@@ -855,36 +854,30 @@ std::vector<Report> Engine::run_batch(
     obs::Span cell_span("engine.cell", "engine");
     cell_span.arg("topo", cell.topo);
     cell_span.arg("routing", cell.routing);
-    // Persistent-store fast path: a verified hit splices exactly like the
-    // in-process leader/duplicate path below — same slot, same bytes —
-    // because stored samples round-trip bit-exactly through the JSON
-    // shortest-round-trip number format.
+    // A leader cell is a verified store hit or one solve (then one put).
+    // A hit splices exactly like the duplicates below — same slot, same
+    // bytes — because stored samples round-trip bit-exactly through the
+    // JSON shortest-round-trip number format.
+    const std::string& key = keys[static_cast<std::size_t>(i)];
+    std::optional<std::vector<Sample>> cached;
     if (opts_.store != nullptr) {
-      const std::string& key = keys[static_cast<std::size_t>(i)];
-      const std::string digest = cell_digest(key);
-      std::optional<std::vector<Sample>> cached;
-      {
-        obs::ScopedTimer load_timer(obs_store_load_ns);
-        cached = load_cached_cell(*opts_.store, key, digest);
-      }
-      if (cached) {
-        slot = std::move(*cached);
-        store_hit_count.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        {
-          obs::ScopedTimer solve_timer(obs_solve_ns);
-          slot = run_cell(*p.s, cell, p.shared[static_cast<std::size_t>(cell.topo)], &budget,
-                          telem_slot);
-        }
-        solved_count.fetch_add(1, std::memory_order_relaxed);
-        obs::ScopedTimer save_timer(obs_store_save_ns);
-        opts_.store->put(digest, cell_payload(key, slot));
-      }
+      obs::ScopedTimer load_timer(obs_store_load_ns);
+      cached = load_cached_cell(*opts_.store, key, cell);
+    }
+    if (cached) {
+      slot = std::move(*cached);
+      store_hit_count.fetch_add(1, std::memory_order_relaxed);
     } else {
-      obs::ScopedTimer solve_timer(obs_solve_ns);
-      slot = run_cell(*p.s, cell, p.shared[static_cast<std::size_t>(cell.topo)], &budget,
-                      telem_slot);
+      {
+        obs::ScopedTimer solve_timer(obs_solve_ns);
+        slot = run_cell(*p.s, cell, p.shared[static_cast<std::size_t>(cell.topo)], &budget,
+                        telem_slot);
+      }
       solved_count.fetch_add(1, std::memory_order_relaxed);
+      if (opts_.store != nullptr) {
+        obs::ScopedTimer save_timer(obs_store_save_ns);
+        opts_.store->put(cell_digest(key), cell_payload(key, slot));
+      }
     }
     // Splice into every duplicate cell's slot. No lock needed: each
     // follower slot is written exactly once, by this leader, before any

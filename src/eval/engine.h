@@ -16,6 +16,19 @@
 // Neither level affects results: cell RNG streams are index-derived and the
 // solver's round schedule is worker-count independent.
 //
+// Reuse: two savings are always on, and neither changes a report byte.
+// For deterministic topology families (fattree) in a multi-seed scenario,
+// the topology is built once and one PathProvider per routing scheme is
+// warmed (PathProvider::warm, on the batch's borrowed workers) with the
+// union of switch pairs the scenario's traffic will query, then shared
+// read-only across seed cells. Across a batch (typically one sweep), cells
+// whose full configuration — the spec slice the cell reads plus its
+// topology/routing indices and seed, from which its RNG streams derive — is
+// byte-identical run once; the other occurrences splice the first cell's
+// samples into their result slots: fig14's Jellyfish rows, which its
+// local_fraction axis never touches, evaluate once per size instead of once
+// per sweep point (BatchStats::memo_hits counts the spliced slots).
+//
 // The static measurement kernels below are what scenario cells evaluate;
 // they are public so benches and tests can score a topology directly.
 #pragma once
@@ -70,25 +83,10 @@ struct EngineOptions {
   // borrow for within-cell solves never exceed this. <= 0 selects hardware
   // concurrency.
   int threads = 0;
-  // For deterministic topology families (fattree), build the topology once
-  // and warm one PathProvider per routing scheme with the union of switch
-  // pairs the scenario's traffic will query (PathProvider::warm, on the batch's borrowed workers), then
-  // share both read-only across seed cells — pairs repeated across
-  // seeds/samples run KSP/ECMP enumeration once instead of once per seed.
-  // Results are identical either way; this is purely a time/memory trade.
-  bool share_path_cache = true;
-  // Across a batch (typically one sweep), cells whose full configuration —
-  // the spec slice the cell reads plus its topology/routing indices and
-  // seed, which the cell's RNG streams are derived from — is byte-identical
-  // run once; the other occurrences splice the first cell's samples into
-  // their result slots (e.g. fig02a's fixed fat-tree reference row, which
-  // the server-ramp axis never touches, evaluates once instead of once per
-  // sweep point). Reports are byte-identical either way.
-  bool memoize_cells = true;
   // Persistent cell cache (not owned; may be null). Leader cells first look
   // up their content digest — the SHA-256 of the canonical scenario-slice
   // bytes, cell indices, seed, and kReportSchemaVersion — and splice the
-  // stored samples exactly like the in-process memoization path on a hit;
+  // stored samples exactly like an in-batch duplicate on a hit;
   // on a miss the solved samples are persisted on completion. Entries that
   // fail to parse or verify are dropped and recomputed, never trusted.
   // Reports are byte-identical with the cache off, cold, or warm, at any

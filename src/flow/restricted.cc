@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "flow/gk.h"
-#include "flow/maxmin.h"
+#include "flow/link_index.h"
 #include "obs/metrics.h"
 
 namespace jf::flow {

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "flow/maxmin.h"
+#include "flow/link_index.h"
 #include "routing/path_provider.h"
 
 namespace jf::routing {

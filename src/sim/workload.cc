@@ -4,7 +4,7 @@
 
 #include "common/check.h"
 #include "common/stats.h"
-#include "flow/maxmin.h"
+#include "flow/link_index.h"
 #include "obs/trace.h"
 #include "sim/sharded/plan.h"
 #include "sim/sharded/sharded_sim.h"

@@ -1,10 +1,10 @@
 // Tests for the fluid capacity engines: Garg-Könemann max concurrent flow,
-// max-min fair allocation, bisection bounds, and the capacity search.
+// directed link ids, bisection bounds, and the capacity search.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "flow/bisection.h"
-#include "flow/maxmin.h"
+#include "flow/link_index.h"
 #include "flow/mcf.h"
 #include "flow/throughput.h"
 #include "topo/fattree.h"
@@ -127,61 +127,6 @@ TEST(Mcf, FattreeIsFullBisection) {
   auto cs = traffic::to_switch_commodities(ft, tm);
   auto r = max_concurrent_flow(ft.switches(), cs, {});
   EXPECT_GT(r.lambda, 0.9);
-}
-
-TEST(MaxMin, SingleFlowGetsCapacity) {
-  std::vector<PinnedFlow> flows{{{0}, 1.0}};
-  auto rates = maxmin_fair_rates(1, 1.0, flows);
-  EXPECT_DOUBLE_EQ(rates[0], 1.0);
-}
-
-TEST(MaxMin, EqualShareOnBottleneck) {
-  std::vector<PinnedFlow> flows{{{0}, 1.0}, {{0}, 1.0}, {{0}, 1.0}, {{0}, 1.0}};
-  auto rates = maxmin_fair_rates(1, 1.0, flows);
-  for (double r : rates) EXPECT_NEAR(r, 0.25, 1e-9);
-}
-
-TEST(MaxMin, WaterFillingRedistributes) {
-  // Flow A crosses links 0 and 1; flow B only link 0; flow C only link 1.
-  // Links have capacity 1. A gets 0.5, then B and C fill to 0.5 each...
-  // classic result: all get 0.5.
-  std::vector<PinnedFlow> flows{{{0, 1}, 10.0}, {{0}, 10.0}, {{1}, 10.0}};
-  auto rates = maxmin_fair_rates(2, 1.0, flows);
-  EXPECT_NEAR(rates[0], 0.5, 1e-9);
-  EXPECT_NEAR(rates[1], 0.5, 1e-9);
-  EXPECT_NEAR(rates[2], 0.5, 1e-9);
-}
-
-TEST(MaxMin, RateCapFreesCapacity) {
-  std::vector<PinnedFlow> flows{{{0}, 0.2}, {{0}, 10.0}};
-  auto rates = maxmin_fair_rates(1, 1.0, flows);
-  EXPECT_NEAR(rates[0], 0.2, 1e-9);
-  EXPECT_NEAR(rates[1], 0.8, 1e-9);
-}
-
-TEST(MaxMin, EmptyPathGetsCap) {
-  std::vector<PinnedFlow> flows{{{}, 1.0}};
-  auto rates = maxmin_fair_rates(0, 1.0, flows);
-  EXPECT_DOUBLE_EQ(rates[0], 1.0);
-}
-
-TEST(MaxMin, CapacityConservation) {
-  Rng rng(14);
-  // Random flows over 6 links: no link may exceed capacity.
-  std::vector<PinnedFlow> flows;
-  for (int i = 0; i < 12; ++i) {
-    PinnedFlow f;
-    f.rate_cap = 1.0;
-    const int len = rng.uniform_int(1, 3);
-    for (int j = 0; j < len; ++j) f.links.push_back(rng.uniform_int(0, 5));
-    flows.push_back(std::move(f));
-  }
-  auto rates = maxmin_fair_rates(6, 1.0, flows);
-  std::vector<double> load(6, 0.0);
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    for (int l : flows[i].links) load[l] += rates[i];
-  }
-  for (double x : load) EXPECT_LE(x, 1.0 + 1e-6);
 }
 
 TEST(LinkIndexTest, DirectedIds) {

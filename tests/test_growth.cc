@@ -419,10 +419,11 @@ TEST(FailLinks, ThroughputStaysNormalizedUnderHeavyFailures) {
       << "per-seed failure draws collapsed — fail_links row was shared";
 }
 
-TEST(Memoization, ReportsByteIdenticalWithAndWithoutCellCache) {
+TEST(Memoization, SplicedPointsMatchPointsRunAlone) {
   // A sweep with a fixed reference row: the axis only touches the "ramp"
   // topology, so the reference row's cells are byte-identical across points
-  // and memoization splices them; reports must not change.
+  // and memoization splices them. A point run alone is a batch of one
+  // scenario, with nothing to splice, so it is the reference.
   eval::SweepSpec spec;
   spec.base.name = "memo";
   spec.base.topologies = {
@@ -434,10 +435,22 @@ TEST(Memoization, ReportsByteIdenticalWithAndWithoutCellCache) {
   spec.base.seeds = {1, 2};
   spec.axes = {{{{"topology.servers", "ramp", {12, 18, 24}}}}};
 
-  const auto memo = eval::run_sweep(spec, {.threads = 4, .memoize_cells = true});
-  const auto raw = eval::run_sweep(spec, {.threads = 4, .memoize_cells = false});
-  EXPECT_EQ(eval::sweep_report_to_json(memo).dump(),
-            eval::sweep_report_to_json(raw).dump());
+  eval::BatchStats stats;
+  const auto swept = eval::run_sweep(spec, {.threads = 4, .stats = &stats});
+  // The reference row has 4 cells per point (2 seeds x {routing-free,
+  // ksp}); points 2 and 3 splice all of them.
+  EXPECT_EQ(stats.memo_hits, 8);
+  const auto points = eval::expand_sweep(spec);
+  ASSERT_EQ(swept.points.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    eval::BatchStats alone_stats;
+    const auto alone =
+        eval::Engine({.threads = 4, .stats = &alone_stats}).run(points[i].scenario);
+    EXPECT_EQ(alone_stats.memo_hits, 0);
+    EXPECT_EQ(eval::report_to_json(swept.points[i].report).dump(),
+              eval::report_to_json(alone).dump())
+        << points[i].label;
+  }
 }
 
 }  // namespace

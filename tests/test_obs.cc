@@ -44,7 +44,8 @@ TEST(ObsMetrics, CounterMergeExactAcrossThreadCounts) {
   const int n = 10000;
   for (int threads : {1, 4}) {
     obs::Counter c;  // standalone instance: no cross-test registry pollution
-    parallel::parallel_for(n, threads, [&](int i) { c.add(i); });
+    parallel::WorkBudget budget(threads - 1);
+    parallel::parallel_for(n, &budget, [&](int i) { c.add(i); });
     // Striped relaxed adds merge by integer summation — the total is exact
     // regardless of how indices were scheduled onto threads.
     EXPECT_EQ(c.value(), static_cast<std::int64_t>(n) * (n - 1) / 2) << threads;
@@ -58,7 +59,8 @@ TEST(ObsMetrics, DistributionMergeExactAcrossThreadCounts) {
   const int n = 5000;
   for (int threads : {1, 4}) {
     obs::Distribution d;
-    parallel::parallel_for(n, threads, [&](int i) { d.record(i + 1); });
+    parallel::WorkBudget budget(threads - 1);
+    parallel::parallel_for(n, &budget, [&](int i) { d.record(i + 1); });
     const obs::DistributionSnapshot snap = d.snapshot();
     EXPECT_EQ(snap.count, n);
     EXPECT_EQ(snap.sum, static_cast<std::int64_t>(n) * (n + 1) / 2);
@@ -184,7 +186,8 @@ TEST(ObsTrace, SpanNestingProducesWellFormedChromeJson) {
 TEST(ObsTrace, WorkerThreadSpansSurviveThreadExit) {
   ObsGuard on(/*metrics=*/false, /*trace=*/true);
   obs::reset_trace();
-  parallel::parallel_for(8, /*threads=*/4, [&](int i) {
+  parallel::WorkBudget budget(3);
+  parallel::parallel_for(8, &budget, [&](int i) {
     obs::Span span("test_obs.worker", "test");
     span.arg("index", i);
   });

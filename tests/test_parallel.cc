@@ -1,6 +1,6 @@
 // common/parallel: work-budget accounting, worker teams (slot ids, reuse
-// across rounds, error propagation), parallel_for (fixed thread counts
-// plus budgeted nesting with early slot release), and the epoch barrier
+// across rounds, error propagation), budgeted parallel_for (error
+// propagation, nesting with early slot release), and the epoch barrier
 // (visibility across epochs, abort).
 #include <gtest/gtest.h>
 
@@ -23,20 +23,6 @@ TEST(ResolveThreads, PositivePassesThroughNonPositiveSelectsHardware) {
   EXPECT_EQ(resolve_threads(1), 1);
   EXPECT_GE(resolve_threads(0), 1);
   EXPECT_GE(resolve_threads(-5), 1);
-}
-
-TEST(ParallelFor, RunsEveryIndexOnce) {
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for(64, 4, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, PropagatesTaskException) {
-  EXPECT_THROW(parallel_for(8, 4,
-                            [](int i) {
-                              if (i == 3) throw std::runtime_error("boom");
-                            }),
-               std::runtime_error);
 }
 
 TEST(WorkBudget, AcquireIsCappedAndReleaseRestores) {
@@ -128,6 +114,21 @@ TEST(BudgetedParallelFor, RunsEveryIndexAndReturnsSlots) {
   std::vector<std::atomic<int>> hits(40);
   parallel_for(40, &budget, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(budget.available(), 3);
+}
+
+TEST(BudgetedParallelFor, PropagatesTaskExceptionAndReturnsSlots) {
+  WorkBudget budget(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(8, &budget,
+                            [&](int i) {
+                              ran++;
+                              if (i == 3) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  // Borrowed workers keep claiming indices past the failure, so every index
+  // runs, and every slot is back before the rethrow.
+  EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(budget.available(), 3);
 }
 

@@ -10,7 +10,7 @@
 #include "common/digest.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "flow/maxmin.h"
+#include "flow/link_index.h"
 #include "graph/adjacency.h"
 #include "graph/ecmp.h"
 #include "routing/diversity.h"

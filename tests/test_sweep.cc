@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -236,9 +238,31 @@ TEST(Sweep, RunBatchMatchesIndividualRuns) {
   }
 }
 
-// The shared-PathCache fast path (deterministic families build topology +
-// warmed provider once per routing and share across seed cells) must be
-// invisible in the results.
+// Every sample `r` holds for `seed`, in report order, serialized.
+std::string seed_samples(const eval::Report& r, std::uint64_t seed) {
+  std::vector<eval::Sample> out;
+  std::ranges::copy_if(r.samples, std::back_inserter(out),
+                       [&](const eval::Sample& x) { return x.seed == seed; });
+  return eval::samples_to_json(out).dump();
+}
+
+// Each seed's samples from a multi-seed run equal a run of that seed alone.
+// The engine never shares a topology or path cache in a one-seed scenario,
+// so this checks the shared-PathCache fast path (deterministic families
+// build topology + warmed provider once per routing and share them across
+// seed cells) against per-cell builds.
+void expect_seeds_match_single_seed_runs(const eval::Scenario& s, int threads) {
+  const auto all = eval::Engine({.threads = threads}).run(s);
+  ASSERT_FALSE(all.samples.empty());
+  for (std::uint64_t seed : s.seeds) {
+    eval::Scenario one = s;
+    one.seeds = {seed};
+    const auto alone = eval::Engine({.threads = threads}).run(one);
+    EXPECT_EQ(seed_samples(all, seed), eval::samples_to_json(alone.samples).dump())
+        << "seed " << seed;
+  }
+}
+
 TEST(Sweep, SharedPathCacheMatchesPerCellBuilds) {
   eval::Scenario s;
   s.name = "shared-cache";
@@ -248,12 +272,7 @@ TEST(Sweep, SharedPathCacheMatchesPerCellBuilds) {
   s.metrics = {eval::Metric::kPathStats, eval::Metric::kRoutedThroughput,
                eval::Metric::kLinkDiversity};
   s.seeds = {1, 2, 3, 4};
-
-  const auto with_sharing = eval::Engine({.threads = 4, .share_path_cache = true}).run(s);
-  const auto without_sharing =
-      eval::Engine({.threads = 4, .share_path_cache = false}).run(s);
-  EXPECT_EQ(eval::report_to_json(with_sharing).dump(),
-            eval::report_to_json(without_sharing).dump());
+  expect_seeds_match_single_seed_runs(s, 4);
 }
 
 TEST(Sweep, DuplicateTopologyLabelsDisambiguated) {
@@ -318,12 +337,7 @@ TEST(Sweep, PacketSimOnlySharingMatchesPerCellBuilds) {
   s.routings = {{"ecmp", 4}, {"ksp", 2}};
   s.metrics = {eval::Metric::kPacketSim};
   s.seeds = {1, 2};
-  const auto with_sharing = eval::Engine({.threads = 2, .share_path_cache = true}).run(s);
-  const auto without_sharing =
-      eval::Engine({.threads = 2, .share_path_cache = false}).run(s);
-  EXPECT_EQ(eval::report_to_json(with_sharing).dump(),
-            eval::report_to_json(without_sharing).dump());
-  EXPECT_FALSE(with_sharing.samples.empty());
+  expect_seeds_match_single_seed_runs(s, 2);
 }
 
 TEST(Sweep, SweepReportTableHasPointColumn) {
