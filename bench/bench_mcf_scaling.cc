@@ -14,8 +14,10 @@
 // Wall times are only as real as the machine: the record's environment
 // fingerprint carries the core count and compiler identity, so a 1-core CI
 // box reporting ~1x is distinguishable from a genuine scaling regression on
-// a wide machine. The work counters (mcf.solves/phases/rounds) are exact on
-// any machine — perfwatch gates on them with zero noise.
+// a wide machine. The work counters (mcf.solves/phases/rounds/searches/
+// settled) are exact on any machine — perfwatch gates on them with zero
+// noise, so a search kernel that settles nodes in another order shows up as
+// a moved mcf.settled.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -37,8 +39,8 @@ using namespace jf;
 
 // The deterministic work block: schedule-independent counters only (never
 // the *_ns timing distributions or parallel.* scheduling counters).
-const std::vector<std::string> kWorkMetrics = {"mcf.solves", "mcf.phases",
-                                               "mcf.rounds"};
+const std::vector<std::string> kWorkMetrics = {"mcf.solves", "mcf.phases", "mcf.rounds",
+                                               "mcf.searches", "mcf.settled"};
 
 double solve_seconds(const graph::Graph& g, const std::vector<traffic::Commodity>& cs,
                      const flow::McfOptions& opts, int threads, flow::McfResult& out) {

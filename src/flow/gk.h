@@ -6,11 +6,12 @@
 //   - min_lengths(): every commodity's minimum path length at the current
 //     lengths, in commodity order.
 // The Driver owns the rest: option validation, the degenerate exits, the
-// "<solver>.solves"/"<solver>.phases" counters and the solve span, the
-// certified primal lambda, the dual bound, and the stopping policy. Each
-// phase runs route, primal, decide above, dual bound, decide below, then
-// the gap and plateau rules; a final dual bound ends the run. The optimal
-// solver relies on that order to reuse a dual sweep in the next round.
+// "<solver>.solves"/"<solver>.phases"/"<solver>.undecided" counters and the
+// solve span, the certified primal lambda, the dual bound, and the stopping
+// policy. Each phase runs route, primal, decide above, dual bound, decide
+// below, then the gap and plateau rules; a final dual bound ends the run.
+// The optimal solver relies on that order to reuse a dual sweep in the next
+// round.
 #pragma once
 
 #include <algorithm>
@@ -66,6 +67,7 @@ struct Solver {
   const char* span_category;
   obs::Counter& solves;
   obs::Counter& phases;
+  obs::Counter& undecided;  // decide-mode solves that end with neither flag
 };
 
 class Driver {
@@ -161,8 +163,16 @@ class Driver {
 
   bool deciding() const { return opts_.decide_threshold >= 0; }
 
+  // Every exit ends here. A decide-mode solve also records whether it
+  // decided; one that ran out of phases, or met the gap or plateau rule,
+  // before either certificate crossed the threshold counts as undecided.
   McfResult finish() {
     span_.arg("phases", result_.phases);
+    if (deciding()) {
+      const bool decided = result_.decided_above || result_.decided_below;
+      span_.arg("decided", decided);
+      if (!decided) solver_.undecided.increment();
+    }
     return result_;
   }
 

@@ -1,11 +1,14 @@
 #include "flow/mcf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "flow/gk.h"
@@ -43,76 +46,105 @@ ArcGraph build_arcs(const graph::Graph& g) {
   return a;
 }
 
-// Indexed 4-ary min-heap of (dist, node) entries, at most one per node,
-// ordered lexicographically by (dist, node), in arrays sized once per node.
-// pos[node] is the node's slot while it is queued and stale otherwise
-// (update() reads it for any node but uses it only for a queued one); the
-// caller knows which nodes are queued (dijkstra(): finite dist, not yet
-// settled), so nothing resets it.
+// Indexed 4-ary min-heap of {dist, node} keys, at most one per queued node.
+// A key holds dist's bit pattern: every dist here is +0.0 or a positive,
+// finite, non-NaN double, and for those the unsigned order of the bit
+// patterns is the numeric order, so keys compare as (dist, node) pairs
+// without a floating-point compare. That order is strict — no two queued
+// keys share a node — so the sequence of pops depends only on the keys, not
+// on how the heap happens to lay them out.
+//
+// items_ is padded to 4n + 8 slots, and every slot at or beyond size_ holds
+// an all-ones sentinel key that orders after any real key, so each
+// sift_down level picks the least of exactly four children in a two-level
+// tournament of selects, without a child-count loop or a data-dependent
+// branch (only the loop's exit depends on the data). pop() re-writes the
+// sentinel into the slot it vacates, and reset() clears only the slots a
+// search left filled. pos[node] is the node's slot while it is queued and
+// stale otherwise (update() reads it for any node but uses it only for a
+// queued one); the caller knows which nodes are queued (dijkstra(): finite
+// dist, not yet settled), so nothing resets it.
 class NodeHeap {
  public:
-  struct Entry {
-    double dist;
-    int node;
+  struct Key {
+    std::uint64_t dist;  // bit pattern of a dist >= +0.0
+    std::uint32_t node;
   };
 
   void reset(std::size_t num_nodes) {
-    items_.resize(num_nodes);
-    pos_.resize(num_nodes);
+    if (pos_.size() != num_nodes) {
+      items_.assign(4 * num_nodes + 8, kSentinel);
+      pos_.assign(num_nodes, 0);
+    } else {
+      std::fill_n(items_.begin(), size_, kSentinel);
+    }
     size_ = 0;
   }
   bool empty() const { return size_ == 0; }
-  // Queues e.node at e.dist, or lowers it to e.dist if it is `queued`. The
-  // slot is chosen without a branch: whether a relaxed node is already
-  // queued is about as unpredictable as the relaxation itself.
-  void update(Entry e, bool queued) {
-    const int slot = pos_[static_cast<std::size_t>(e.node)];
-    const int i = queued ? slot : size_;
-    size_ += queued ? 0 : 1;
-    sift_up(i, e);
+  // Queues node at dist, or lowers it to dist if it is `queued`. The slot is
+  // chosen by a mask, not a branch: whether a relaxed node is already queued
+  // is about as unpredictable as the relaxation itself.
+  void update(double dist, int node, bool queued) {
+    const int q = queued;
+    const int i = size_ + ((pos_[static_cast<std::size_t>(node)] - size_) & -q);
+    size_ += 1 - q;
+    sift_up(i, {std::bit_cast<std::uint64_t>(dist), static_cast<std::uint32_t>(node)});
   }
-  Entry pop() {
-    const Entry top = items_[0];
-    if (--size_ > 0) sift_down(0, items_[static_cast<std::size_t>(size_)]);
-    return top;
+  // Removes the least key; returns its dist and node.
+  std::pair<double, int> pop() {
+    const Key top = items_[0];
+    --size_;
+    const Key last = items_[static_cast<std::size_t>(size_)];
+    items_[static_cast<std::size_t>(size_)] = kSentinel;
+    if (size_ > 0) sift_down(last);
+    return {std::bit_cast<double>(top.dist), static_cast<int>(top.node)};
   }
 
  private:
-  static bool before(const Entry& x, const Entry& y) {
-    return x.dist < y.dist || (x.dist == y.dist && x.node < y.node);
+  static constexpr Key kSentinel = {~std::uint64_t{0}, ~std::uint32_t{0}};
+
+  // x orders strictly before y: one 128-bit unsigned compare of
+  // (dist bits, node), which compiles to cmp/sbb and a flag, not a branch.
+  static bool before(const Key& x, const Key& y) {
+    using Wide = unsigned __int128;
+    return ((Wide{x.dist} << 64) | x.node) < ((Wide{y.dist} << 64) | y.node);
   }
-  void place(int i, Entry e) {
-    items_[static_cast<std::size_t>(i)] = e;
-    pos_[static_cast<std::size_t>(e.node)] = i;
+  void place(int i, Key k) {
+    items_[static_cast<std::size_t>(i)] = k;
+    pos_[k.node] = i;
   }
-  void sift_up(int i, Entry e) {
+  void sift_up(int i, Key k) {
     while (i > 0) {
       const int parent = (i - 1) / 4;
-      if (!before(e, items_[static_cast<std::size_t>(parent)])) break;
+      if (!before(k, items_[static_cast<std::size_t>(parent)])) break;
       place(i, items_[static_cast<std::size_t>(parent)]);
       i = parent;
     }
-    place(i, e);
+    place(i, k);
   }
-  void sift_down(int i, Entry e) {
-    const int n = size_;
+  // Sinks k from the root. The four children of any slot below size_ lie
+  // inside items_, and a sentinel child never orders before k, so the loop
+  // stops at the first level whose least child does not. The selects are
+  // written as masks and indices: gcc turns a ternary on the last compare
+  // back into a branch.
+  void sift_down(Key k) {
+    int i = 0;
     for (;;) {
-      const int first = 4 * i + 1;
-      if (first >= n) break;
-      int best = first;
-      for (int c = first + 1; c < std::min(first + 4, n); ++c) {
-        if (before(items_[static_cast<std::size_t>(c)], items_[static_cast<std::size_t>(best)])) {
-          best = c;
-        }
-      }
-      if (!before(items_[static_cast<std::size_t>(best)], e)) break;
-      place(i, items_[static_cast<std::size_t>(best)]);
+      const std::size_t c = 4 * static_cast<std::size_t>(i) + 1;
+      const Key* ch = &items_[c];
+      const int b01 = before(ch[1], ch[0]);
+      const int b23 = 2 + before(ch[3], ch[2]);
+      const int off = b01 + ((b23 - b01) & -static_cast<int>(before(ch[b23], ch[b01])));
+      const Key least = ch[off];
+      const int best = static_cast<int>(c) + off;
+      if (!before(least, k)) break;
+      place(i, least);
       i = best;
     }
-    place(i, e);
+    place(i, k);
   }
 
-  std::vector<Entry> items_;
+  std::vector<Key> items_;
   std::vector<int> pos_;
   int size_ = 0;
 };
@@ -133,17 +165,22 @@ struct alignas(64) SearchScratch {
 // settled (it clears each mark as it settles that node).
 //
 // It settles nodes in increasing (dist[u], u) order among the reached,
-// unsettled nodes: the heap holds exactly those nodes, one entry each, at
-// their current dist. A lazy-deletion heap of (dist, node) pairs that skips
-// stale pops settles them in that same order — its entries are distinct
-// pairs (a node is pushed again only at a strictly smaller dist), and the
-// least one that is not stale is (dist[u], u) for the least such node — and
-// the relaxation rule (nd < dist[v], arcs in CSR order) is the same, so the
-// parent forest and every path are identical to that heap's. The order
-// depends only on the lengths, never on scheduling. Lengths are positive
-// and d + len >= d in floating point, so a settled node's dist and parent
-// arc never change again: each target's distance and path are exactly those
-// of a search that stopped at that target alone.
+// unsettled nodes: the heap holds exactly those nodes, one key each, at
+// their current dist, and pops in that strict order whatever its layout.
+// A lazy-deletion heap of (dist, node) pairs that skips stale pops settles
+// them in that same order — its entries are distinct pairs (a node is
+// pushed again only at a strictly smaller dist), and the least one that is
+// not stale is (dist[u], u) for the least such node. The relaxation rule
+// (nd < dist[v], arcs in CSR order) is the same too: a settled node's arcs
+// are first tested into a bit mask, 64 arcs at a time, and the improved ones
+// are then written in ascending arc order. graph::Graph has no parallel
+// edges or self-loops, so u's arcs reach distinct nodes, no write changes a
+// later test, and the mask is exactly the set the arc-by-arc loop would
+// improve. So the parent forest and every path are identical to that heap's.
+// The order depends only on the lengths, never on scheduling. Lengths are
+// positive and d + len >= d in floating point, so a settled node's dist and
+// parent arc never change again: each target's distance and path are
+// exactly those of a search that stopped at that target alone.
 void dijkstra(const ArcGraph& a, const std::vector<double>& len, int s, int num_targets,
               SearchScratch& w) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -151,8 +188,11 @@ void dijkstra(const ArcGraph& a, const std::vector<double>& len, int s, int num_
   w.parent_arc.assign(static_cast<std::size_t>(a.num_nodes), -1);
   NodeHeap& heap = w.heap;
   heap.reset(static_cast<std::size_t>(a.num_nodes));
-  w.dist[s] = 0.0;
-  heap.update({0.0, s}, false);
+  double* const dist = w.dist.data();
+  const int* const to = a.to.data();
+  const double* const lens = len.data();
+  dist[s] = 0.0;
+  heap.update(0.0, s, false);
   while (!heap.empty()) {
     const auto [d, u] = heap.pop();
     ++w.settled;
@@ -160,15 +200,22 @@ void dijkstra(const ArcGraph& a, const std::vector<double>& len, int s, int num_
       w.pending[u] = 0;
       if (--num_targets == 0) break;
     }
-    for (int i = a.first[u]; i < a.first[u + 1]; ++i) {
-      const int v = a.to[i];
-      const double nd = d + len[i];
-      if (nd < w.dist[v]) {
+    for (int base = a.first[u]; base < a.first[u + 1]; base += 64) {
+      const int count = std::min(64, a.first[u + 1] - base);
+      std::uint64_t improved = 0;
+      for (int k = 0; k < count; ++k) {
+        const int i = base + k;
+        improved |= static_cast<std::uint64_t>(d + lens[i] < dist[to[i]]) << k;
+      }
+      for (; improved != 0; improved &= improved - 1) {
+        const int i = base + std::countr_zero(improved);
+        const int v = to[i];
         // Finite dist: v is queued (a settled node is never improved).
-        const bool queued = w.dist[v] < kInf;
-        w.dist[v] = nd;
+        const bool queued = dist[v] < kInf;
+        const double nd = d + lens[i];
+        dist[v] = nd;
         w.parent_arc[v] = i;
-        heap.update({nd, v}, queued);
+        heap.update(nd, v, queued);
       }
     }
   }
@@ -208,7 +255,8 @@ McfResult max_concurrent_flow(const graph::Graph& g, std::span<const Commodity> 
   // sweeps of the dual bound too, and only sweeps that run: a round that
   // reuses a dual sweep (see swept_all) counts a round and no search.
   static const gk::Solver kSolver{"max_concurrent_flow", "mcf.solve", "mcf",
-                                  obs::counter("mcf.solves"), obs::counter("mcf.phases")};
+                                  obs::counter("mcf.solves"), obs::counter("mcf.phases"),
+                                  obs::counter("mcf.undecided")};
   static obs::Counter& obs_rounds = obs::counter("mcf.rounds");
   static obs::Counter& obs_searches = obs::counter("mcf.searches");
   static obs::Counter& obs_settled = obs::counter("mcf.settled");

@@ -44,7 +44,8 @@ McfResult restricted_max_concurrent_flow(const graph::Graph& g,
   // the dual bound alike.
   static const gk::Solver kSolver{"restricted_max_concurrent_flow", "restricted.solve", "flow",
                                   obs::counter("restricted.solves"),
-                                  obs::counter("restricted.phases")};
+                                  obs::counter("restricted.phases"),
+                                  obs::counter("restricted.undecided")};
   static obs::Counter& obs_path_evals = obs::counter("restricted.path_evals");
   gk::Driver gk(kSolver, opts);
 

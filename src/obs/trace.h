@@ -41,7 +41,7 @@ inline bool trace_enabled() {
 void set_trace_enabled(bool on);
 
 // Integer args one span may carry.
-inline constexpr int kMaxSpanArgs = 4;
+inline constexpr int kMaxSpanArgs = 5;
 
 // A scoped trace span ("X" complete event in the Chrome format). Up to
 // kMaxSpanArgs integer args may be attached before destruction; they render

@@ -7,7 +7,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/json.h"
@@ -224,6 +226,9 @@ TEST(McfOptionsChecks, RejectsDegenerateRanges) {
 // were recorded over that heap once a phase's first round reused the dual
 // sweep; a settle (a pop that is not stale) is the same event in any heap
 // that pops in (dist, node) order, so they pin the search kernel too.
+// McfScalingDefaultInstance and HubWithMoreThan64Arcs were recorded from
+// the indexed 4-ary heap with branchy sift-down and arc-by-arc relaxation,
+// before its branch-free rewrite.
 
 struct Golden {
   double lambda;
@@ -246,6 +251,7 @@ void expect_golden(const graph::Graph& g, const std::vector<Commodity>& cs,
     EXPECT_EQ(got.decided_above, want.decided_above);
     EXPECT_EQ(got.decided_below, want.decided_below);
     EXPECT_EQ(counter_value("mcf.settled"), want.settled);
+    EXPECT_EQ(counter_value("mcf.undecided"), 0);
   }
 }
 
@@ -345,6 +351,34 @@ TEST(McfGolden, JellyfishDecideEveryPhase) {
                 {0x1.522c3f35ba782p-1, 0x1.6a7860e40407ep-1, 107, true, false, 95768});
 }
 
+// The default instance `bench_mcf_scaling` solves (200 switches, degree
+// 12), capped at 20 phases to keep the test short.
+TEST(McfGolden, McfScalingDefaultInstance) {
+  Rng rng(1);
+  const auto topo = topo::build_jellyfish(
+      {.num_switches = 200, .ports_per_switch = 16, .network_degree = 12}, rng);
+  const auto cs = permutation_commodities(topo, rng);
+  ASSERT_EQ(cs.size(), 788u);
+  McfOptions opts;
+  opts.max_phases = 20;
+  expect_golden(topo.switches(), cs, opts,
+                {0x1.6db6db6db6db7p-1, 0x1.2cb933c236c4ep+0, 20, false, false, 805678});
+}
+
+// A hub joined to 72 leaves that also form a ring: the hub has more than 64
+// arcs, so relaxing it spans two 64-arc chunks.
+TEST(McfGolden, HubWithMoreThan64Arcs) {
+  constexpr int kLeaves = 72;
+  graph::Graph g(kLeaves + 1);
+  for (int v = 1; v <= kLeaves; ++v) g.add_edge(0, v);
+  for (int v = 1; v <= kLeaves; ++v) g.add_edge(v, v % kLeaves + 1);
+  std::vector<Commodity> cs;
+  for (int v = 1; v <= kLeaves; ++v) cs.push_back({v, (v + 28) % kLeaves + 1, 1.0});
+  cs.push_back({0, 37, 2.0});
+  expect_golden(g, cs, {},
+                {0x1.de3de3de3de3ep-1, 0x1.0cceefe81e7abp+0, 180, false, false, 732920});
+}
+
 // --- restricted golden results ---
 //
 // Exact results of the path-restricted solver, recorded as hex-float
@@ -376,6 +410,7 @@ void expect_restricted_golden(const graph::Graph& g, const std::vector<Commodity
   EXPECT_EQ(counter_value("restricted.path_evals"), want.path_evals);
   EXPECT_EQ(counter_value("restricted.phases"), want.phases);
   EXPECT_EQ(counter_value("restricted.solves"), 1);
+  EXPECT_EQ(counter_value("restricted.undecided"), 0);
 }
 
 // A Jellyfish of 20 switches with 8 ports each, and one server permutation,
@@ -459,6 +494,65 @@ TEST(McfEdgeless, PositiveDemandOnNoLinksDecidesBelow) {
 }
 
 // --- search counter and span args ---
+
+// The args of the last span named `name` in the trace, or nullptr.
+const json::Value* last_span_args(const json::Value& trace, const std::string& name) {
+  const json::Value* args = nullptr;
+  for (const json::Value& ev : trace.find("traceEvents")->as_array()) {
+    if (ev.find("name")->as_string() == name) args = ev.find("args");
+  }
+  return args;
+}
+
+// A decide-mode solve that stops at max_phases before either certificate
+// crosses the threshold counts in <solver>.undecided and carries decided=0
+// on its span; a decided one carries decided=1 and counts nothing. A solve
+// outside decide mode carries no decided arg.
+TEST(McfDecision, UndecidedSolvesAreCountedAndMarked) {
+  const auto ft = topo::build_fattree(4);
+  Rng rng(7);
+  const auto cs = permutation_commodities(ft, rng);
+  std::vector<Commodity> small_cs;
+  const auto small = small_jellyfish(70, small_cs);
+  auto routes = routing::make_path_provider(small.switches(), {"ksp", 8});
+  // Checks one solve run under ObsOn: its flags, <solver>.undecided and the
+  // decided arg on its span. undecided -1 means outside decide mode.
+  auto expect_marked = [](const McfResult& res, const char* solver, int undecided) {
+    const std::string prefix(solver);
+    EXPECT_EQ(res.decided_above || res.decided_below, undecided == 0);
+    EXPECT_EQ(counter_value((prefix + ".undecided").c_str()), std::max(undecided, 0));
+    const json::Value trace = obs::trace_to_json();
+    const json::Value* args = last_span_args(trace, prefix + ".solve");
+    ASSERT_NE(args, nullptr);
+    const json::Value* decided = args->find("decided");
+    if (undecided < 0) {
+      EXPECT_EQ(decided, nullptr);
+    } else {
+      ASSERT_NE(decided, nullptr);
+      EXPECT_EQ(decided->as_int(), 1 - undecided);
+    }
+  };
+  struct Case {
+    const char* name;
+    int max_phases;
+    int undecided;
+  };
+  // One phase decides neither solve; uncapped, both decide.
+  for (const Case& c : {Case{"capped", 1, 1}, Case{"decided", 250, 0}, Case{"optimize", 250, -1}}) {
+    SCOPED_TRACE(c.name);
+    const bool deciding = c.undecided >= 0;
+    McfOptions opts = decide_at(deciding ? 0.9 : -1.0);
+    opts.max_phases = c.max_phases;
+    {
+      ObsOn on;
+      expect_marked(max_concurrent_flow(ft.switches(), cs, opts), "mcf", c.undecided);
+    }
+    if (deciding) opts.decide_threshold = 0.5;
+    ObsOn on;
+    expect_marked(restricted_max_concurrent_flow(small.switches(), small_cs, *routes, opts),
+                  "restricted", c.undecided);
+  }
+}
 
 TEST(McfSearches, OneSearchPerDistinctSourcePerSweep) {
   // One link; three commodities from two sources. Every commodity fits in
@@ -561,10 +655,7 @@ TEST(McfSearches, SolveSpanCarriesPhasesAndSearchesOnEveryExit) {
       ObsOn on;
       const auto res = solve_with_threads(c.g, c.cs, c.opts, threads);
       const json::Value trace = obs::trace_to_json();
-      const json::Value* args = nullptr;
-      for (const json::Value& ev : trace.find("traceEvents")->as_array()) {
-        if (ev.find("name")->as_string() == "mcf.solve") args = ev.find("args");
-      }
+      const json::Value* args = last_span_args(trace, "mcf.solve");
       ASSERT_NE(args, nullptr);
       EXPECT_EQ(counter_value("mcf.solves"), 1);
       ASSERT_NE(args->find("phases"), nullptr);

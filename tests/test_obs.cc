@@ -133,7 +133,8 @@ TEST(ObsTrace, SpanNestingProducesWellFormedChromeJson) {
     outer.arg("k2", 22);
     outer.arg("k3", 33);
     outer.arg("k4", 44);
-    outer.arg("k5", 55);  // past kMaxSpanArgs: dropped
+    outer.arg("k5", 55);
+    outer.arg("k6", 66);  // past kMaxSpanArgs: dropped
     {
       obs::Span inner("test_obs.inner", "test");
     }
@@ -177,7 +178,8 @@ TEST(ObsTrace, SpanNestingProducesWellFormedChromeJson) {
   EXPECT_EQ(args->find("k2")->as_int(), 22);
   EXPECT_EQ(args->find("k3")->as_int(), 33);
   EXPECT_EQ(args->find("k4")->as_int(), 44);
-  EXPECT_EQ(args->find("k5"), nullptr);
+  EXPECT_EQ(args->find("k5")->as_int(), 55);
+  EXPECT_EQ(args->find("k6"), nullptr);
 
   obs::reset_trace();
   EXPECT_EQ(obs::trace_event_count(), 0u);
