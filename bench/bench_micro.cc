@@ -73,7 +73,7 @@ jf::graph::Graph jellyfish_245() {
 // paths, so the path DFS and the ECMP DAG walk are tie-heavy.
 jf::graph::Graph fattree_k14() { return jf::topo::build_fattree(14).switches(); }
 
-// One path set per iteration, computed the way a PathCache does: one sorted
+// One path set per iteration, computed the way a PathProvider does: one sorted
 // adjacency and one scratch reused across pairs. Targets cycle through every
 // other switch from source 0.
 template <typename Kernel>

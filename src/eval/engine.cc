@@ -508,10 +508,8 @@ void validate_scenario(const Scenario& s) {
     // Dry-run the schedule under this row's policy override so a bad
     // combination — possibly introduced by a swept growth field — fails
     // here instead of aborting the batch from a worker thread.
-    expansion::GrowthSchedule sched = s.growth;
-    if (!spec.growth_policy.empty()) sched.policy = spec.growth_policy;
     try {
-      expansion::resolve_growth_steps(sched);
+      expansion::resolve_growth_steps(row_schedule(s.growth, spec.growth_policy));
     } catch (const std::invalid_argument& e) {
       fail("topology '" + spec.display() + "': " + e.what());
     }
@@ -950,13 +948,12 @@ expansion::GrowthPlan Engine::growth_plan(const Scenario& s, int topo_idx, std::
   check(topo_idx >= 0 && topo_idx < static_cast<int>(s.topologies.size()),
         "Engine::growth_plan: topology index out of range");
   const TopologySpec& spec = s.topologies[static_cast<std::size_t>(topo_idx)];
-  expansion::GrowthSchedule sched = s.growth;
-  if (!spec.growth_policy.empty()) sched.policy = spec.growth_policy;
   Rng rng = Rng(seed).fork(kGrowthStream + static_cast<std::uint64_t>(topo_idx));
   expansion::GrowthPlanOptions opts;
   opts.score_bisection = score_bisection;
   opts.budget = budget;
-  return expansion::plan_growth(sched, expansion::CostModel{}, rng, opts);
+  return expansion::plan_growth(row_schedule(s.growth, spec.growth_policy),
+                                expansion::CostModel{}, rng, opts);
 }
 
 graph::PathLengthStats Engine::path_stats(const topo::Topology& t) {

@@ -67,4 +67,11 @@ static_assert(rows_in_enum_order(), "metric_info indexes the table by enum value
 
 std::span<const MetricInfo> metric_table() { return kMetricRows; }
 
+expansion::GrowthSchedule row_schedule(const expansion::GrowthSchedule& growth,
+                                       const std::string& policy) {
+  expansion::GrowthSchedule g = growth;
+  if (!policy.empty()) g.policy = policy;
+  return g;
+}
+
 }  // namespace jf::eval

@@ -184,4 +184,11 @@ struct Scenario {
   expansion::GrowthSchedule growth;
 };
 
+// Scenario::growth as a topology row with this growth_policy plans it: a
+// non-empty policy replaces the schedule's own. The loader dry-runs it
+// through resolve_growth_steps for every row, validate_scenario whenever
+// expansion metrics read it, and Engine::growth_plan plans it.
+expansion::GrowthSchedule row_schedule(const expansion::GrowthSchedule& growth,
+                                       const std::string& policy);
+
 }  // namespace jf::eval

@@ -5,8 +5,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
-#include "common/check.h"
 #include "eval/field_table.h"
 #include "eval/topology_factory.h"
 
@@ -373,9 +373,11 @@ constexpr Field<expansion::InitialBuild> kGrowthInitialRows[] = {
 // The generator fields are ignored whenever explicit steps exist — sweeping
 // them there would silently evaluate N identical points.
 void reject_over_explicit_steps(expansion::GrowthSchedule& g, const std::string& field) {
-  check(g.steps.empty(), "sweep field '" + field +
-                             "': schedule has explicit steps (sweep growth.budget or "
-                             "growth.rewire_limit instead)");
+  if (!g.steps.empty()) {
+    throw std::invalid_argument("sweep field '" + field +
+                                "': schedule has explicit steps (sweep growth.budget or "
+                                "growth.rewire_limit instead)");
+  }
 }
 
 // The swept cap applies to the generator default and every explicit step.
@@ -515,15 +517,19 @@ AxisEntry axis_entry_from_json(const Value& v, const std::string& ctx) {
     if ((hi - lo) * by < 0.0) {
       schema_error(ctx, "bad range: step moves away from 'to'");
     }
-    // Inclusive expansion; the epsilon absorbs float drift on e.g. 0.1
-    // steps. The cap is enforced on the double — casting an out-of-range
-    // double to integer is UB.
-    const double raw_count = std::floor((hi - lo) / by + 1e-9) + 1;
+    // Inclusive expansion; the epsilon (in steps) absorbs float drift on
+    // e.g. 0.1 steps. The cap is enforced on the double — casting an
+    // out-of-range double to integer is UB.
+    constexpr double kDrift = 1e-9;
+    const double raw_count = std::floor((hi - lo) / by + kDrift) + 1;
     if (raw_count > 1'000'000) schema_error(ctx, "bad range: more than 1e6 points");
     const long long count = static_cast<long long>(raw_count);
     for (long long i = 0; i < count; ++i) {
       entry.values.push_back(lo + static_cast<double>(i) * by);
     }
+    // A last point that drift alone keeps off 'to' is 'to': 0.09 + 13 * 0.07
+    // is 1.0000000000000002, outside a [0, 1] field.
+    if (std::abs(entry.values.back() - hi) <= kDrift * std::abs(by)) entry.values.back() = hi;
   }
   r.done();
   return entry;
@@ -676,10 +682,8 @@ Scenario scenario_from_json_impl(const Value& v, SweepSpec* spec) {
   // mid-run. A topology row's growth_policy swaps the planner for that row,
   // so the schedule must be valid under each override too.
   auto validate_growth = [&](const std::string& policy, const std::string& where) {
-    expansion::GrowthSchedule g = s.growth;
-    if (!policy.empty()) g.policy = policy;
     try {
-      expansion::resolve_growth_steps(g);
+      expansion::resolve_growth_steps(row_schedule(s.growth, policy));
     } catch (const std::invalid_argument& e) {
       schema_error(where, e.what());
     }

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
-#include "common/check.h"
 #include "common/json.h"
 #include "eval/field_table.h"
 
@@ -17,6 +18,12 @@ using fields::Field;
 using fields::Rule;
 
 constexpr std::string_view kTopologyPrefix = "topology.";
+
+// Sweep errors reach users through jf_eval, so, like validate_scenario's,
+// they name the swept field and never a source location.
+void require(bool cond, const std::string& msg) {
+  if (!cond) throw std::invalid_argument(msg);
+}
 
 bool topology_matches(const TopologySpec& t, const std::string& only) {
   return only.empty() || t.family == only || t.label == only;
@@ -33,11 +40,11 @@ void for_each_swept_table(Fn&& fn) {
       set(t);
       ++matched;
     }
-    check(matched > 0,
-          "sweep field '" + e.field + "': filter '" + e.only + "' matches no topology");
+    require(matched > 0,
+            "sweep field '" + e.field + "': filter '" + e.only + "' matches no topology");
   });
   fn("routing.", fields::kRouting, [](Scenario& s, const AxisEntry& e, const auto& set) {
-    check(!s.routings.empty(), "sweep field '" + e.field + "': scenario has no routings");
+    require(!s.routings.empty(), "sweep field '" + e.field + "': scenario has no routings");
     for (auto& r : s.routings) set(r);
   });
   fn("traffic.", fields::kTraffic,
@@ -47,8 +54,8 @@ void for_each_swept_table(Fn&& fn) {
   fn("growth.", fields::kGrowth,
      [](Scenario& s, const AxisEntry&, const auto& set) { set(s.growth); });
   fn("growth.", fields::kGrowthStep, [](Scenario& s, const AxisEntry& e, const auto& set) {
-    check(!s.growth.steps.empty(),
-          "sweep field '" + e.field + "': schedule has no explicit steps");
+    require(!s.growth.steps.empty(),
+            "sweep field '" + e.field + "': schedule has no explicit steps");
     for (auto& step : s.growth.steps) set(step);
   });
 }
@@ -60,8 +67,8 @@ void for_each_swept_table(Fn&& fn) {
 template <typename S>
 void check_swept_value(const Field<S>& f, const std::string& field, double v) {
   if (std::holds_alternative<int S::*>(f.member)) {
-    check(v == std::floor(v) && std::abs(v) < 2e9,
-          "sweep field '" + field + "' needs an integer value");
+    require(v == std::floor(v) && std::abs(v) < 2e9,
+            "sweep field '" + field + "' needs an integer value");
   }
   const char* need = nullptr;
   switch (f.rule) {
@@ -73,8 +80,8 @@ void check_swept_value(const Field<S>& f, const std::string& field, double v) {
     case Rule::kAny: break;
   }
   if (need != nullptr) {
-    check(false, "sweep field '" + field + "' needs " + need + ", got " +
-                     json::number_to_string(v));
+    throw std::invalid_argument("sweep field '" + field + "' needs " + need + ", got " +
+                                json::number_to_string(v));
   }
 }
 
@@ -115,14 +122,14 @@ void apply_sweep_value(Scenario& s, const AxisEntry& entry, double value) {
     for (const auto& f : table) {
       if (f.rule == Rule::kFixed || f.key != key) continue;
       found = true;
-      check(entry.only.empty() || prefix == kTopologyPrefix,
-            "sweep field '" + entry.field + "': 'only' applies to topology.* fields");
+      require(entry.only.empty() || prefix == kTopologyPrefix,
+              "sweep field '" + entry.field + "': 'only' applies to topology.* fields");
       check_swept_value(f, entry.field, value);
       fan_out(s, entry, [&](auto& obj) { set_swept_value(f, obj, entry.field, value); });
       return;
     }
   });
-  check(found, "unknown sweep field '" + entry.field + "'");
+  require(found, "unknown sweep field '" + entry.field + "'");
 }
 
 bool SweepSpec::sweeps(std::string_view field) const {
@@ -144,15 +151,15 @@ std::string short_field(const std::string& field) {
 
 void validate_axes(const std::vector<SweepAxis>& axes) {
   for (const auto& axis : axes) {
-    check(!axis.entries.empty(), "sweep axis with no entries");
+    require(!axis.entries.empty(), "sweep axis with no entries");
     const std::size_t n = axis.entries.front().values.size();
-    check(n > 0, "sweep axis entry '" + axis.entries.front().field + "' has no values");
+    require(n > 0, "sweep axis entry '" + axis.entries.front().field + "' has no values");
     for (const auto& entry : axis.entries) {
-      check(!entry.field.empty(), "sweep axis entry with empty field");
-      check(entry.values.size() == n,
-            "zipped sweep entries disagree on length: '" + entry.field + "' has " +
-                std::to_string(entry.values.size()) + " values, expected " +
-                std::to_string(n));
+      require(!entry.field.empty(), "sweep axis entry with empty field");
+      require(entry.values.size() == n,
+              "zipped sweep entries disagree on length: '" + entry.field + "' has " +
+                  std::to_string(entry.values.size()) + " values, expected " +
+                  std::to_string(n));
     }
   }
 }

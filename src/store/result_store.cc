@@ -20,8 +20,9 @@ bool is_hex_digest(const std::string& name) {
   });
 }
 
-// Store telemetry mirrors StoreStats (so metrics dumps stand alone) and adds
-// the latency/byte-volume signals StoreStats cannot carry.
+// Store telemetry: one counter per hit, miss, put, eviction and dropped
+// entry (a failed read of an indexed entry), plus latency and byte volume.
+// Exact when metrics are on; never part of a report.
 obs::Counter& obs_hits() {
   static obs::Counter& c = obs::counter("store.hits");
   return c;
@@ -142,7 +143,6 @@ std::optional<std::string> ResultStore::get(const std::string& digest) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(digest);
     if (it == entries_.end()) {
-      ++stats_.misses;
       obs_misses().increment();
       return std::nullopt;
     }
@@ -158,14 +158,11 @@ std::optional<std::string> ResultStore::get(const std::string& digest) {
     if (it != entries_.end()) {
       total_bytes_ -= std::min(total_bytes_, it->second.bytes);
       entries_.erase(it);
-      ++stats_.dropped;
       obs_dropped().increment();
     }
-    ++stats_.misses;
     obs_misses().increment();
     return std::nullopt;
   }
-  ++stats_.hits;
   obs_hits().increment();
   obs_bytes_read().add(static_cast<std::int64_t>(bytes->size()));
   return bytes;
@@ -180,7 +177,6 @@ void ResultStore::put(const std::string& digest, std::string_view value) {
   it->second.bytes = value.size();
   it->second.used = ++clock_;
   total_bytes_ += value.size();
-  ++stats_.puts;
   obs_puts().increment();
   obs_bytes_written().add(static_cast<std::int64_t>(value.size()));
   evict_over_budget_locked(digest);
@@ -203,7 +199,6 @@ void ResultStore::evict_over_budget_locked(const std::string& keep) {
     entries_.erase(it);
     std::error_code ec;
     fs::remove(entry_path(digest), ec);
-    ++stats_.evictions;
     obs_evictions().increment();
   }
 }
@@ -247,11 +242,6 @@ std::size_t ResultStore::entry_count() const {
 std::uint64_t ResultStore::total_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_bytes_;
-}
-
-StoreStats ResultStore::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace jf::store

@@ -53,16 +53,6 @@ struct StoreOptions {
   std::uint64_t max_bytes = 0;
 };
 
-// Cumulative counters since open; monotone, for logs/benches (not reports —
-// reports must stay byte-identical with the cache on or off).
-struct StoreStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t dropped = 0;  // entries dropped on failed reads (corrupt/vanished)
-};
-
 class ResultStore {
  public:
   // Bump when the on-disk layout changes shape (paths, manifest schema).
@@ -100,7 +90,6 @@ class ResultStore {
   const std::filesystem::path& root() const { return root_; }
   std::size_t entry_count() const;
   std::uint64_t total_bytes() const;
-  StoreStats stats() const;
 
   // Path of an entry's value file (exposed for tests and CI smokes that
   // corrupt entries deliberately).
@@ -122,7 +111,6 @@ class ResultStore {
   std::map<std::string, Entry> entries_;
   std::uint64_t clock_ = 0;
   std::uint64_t total_bytes_ = 0;
-  StoreStats stats_;
 };
 
 }  // namespace jf::store

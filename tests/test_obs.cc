@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "routing/path_provider.h"
-#include "routing/paths.h"
 
 namespace jf {
 namespace {
@@ -262,7 +261,7 @@ TEST(ObsRouting, CountersExactOnFourCycle) {
   graph::Graph g(4);
   for (graph::NodeId v = 0; v < 4; ++v) g.add_edge(v, (v + 1) % 4);
 
-  routing::PathCache ksp(g, {routing::Scheme::kKsp, 4});
+  routing::PathProvider ksp(g, {"ksp", 4});
   EXPECT_EQ(ksp.paths(0, 2).size(), 2u);
   EXPECT_EQ(ksp.paths(0, 2).size(), 2u);  // cached: counts nothing
   EXPECT_EQ(obs::counter("routing.pairs").value(), 1);
@@ -271,7 +270,7 @@ TEST(ObsRouting, CountersExactOnFourCycle) {
   EXPECT_EQ(obs::counter("routing.ksp_fallbacks").value(), 0);
 
   // warm() computes each uncached pair once, however often it is listed.
-  routing::PathCache ecmp(g, {routing::Scheme::kEcmp, 8});
+  routing::PathProvider ecmp(g, {"ecmp", 8});
   const std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs = {{0, 2}, {0, 2}, {1, 3}};
   parallel::WorkBudget budget(2);
   ecmp.warm(pairs, &budget);

@@ -15,7 +15,6 @@
 #include "graph/ecmp.h"
 #include "routing/diversity.h"
 #include "routing/path_provider.h"
-#include "routing/paths.h"
 #include "topo/fattree.h"
 #include "topo/jellyfish.h"
 #include "traffic/traffic.h"
@@ -65,27 +64,37 @@ TEST(SelectPath, SpreadsAcrossPaths) {
   EXPECT_EQ(seen.size(), 8u);  // all 8 choices hit within 64 hashes
 }
 
-TEST(PathCacheTest, CachesPerPair) {
+TEST(PathProviderTest, CachesPerPair) {
   Rng rng(3);
   auto topo = topo::build_jellyfish(
       {.num_switches = 20, .ports_per_switch = 8, .network_degree = 5}, rng);
-  PathCache cache(topo.switches(), {Scheme::kKsp, 4});
-  const auto& a = cache.paths(0, 5);
+  PathProvider provider(topo.switches(), {"ksp", 4});
+  const auto& a = provider.paths(0, 5);
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(cache.pairs_cached(), 1u);
-  const auto& b = cache.paths(0, 5);
+  EXPECT_EQ(provider.pairs_cached(), 1u);
+  const auto& b = provider.paths(0, 5);
   EXPECT_EQ(&a, &b);  // same object, no recompute
-  cache.paths(5, 0);
-  EXPECT_EQ(cache.pairs_cached(), 2u);  // directions are distinct entries
+  provider.paths(5, 0);
+  EXPECT_EQ(provider.pairs_cached(), 2u);  // directions are distinct entries
 }
 
-// Locks the audit in routing/paths.h: PathCache's unordered_map is probe-only,
-// so the *order pairs were warmed in* — the one thing an unordered container
-// is allowed to remember — must be unobservable. Warm two caches and two
-// providers with opposite pair orders and demand byte-equal paths and routes
-// for every pair; if iteration order (or any other insertion-history state)
-// ever leaked into path lookup, this is the test that goes red.
-TEST(PathCacheTest, WarmOrderNeverReachesResults) {
+TEST(PathProviderTest, RejectsUnknownSchemeAndZeroWidth) {
+  const graph::Graph g(2);
+  EXPECT_THROW(make_path_provider(g, {"kspp", 4}), std::invalid_argument);
+  EXPECT_THROW(make_path_provider(g, {"ksp", 0}), std::invalid_argument);
+  for (std::string_view name : path_provider_schemes()) {
+    EXPECT_NO_THROW(make_path_provider(g, {std::string(name), 1}));
+  }
+}
+
+// Locks the audit in routing/path_provider.h: the provider's unordered_map
+// is probe-only, so the *order pairs were warmed in* — the one thing an
+// unordered container is allowed to remember — must be unobservable. Fill
+// two providers with opposite pair orders and demand byte-equal paths and
+// routes for every pair; if iteration order (or any other insertion-history
+// state) ever leaked into path lookup or flow routing, this is the test that
+// goes red.
+TEST(PathProviderTest, WarmOrderNeverReachesResults) {
   Rng rng(7);
   auto topo = topo::build_jellyfish(
       {.num_switches = 24, .ports_per_switch = 8, .network_degree = 5}, rng);
@@ -97,30 +106,19 @@ TEST(PathCacheTest, WarmOrderNeverReachesResults) {
     }
   }
 
-  // The same scheme named for a PathCache and for make_path_provider.
-  const std::pair<RoutingOptions, RoutingSpec> schemes[] = {
-      {{Scheme::kKsp, 4}, {"ksp", 4}}, {{Scheme::kEcmp, 8}, {"ecmp", 8}}};
-  for (const auto& [opts, spec] : schemes) {
-    PathCache fwd(g, opts);
-    PathCache rev(g, opts);
+  for (const RoutingSpec& spec : {RoutingSpec{"ksp", 4}, RoutingSpec{"ecmp", 8}}) {
+    PathProvider fwd(g, spec);
+    PathProvider rev(g, spec);
     for (const auto& [s, t] : pairs) fwd.paths(s, t);
     for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) rev.paths(it->first, it->second);
     EXPECT_EQ(fwd.pairs_cached(), rev.pairs_cached());
     for (const auto& [s, t] : pairs) {
       EXPECT_EQ(fwd.paths(s, t), rev.paths(s, t))
           << "pair (" << s << "," << t << ") depends on warm order";
-    }
-
-    // Same invariant one level up, through the polymorphic provider (the
-    // sim/flow consumers): identical flow keys must route identically no
-    // matter which pairs were queried first.
-    auto p1 = make_path_provider(g, spec);
-    auto p2 = make_path_provider(g, spec);
-    for (const auto& [s, t] : pairs) p1->paths(s, t);
-    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) p2->paths(it->first, it->second);
-    for (const auto& [s, t] : pairs) {
+      // Identical flow keys must route identically no matter which pairs
+      // were queried first.
       for (std::uint64_t flow_key : {0ull, 17ull, 123456789ull}) {
-        EXPECT_EQ(p1->route(s, t, flow_key), p2->route(s, t, flow_key));
+        EXPECT_EQ(fwd.route(s, t, flow_key), rev.route(s, t, flow_key));
       }
     }
   }
@@ -128,9 +126,9 @@ TEST(PathCacheTest, WarmOrderNeverReachesResults) {
 
 // warm() computes on borrowed workers with per-slot scratch and inserts in
 // canonical order; whatever the budget (none, an empty pot, 1 or 3 slots),
-// the cache it leaves must answer paths() exactly like a serially filled
+// the provider it leaves must answer paths() exactly like a serially filled
 // one, and every borrowed slot must go back to the pot.
-TEST(PathCacheTest, WarmMatchesSerialFillAtEveryBudget) {
+TEST(PathProviderTest, WarmMatchesSerialFillAtEveryBudget) {
   Rng rng(8);
   auto topo = topo::build_jellyfish(
       {.num_switches = 40, .ports_per_switch = 10, .network_degree = 6}, rng);
@@ -141,24 +139,18 @@ TEST(PathCacheTest, WarmMatchesSerialFillAtEveryBudget) {
   }
   pairs.emplace_back(3, 17);  // a repeat
 
-  // The same scheme named for a PathCache and for make_path_provider.
-  const std::pair<RoutingOptions, RoutingSpec> schemes[] = {
-      {{Scheme::kKsp, 8}, {"ksp", 8}}, {{Scheme::kEcmp, 8}, {"ecmp", 8}}};
-  for (const auto& [opts, spec] : schemes) {
-    PathCache serial(g, opts);
+  for (const RoutingSpec& spec : {RoutingSpec{"ksp", 8}, RoutingSpec{"ecmp", 8}}) {
+    PathProvider serial(g, spec);
     for (const auto& [s, t] : pairs) serial.paths(s, t);
     for (int slots : {-1, 0, 1, 3}) {
       parallel::WorkBudget budget(std::max(slots, 0));
-      PathCache warmed(g, opts);
+      PathProvider warmed(g, spec);
       warmed.paths(5, 9);  // already cached pairs are skipped
       warmed.warm(pairs, slots < 0 ? nullptr : &budget);
       EXPECT_EQ(budget.available(), budget.total());
       EXPECT_EQ(warmed.pairs_cached(), serial.pairs_cached());
-      auto provider = make_path_provider(g, spec);
-      provider->warm(pairs, slots < 0 ? nullptr : &budget);
       for (const auto& [s, t] : pairs) {
         EXPECT_EQ(warmed.paths(s, t), serial.paths(s, t)) << "budget " << slots;
-        EXPECT_EQ(provider->paths(s, t), serial.paths(s, t)) << "budget " << slots;
       }
     }
   }
@@ -261,13 +253,13 @@ std::string path_text(const PathSet& ps) {
   return out;
 }
 
-std::string path_sets_digest(const graph::Graph& g, const RoutingOptions& opts) {
-  PathCache cache(g, opts);
+std::string path_sets_digest(const graph::Graph& g, const RoutingSpec& spec) {
+  PathProvider provider(g, spec);
   std::string text;
   for (graph::NodeId s = 0; s < 16; ++s) {
     for (graph::NodeId t = 0; t < g.num_nodes(); ++t) {
       if (s == t) continue;
-      text += std::to_string(s) + ">" + std::to_string(t) + ":" + path_text(cache.paths(s, t)) +
+      text += std::to_string(s) + ">" + std::to_string(t) + ":" + path_text(provider.paths(s, t)) +
               "\n";
     }
   }
@@ -301,8 +293,8 @@ struct GoldenRow {
 
 void expect_goldens(const graph::Graph& g, const std::vector<GoldenRow>& rows) {
   for (const GoldenRow& row : rows) {
-    EXPECT_EQ(path_sets_digest(g, {Scheme::kKsp, row.width}), row.ksp) << "ksp-" << row.width;
-    EXPECT_EQ(path_sets_digest(g, {Scheme::kEcmp, row.width}), row.ecmp) << "ecmp-" << row.width;
+    EXPECT_EQ(path_sets_digest(g, {"ksp", row.width}), row.ksp) << "ksp-" << row.width;
+    EXPECT_EQ(path_sets_digest(g, {"ecmp", row.width}), row.ecmp) << "ecmp-" << row.width;
     EXPECT_EQ(ecmp_walk_digest(g, row.width), row.walk) << "ecmp walk, width " << row.width;
   }
 }

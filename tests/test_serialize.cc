@@ -122,6 +122,23 @@ TEST(Serialize, RangeAxisExpandsInclusively) {
   EXPECT_EQ(spec.axes[0].entries[0].values, (std::vector<double>{600, 700, 800, 900}));
 }
 
+// 0.09 + 13 * 0.07 is 1.0000000000000002 in doubles. A last point that
+// float drift alone keeps off 'to' is 'to', so a [0, 1] field accepts it.
+TEST(Serialize, RangeAxisEndsExactlyOnTo) {
+  const auto v = json::Value::parse(R"({
+    "name": "r",
+    "topologies": [{"family": "jellyfish", "switches": 8, "ports": 4, "servers": 8}],
+    "sweep": [{"field": "topology.local_fraction", "from": 0.09, "to": 1, "step": 0.07}]
+  })");
+  const auto spec = eval::sweep_from_json(v);
+  const std::vector<double>& values = spec.axes[0].entries[0].values;
+  ASSERT_EQ(values.size(), 14u);
+  EXPECT_EQ(values.front(), 0.09);
+  EXPECT_EQ(values[1], 0.09 + 0.07);  // only the last point is pinned
+  EXPECT_EQ(values.back(), 1.0);
+  EXPECT_EQ(eval::expand_sweep(spec).size(), 14u);
+}
+
 TEST(Serialize, UnknownKeyErrorsNameKeyAndContext) {
   const auto v = json::Value::parse(
       R"({"name": "x", "topologies": [{"family": "jellyfish", "prots": 4}]})");

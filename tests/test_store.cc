@@ -18,6 +18,7 @@
 #include "eval/engine.h"
 #include "eval/serialize.h"
 #include "eval/sweep.h"
+#include "obs/metrics.h"
 #include "store/result_store.h"
 
 namespace jf {
@@ -37,6 +38,16 @@ struct TempDir {
     std::error_code ec;
     stdfs::remove_all(path, ec);
   }
+};
+
+// Metrics on and zeroed for one test, so the store.* counters count exactly
+// that test's store calls.
+struct MetricsOn {
+  MetricsOn() {
+    obs::set_metrics_enabled(true);
+    obs::reset_metrics();
+  }
+  ~MetricsOn() { obs::set_metrics_enabled(false); }
 };
 
 // --- common/digest ---
@@ -149,6 +160,7 @@ TEST(ResultStore, DirectoryScanIsAuthoritative) {
 }
 
 TEST(ResultStore, UnreadableEntryDegradesToMiss) {
+  MetricsOn metrics;
   TempDir dir("drop");
   const std::string d = digest_of("gone");
   store::ResultStore store(dir.path);
@@ -156,13 +168,14 @@ TEST(ResultStore, UnreadableEntryDegradesToMiss) {
   stdfs::remove(store.entry_path(d));
   EXPECT_FALSE(store.get(d).has_value());
   EXPECT_EQ(store.entry_count(), 0u);
-  EXPECT_EQ(store.stats().dropped, 1u);
+  EXPECT_EQ(obs::counter("store.dropped").value(), 1);
   // Recoverable: a re-put works normally.
   store.put(d, "payload");
   EXPECT_EQ(store.get(d).value_or(""), "payload");
 }
 
 TEST(ResultStore, LruEvictionRespectsBudgetAndRecency) {
+  MetricsOn metrics;
   TempDir dir("lru");
   const std::string a = digest_of("a"), b = digest_of("b"), c = digest_of("c");
   store::StoreOptions opts;
@@ -177,7 +190,7 @@ TEST(ResultStore, LruEvictionRespectsBudgetAndRecency) {
   EXPECT_TRUE(store.get(c).has_value());
   EXPECT_FALSE(stdfs::exists(store.entry_path(b)));
   EXPECT_LE(store.total_bytes(), 20u);
-  EXPECT_EQ(store.stats().evictions, 1u);
+  EXPECT_EQ(obs::counter("store.evictions").value(), 1);
   // A single over-budget value still lands (evicting everything else).
   store.put(digest_of("big"), std::string(50, 'D'));
   EXPECT_EQ(store.entry_count(), 1u);

@@ -1,12 +1,13 @@
 // eval/sweep: axis expansion (cartesian, zipped, filtered), label
 // auto-suffixing, run_sweep determinism at any thread count, the shared
-// PathCache fast path for deterministic topology families, and paper claims
+// PathProvider fast path for deterministic topology families, and paper claims
 // checked against hand-built reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <optional>
 #include <sstream>
@@ -86,24 +87,44 @@ TEST(Sweep, ZippedAxisAdvancesEntriesInLockstep) {
   EXPECT_EQ(points[1].scenario.topologies[1].display(), "jf/switches=45");
 }
 
+// Sweep errors reach jf_eval users, so like validate_scenario's they name
+// the swept field and never a source location: no "[<path>/sweep.cc:76]".
 TEST(Sweep, ApplyErrors) {
-  eval::Scenario s;
-  s.topologies = {{.family = "jellyfish", .switches = 8, .ports = 4, .servers = 8}};
-  // Unknown field.
-  EXPECT_THROW(eval::apply_sweep_value(s, {"topology.bogus", "", {}}, 1.0),
-               std::invalid_argument);
-  // Filter matching nothing.
-  EXPECT_THROW(eval::apply_sweep_value(s, {"topology.servers", "fattree", {}}, 16.0),
-               std::invalid_argument);
-  // Integer field given a fractional value.
-  EXPECT_THROW(eval::apply_sweep_value(s, {"topology.servers", "", {}}, 16.5),
-               std::invalid_argument);
-  // routing.width with no routings configured.
-  EXPECT_THROW(eval::apply_sweep_value(s, {"routing.width", "", {}}, 4.0),
-               std::invalid_argument);
-  // 'only' on a non-topology field.
-  EXPECT_THROW(eval::apply_sweep_value(s, {"traffic.demand", "jellyfish", {}}, 0.5),
-               std::invalid_argument);
+  eval::Scenario plain;
+  plain.topologies = {{.family = "jellyfish", .switches = 8, .ports = 4, .servers = 8}};
+  eval::Scenario stepped = plain;
+  stepped.growth.steps = {{.add_switches = 2}};
+  auto expect_clean = [](const std::function<void()>& fn, const std::string& field) {
+    try {
+      fn();
+      ADD_FAILURE() << field << ": no error";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(field), std::string::npos) << msg;
+      EXPECT_EQ(msg.find(".cc:"), std::string::npos) << msg;
+    }
+  };
+  const std::pair<eval::AxisEntry, double> cases[] = {
+      {{"topology.bogus", "", {}}, 1.0},            // unknown field
+      {{"topology.servers", "fattree", {}}, 16.0},  // filter matching nothing
+      {{"topology.servers", "", {}}, 16.5},         // integer field
+      {{"topology.local_fraction", "", {}}, 1.5},   // outside [0, 1]
+      {{"routing.width", "", {}}, 4.0},             // no routings
+      {{"traffic.demand", "jellyfish", {}}, 0.5},   // 'only' off topology.*
+      {{"growth.add_switches", "", {}}, 2.0},       // no explicit steps
+  };
+  for (const auto& [entry, value] : cases) {
+    eval::Scenario s = plain;
+    expect_clean([&] { eval::apply_sweep_value(s, entry, value); }, entry.field);
+  }
+  // The field table's own hook: generator fields over explicit steps.
+  expect_clean(
+      [&] { eval::apply_sweep_value(stepped, {"growth.target_switches", "", {}}, 20.0); },
+      "growth.target_switches");
+  eval::SweepSpec zipped;
+  zipped.base = plain;
+  zipped.axes = {{{{"topology.servers", "", {8, 12}}, {"topology.switches", "", {8}}}}};
+  expect_clean([&] { eval::expand_sweep(zipped); }, "topology.switches");
 }
 
 TEST(Sweep, CountFieldsRejectNonPositiveValues) {
@@ -248,7 +269,7 @@ std::string seed_samples(const eval::Report& r, std::uint64_t seed) {
 
 // Each seed's samples from a multi-seed run equal a run of that seed alone.
 // The engine never shares a topology or path cache in a one-seed scenario,
-// so this checks the shared-PathCache fast path (deterministic families
+// so this checks the shared-PathProvider fast path (deterministic families
 // build topology + warmed provider once per routing and share them across
 // seed cells) against per-cell builds.
 void expect_seeds_match_single_seed_runs(const eval::Scenario& s, int threads) {
@@ -263,7 +284,7 @@ void expect_seeds_match_single_seed_runs(const eval::Scenario& s, int threads) {
   }
 }
 
-TEST(Sweep, SharedPathCacheMatchesPerCellBuilds) {
+TEST(Sweep, SharedPathProviderMatchesPerCellBuilds) {
   eval::Scenario s;
   s.name = "shared-cache";
   s.topologies = {{.family = "fattree", .fattree_k = 4},
