@@ -11,6 +11,7 @@
 // initial build).
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "common/table.h"
 #include "eval/engine.h"
@@ -35,9 +36,11 @@ int main() {
   };
 
   const auto report = eval::Engine().run(s);
-  // Row t's value of `metric` at `stage` (one seed, so one sample).
-  auto at = [&](int t, const std::string& metric, std::size_t stage) {
-    return report.series(t, -1, metric + "_s" + std::to_string(stage)).at(0);
+  // Row t's value of per-step series `metric` at `stage` (one seed, so one
+  // sample).
+  auto at = [&](int t, std::string_view metric, std::size_t stage) {
+    const eval::SampleSeries series{metric, eval::SampleIndex::kStep};
+    return report.series(t, -1, eval::sample_name(series, static_cast<int>(stage))).at(0);
   };
 
   print_banner(std::cout, "Expansion plan: Jellyfish vs structured Clos");

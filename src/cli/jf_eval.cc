@@ -380,12 +380,19 @@ int cmd_list() {
   std::cout << "   (* = deterministic, shares path caches across seeds)\n";
   std::cout << "routing schemes:  ";
   for (const auto& s : routing::path_provider_schemes()) std::cout << " " << s;
-  std::cout << "\nmetrics:\n";
+  std::cout << "\nmetrics:          ([k]: one per traffic sample; [step]: one per growth step,"
+               " named <sample>_s<step>)\n";
   std::size_t width = 0;
   for (const eval::MetricInfo& m : eval::metric_table()) width = std::max(width, m.name.size());
   for (const eval::MetricInfo& m : eval::metric_table()) {
     std::cout << "  " << m.name << std::string(width - m.name.size() + 2, ' ')
-              << m.description << "\n";
+              << m.description << "\n" << std::string(width + 4, ' ') << "samples:";
+    for (const eval::SampleSeries& series : m.samples) {
+      std::cout << " " << series.name;
+      if (series.index == eval::SampleIndex::kTraffic) std::cout << "[k]";
+      if (series.index == eval::SampleIndex::kStep) std::cout << "[step]";
+    }
+    std::cout << "\n";
   }
   std::cout << "sweep fields:     ";
   for (const auto& f : eval::sweep_fields()) std::cout << " " << f;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -103,6 +104,11 @@ struct Cell {
   std::uint64_t seed = 0;
 };
 
+// A cell evaluates the routing-dependent metrics iff it has a routing.
+bool cell_evaluates(const Cell& cell, Metric m) {
+  return metric_needs_routing(m) == (cell.routing >= 0);
+}
+
 // Per-topology resources built once and shared read-only across seed cells
 // when the family is deterministic (see prepare_shared).
 struct SharedTopology {
@@ -153,10 +159,6 @@ struct CellInputs {
   std::vector<Sample> out;
   // One slot per sample k; a slot stays empty until some metric reads it.
   std::vector<std::optional<SimRun>> sim_runs;
-
-  void emit(const std::string& metric, int sample, double v) {
-    out.push_back({cell.topo, cell.routing, cell.seed, sample, metric, v});
-  }
 
   // Stream `tag` of this cell's topology row.
   Rng rng(std::uint64_t tag) const {
@@ -228,15 +230,24 @@ struct CellInputs {
   std::unique_ptr<routing::PathProvider> routes_;
 };
 
-// The one evaluator: emits metric m's samples for the cell behind `in`.
+// The one evaluator: emits metric m's samples for the cell behind `in`, each
+// by its position in m's sample column (MetricInfo::samples).
 void evaluate(Metric m, CellInputs& in) {
   const Scenario& s = in.s;
   const TopologySpec& spec = in.spec;
+  // Emits the row of the series at position `series` in m's column, at
+  // traffic sample or growth step `at` (0 for a per-cell series).
+  const std::span<const SampleSeries> column = metric_info(m).samples;
+  auto emit = [&](std::size_t series, double v, int at = 0) {
+    ensure(series < column.size(), "evaluate: position past the metric's sample column");
+    in.out.push_back({in.cell.topo, in.cell.routing, in.cell.seed, at,
+                      sample_name(column[series], at), v});
+  };
   switch (m) {
     case Metric::kPathStats: {
       auto stats = Engine::path_stats(in.topology());
-      in.emit("mean_path", 0, stats.mean);
-      in.emit("diameter", 0, static_cast<double>(stats.diameter));
+      emit(0, stats.mean);
+      emit(1, static_cast<double>(stats.diameter));
       break;
     }
     case Metric::kServerCdf: {
@@ -246,25 +257,24 @@ void evaluate(Metric m, CellInputs& in) {
         for (const auto& [l, f] : cdf) {
           if (l <= len) v = f;
         }
-        in.emit("server_cdf_le" + std::to_string(len), 0, v);
+        emit(static_cast<std::size_t>(len - 2), v);
       }
       break;
     }
     case Metric::kThroughput: {
       for (int k = 0; k < s.samples_per_seed; ++k) {
-        in.emit("throughput", k, fluid_throughput(in.topology(), in.traffic(k), s.mcf, in.budget));
+        emit(0, fluid_throughput(in.topology(), in.traffic(k), s.mcf, in.budget), k);
       }
       break;
     }
     case Metric::kBisection: {
       Rng br = in.rng(kBisectionStream);
-      in.emit("bisection", 0, Engine::bisection_bandwidth(in.topology(), br));
+      emit(0, Engine::bisection_bandwidth(in.topology(), br));
       break;
     }
     case Metric::kRoutedThroughput: {
       for (int k = 0; k < s.samples_per_seed; ++k) {
-        in.emit("routed_throughput", k,
-                routed_fluid_throughput(in.topology(), in.traffic(k), in.routes(), s.mcf));
+        emit(0, routed_fluid_throughput(in.topology(), in.traffic(k), in.routes(), s.mcf), k);
       }
       break;
     }
@@ -283,17 +293,15 @@ void evaluate(Metric m, CellInputs& in) {
         double mean = 0.0;
         for (int c : r) mean += c;
         mean /= static_cast<double>(r.empty() ? 1 : r.size());
-        in.emit("div_frac_le2", k, routing::fraction_at_or_below(counts, 2));
-        in.emit("div_mean", k, mean);
+        emit(0, routing::fraction_at_or_below(counts, 2), k);
+        emit(1, mean, k);
         if (!r.empty()) {
-          in.emit("div_p50", k, static_cast<double>(r[r.size() / 2]));
-          in.emit("div_p90", k, static_cast<double>(r[r.size() * 9 / 10]));
-          in.emit("div_max", k, static_cast<double>(r.back()));
-          // Ranked series sampled at deciles (Fig. 9's x-axis is link rank).
-          for (int pct = 0; pct <= 100; pct += 10) {
-            const std::size_t idx =
-                std::min(r.size() - 1, r.size() * static_cast<std::size_t>(pct) / 100);
-            in.emit("div_rank_p" + std::to_string(pct), k, static_cast<double>(r[idx]));
+          emit(2, static_cast<double>(r[r.size() / 2]), k);
+          emit(3, static_cast<double>(r[r.size() * 9 / 10]), k);
+          emit(4, static_cast<double>(r.back()), k);
+          for (std::size_t decile = 0; decile <= 10; ++decile) {
+            const std::size_t idx = std::min(r.size() - 1, r.size() * decile / 10);
+            emit(5 + decile, static_cast<double>(r[idx]), k);
           }
         }
       }
@@ -302,9 +310,9 @@ void evaluate(Metric m, CellInputs& in) {
     case Metric::kPacketSim: {
       for (int k = 0; k < s.samples_per_seed; ++k) {
         const sim::WorkloadResult& res = in.sim_run(k).res;
-        in.emit("sim_goodput", k, res.mean_flow_throughput);
-        in.emit("sim_fairness", k, res.jain_fairness);
-        in.emit("sim_drops", k, static_cast<double>(res.packet_drops));
+        emit(0, res.mean_flow_throughput, k);
+        emit(1, res.jain_fairness, k);
+        emit(2, static_cast<double>(res.packet_drops), k);
       }
       break;
     }
@@ -312,19 +320,19 @@ void evaluate(Metric m, CellInputs& in) {
       for (int k = 0; k < s.samples_per_seed; ++k) {
         const SimRun& run = in.sim_run(k);
         const auto fct = sim::flow_completion_seconds(run.data);
-        in.emit("fct_p50", k, percentile(fct, 50.0));
-        in.emit("fct_p99", k, percentile(fct, 99.0));
+        emit(0, percentile(fct, 50.0), k);
+        emit(1, percentile(fct, 99.0), k);
         // Per-flow throughput spread — the paper's Figs. 10-12 compare
         // these flow-by-flow across routings over the *same* matrices
         // (traffic_rng is routing-independent), so min/percentile gaps
         // are paired comparisons, not independent draws.
-        in.emit("flow_tput_min", k, summarize(run.res.per_flow).min);
-        in.emit("flow_tput_p10", k, percentile(run.res.per_flow, 10.0));
-        in.emit("flow_tput_p50", k, percentile(run.res.per_flow, 50.0));
-        in.emit("flow_tput_p90", k, percentile(run.res.per_flow, 90.0));
+        emit(2, summarize(run.res.per_flow).min, k);
+        emit(3, percentile(run.res.per_flow, 10.0), k);
+        emit(4, percentile(run.res.per_flow, 50.0), k);
+        emit(5, percentile(run.res.per_flow, 90.0), k);
         std::int64_t completed = 0;
         for (const auto& f : run.data.flows) completed += f.completed ? 1 : 0;
-        in.emit("flows_completed", k, static_cast<double>(completed));
+        emit(6, static_cast<double>(completed), k);
         std::vector<double> util;
         util.reserve(run.data.links.size());
         double hot_drops = 0.0;
@@ -334,10 +342,10 @@ void evaluate(Metric m, CellInputs& in) {
           for (const auto& e : link.epochs) drops += e.drops;
           hot_drops = std::max(hot_drops, static_cast<double>(drops));
         }
-        in.emit("link_util_mean", k, summarize(util).mean);
-        in.emit("link_util_p99", k, percentile(util, 99.0));
-        in.emit("link_util_max", k, summarize(util).max);
-        in.emit("hot_link_drops", k, hot_drops);
+        emit(7, summarize(util).mean, k);
+        emit(8, percentile(util, 99.0), k);
+        emit(9, summarize(util).max, k);
+        emit(10, hot_drops, k);
       }
       break;
     }
@@ -345,13 +353,13 @@ void evaluate(Metric m, CellInputs& in) {
       const topo::Topology& topo = in.topology();
       auto placement = layout::place(topo, s.cabling_placement);
       auto stats = layout::analyze_cabling(topo, placement, expansion::CostModel{});
-      in.emit("cable_switch_count", 0, static_cast<double>(stats.switch_cables));
-      in.emit("cable_server_count", 0, static_cast<double>(stats.server_cables));
-      in.emit("cable_total_m", 0, stats.total_length_m);
-      in.emit("cable_mean_switch_m", 0, stats.mean_switch_cable_m);
-      in.emit("cable_optical_frac", 0, stats.optical_fraction);
-      in.emit("cable_bundles", 0, static_cast<double>(stats.bundles));
-      in.emit("cable_cost", 0, stats.material_cost);
+      emit(0, static_cast<double>(stats.switch_cables));
+      emit(1, static_cast<double>(stats.server_cables));
+      emit(2, stats.total_length_m);
+      emit(3, stats.mean_switch_cable_m);
+      emit(4, stats.optical_fraction);
+      emit(5, static_cast<double>(stats.bundles));
+      emit(6, stats.material_cost);
       break;
     }
     case Metric::kMinPorts: {
@@ -368,19 +376,18 @@ void evaluate(Metric m, CellInputs& in) {
       } else {
         check(false, "kMinPorts: only jellyfish and fattree families are supported");
       }
-      in.emit("min_ports", 0, static_cast<double>(ports));
+      emit(0, static_cast<double>(ports));
       break;
     }
     case Metric::kCapacity: {
       if (spec.family == "fattree") {
         check(spec.fattree_k >= 2, "kCapacity: fattree needs fattree_k >= 2");
-        in.emit("max_servers", 0, static_cast<double>(topo::fattree_servers(spec.fattree_k)));
+        emit(0, static_cast<double>(topo::fattree_servers(spec.fattree_k)));
       } else if (spec.family == "jellyfish") {
         check(spec.switches >= 2 && spec.ports >= 1,
               "kCapacity: jellyfish needs switches and ports");
         Rng cr = in.rng(kCapacityStream);
-        in.emit("max_servers", 0,
-                static_cast<double>(flow::max_servers_at_full_capacity(
+        emit(0, static_cast<double>(flow::max_servers_at_full_capacity(
                     spec.switches, spec.ports, cr, s.capacity, in.budget)));
       } else {
         check(false, "kCapacity: only jellyfish and fattree families are supported");
@@ -388,41 +395,35 @@ void evaluate(Metric m, CellInputs& in) {
       break;
     }
     // The expansion metrics report one growth plan per cell: per-step
-    // sub-results land as "_s<step>" series (step 0 = initial build, so
-    // they stay distinguishable in aggregates), plus an unsuffixed headline
-    // value for the whole schedule.
+    // sub-results (step 0 = initial build), plus a headline value for the
+    // whole schedule.
     case Metric::kExpansionCost: {
       const expansion::GrowthPlan& plan = in.growth();
       for (const auto& r : plan.steps) {
-        const std::string suffix = "_s" + std::to_string(r.step);
-        in.emit("expansion_cost" + suffix, r.step, r.cumulative_cost);
-        in.emit("expansion_switches" + suffix, r.step, static_cast<double>(r.switches));
-        in.emit("expansion_servers" + suffix, r.step, static_cast<double>(r.servers));
+        emit(0, r.cumulative_cost, r.step);
+        emit(1, static_cast<double>(r.switches), r.step);
+        emit(2, static_cast<double>(r.servers), r.step);
       }
-      in.emit("expansion_cost", 0, plan.steps.back().cumulative_cost);
+      emit(3, plan.steps.back().cumulative_cost);
       break;
     }
     case Metric::kRewiredCables: {
       const expansion::GrowthPlan& plan = in.growth();
       double rewired = 0.0, touched = 0.0;
       for (const auto& r : plan.steps) {
-        const std::string suffix = "_s" + std::to_string(r.step);
-        in.emit("rewired_cables" + suffix, r.step, static_cast<double>(r.cables_rewired));
-        in.emit("cables_touched" + suffix, r.step, static_cast<double>(r.cables_touched));
+        emit(0, static_cast<double>(r.cables_rewired), r.step);
+        emit(1, static_cast<double>(r.cables_touched), r.step);
         rewired += r.cables_rewired;
         touched += r.cables_touched;
       }
-      in.emit("rewired_cables", 0, rewired);
-      in.emit("cables_touched", 0, touched);
+      emit(2, rewired);
+      emit(3, touched);
       break;
     }
     case Metric::kExpansionBisection: {
       const expansion::GrowthPlan& plan = in.growth();
-      for (const auto& r : plan.steps) {
-        in.emit("expansion_bisection_s" + std::to_string(r.step), r.step,
-                r.normalized_bisection);
-      }
-      in.emit("expansion_bisection", 0, plan.steps.back().normalized_bisection);
+      for (const auto& r : plan.steps) emit(0, r.normalized_bisection, r.step);
+      emit(1, plan.steps.back().normalized_bisection);
       break;
     }
   }
@@ -433,7 +434,13 @@ std::vector<Sample> run_cell(const Scenario& s, const Cell& cell,
                              std::vector<CellTelemetry>* telem) {
   CellInputs in(s, cell, shared, budget, telem != nullptr);
   for (Metric m : s.metrics) {
-    if (metric_needs_routing(m) == (cell.routing >= 0)) evaluate(m, in);
+    if (!cell_evaluates(cell, m)) continue;
+    const std::size_t first = in.out.size();
+    evaluate(m, in);
+    for (std::size_t i = first; i < in.out.size(); ++i) {
+      ensure(metric_emits(m, in.out[i].metric, in.out[i].sample, s, cell.topo),
+             "run_cell: emitted a row outside its metric's sample column");
+    }
   }
   // Hand the full datasets to the batch collector, in ascending sample
   // order. Runs land here already finalized; untriggered samples (possible
@@ -492,10 +499,19 @@ void validate_scenario(const Scenario& s) {
     fail(std::string(metric_info(*routed_metric).name) + " needs >= 1 routing spec");
   }
   const bool has_expansion_metrics = reads(s, MetricInput::kGrowth);
+  const bool builds = std::ranges::any_of(s.metrics, metric_needs_build);
   const auto sim_metric = std::ranges::find_if(
       s.metrics, [](Metric m) { return metric_info(m).reads == MetricInput::kSim; });
   for (std::size_t t = 0; t < s.topologies.size(); ++t) {
     const TopologySpec& spec = s.topologies[t];
+    // A row the cells build must be one its family's factory accepts.
+    if (builds) {
+      try {
+        check_topology_spec(spec);
+      } catch (const std::invalid_argument& e) {
+        fail("scenario.topologies[" + std::to_string(t) + "]: " + e.what());
+      }
+    }
     // The packet simulator requires a route for every flow; a failure
     // fraction that disconnects a pair would abort the batch mid-run, so
     // refuse the combination up front (fluid metrics degrade gracefully).
@@ -665,18 +681,30 @@ std::string cell_payload(const std::string& key, const std::vector<Sample>& samp
 }
 
 std::optional<std::vector<Sample>> load_cached_cell(store::ResultStore& store,
-                                                    const std::string& key, const Cell& cell) {
+                                                    const std::string& key, const Scenario& s,
+                                                    const Cell& cell) {
   const std::string digest = cell_digest(key);
   auto bytes = store.get(digest);
   if (!bytes) return std::nullopt;
   // Every row must name this cell: a payload with the right key whose row
   // names another topology would make Report::aggregates() throw at render,
-  // and one naming another seed would be averaged in silently. The ids are
+  // and one naming another seed would be averaged in silently. It must also
+  // be a row some metric this cell evaluates can emit, or a foreign name or
+  // sample index would reach the aggregates. The ids and the index are
   // compared as stored, before samples_from_json narrows them to int.
-  auto names_cell = [&](const json::Value& row_v) {
+  auto cell_emits = [&](const json::Value& row_v) {
     const json::Array& row = row_v.as_array();
-    return row.size() >= 3 && row[0].as_int() == cell.topo &&
-           row[1].as_int() == cell.routing && row[2].as_uint() == cell.seed;
+    if (row.size() < 5 || row[0].as_int() != cell.topo || row[1].as_int() != cell.routing ||
+        row[2].as_uint() != cell.seed) {
+      return false;
+    }
+    const std::int64_t index = row[3].as_int();
+    const std::string& name = row[4].as_string();
+    return index >= 0 && index <= std::numeric_limits<int>::max() &&
+           std::ranges::any_of(s.metrics, [&](Metric m) {
+             return cell_evaluates(cell, m) &&
+                    metric_emits(m, name, static_cast<int>(index), s, cell.topo);
+           });
   };
   try {
     const json::Value v = json::Value::parse(*bytes);
@@ -685,7 +713,7 @@ std::optional<std::vector<Sample>> load_cached_cell(store::ResultStore& store,
     const json::Value* samples = v.find("samples");
     if (schema != nullptr && schema->as_int() == kReportSchemaVersion &&
         stored_key != nullptr && stored_key->as_string() == key && samples != nullptr &&
-        std::ranges::all_of(samples->as_array(), names_cell)) {
+        std::ranges::all_of(samples->as_array(), cell_emits)) {
       return samples_from_json(*samples);
     }
   } catch (const std::exception&) {
@@ -860,7 +888,7 @@ std::vector<Report> Engine::run_batch(
     std::optional<std::vector<Sample>> cached;
     if (opts_.store != nullptr) {
       obs::ScopedTimer load_timer(obs_store_load_ns);
-      cached = load_cached_cell(*opts_.store, key, cell);
+      cached = load_cached_cell(*opts_.store, key, *p.s, cell);
     }
     if (cached) {
       slot = std::move(*cached);

@@ -106,7 +106,8 @@ struct EngineOptions {
 
 // Throws std::invalid_argument, with a message naming the scenario's fields,
 // when the scenario cannot run: no topologies, seeds or metrics, a repeated
-// metric or seed, a routing-dependent metric without routings, a packet-sim
+// metric or seed, a routing-dependent metric without routings, a built row
+// its family's factory would refuse (check_topology_spec), a packet-sim
 // metric over failed links, or a growth schedule invalid under a row's
 // policy. run_batch checks every scenario with it before any cell runs;
 // `jf_eval print` checks every sweep point.

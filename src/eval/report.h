@@ -29,8 +29,8 @@ struct Sample {
   int topology = 0;        // index into Scenario::topologies
   int routing = -1;        // index into Scenario::routings, or -1
   std::uint64_t seed = 0;
-  int sample = 0;          // traffic-matrix index within the seed
-  std::string metric;      // e.g. "throughput", "mean_path", "sim_goodput"
+  int sample = 0;          // traffic sample or growth step (SampleIndex)
+  std::string metric;      // sample_name of a series in MetricInfo::samples
   double value = 0.0;
 };
 

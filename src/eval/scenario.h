@@ -125,12 +125,28 @@ enum class MetricInput : std::uint8_t {
   kSim,       // a packet-sim run routed by the scheme
 };
 
+// How a sample series sets the Sample::sample index of the rows it emits.
+enum class SampleIndex : std::uint8_t {
+  kCell,     // one row per cell, index 0
+  kTraffic,  // one row per traffic sample k, index k < samples_per_seed
+  kStep,     // one row per growth step, named by sample_name, index = step
+};
+
+// One named series of sample rows a metric emits.
+struct SampleSeries {
+  std::string_view name;
+  SampleIndex index;
+};
+
 // One row of the metric table.
 struct MetricInfo {
   Metric metric;
   std::string_view name;         // in scenario files and jf_eval list
   std::string_view description;  // one line for jf_eval list
   MetricInput reads;
+  // Every series the evaluator emits, in emission order within one index:
+  // the only place a sample name is spelled.
+  std::span<const SampleSeries> samples;
 };
 
 // Every metric, one row each, in enum order.
@@ -179,8 +195,8 @@ struct Scenario {
   // Expansion schedule evaluated by the kExpansion* metrics. Those metrics
   // grow their own network from the schedule's initial build — the
   // TopologySpec rows contribute only a label and an optional growth_policy
-  // override — with per-step sub-results recorded in the Report (metric
-  // names suffixed "_s<step>"). Costs use the default expansion::CostModel.
+  // override — with per-step sub-results recorded in the Report (named by
+  // sample_name). Costs use the default expansion::CostModel.
   expansion::GrowthSchedule growth;
 };
 
@@ -190,5 +206,19 @@ struct Scenario {
 // expansion metrics read it, and Engine::growth_plan plans it.
 expansion::GrowthSchedule row_schedule(const expansion::GrowthSchedule& growth,
                                        const std::string& policy);
+
+// The Sample::metric name of `series`' row at `index`: "<name>_s<index>" for
+// a per-step series, the series name otherwise.
+std::string sample_name(const SampleSeries& series, int index);
+
+// Claims select rows by name alone: metric_emits at this index ignores it.
+inline constexpr int kAnyIndex = -1;
+
+// Can metric m emit the sample row (name, index) in a cell of topology row
+// `topo` of scenario s? A per-traffic-sample series takes the indices below
+// s.samples_per_seed and a per-step series the steps of the row's growth
+// schedule (0 = the initial build). At kAnyIndex only the name is checked,
+// and s and topo are not read.
+bool metric_emits(Metric m, std::string_view name, int index, const Scenario& s, int topo);
 
 }  // namespace jf::eval

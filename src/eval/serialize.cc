@@ -696,6 +696,18 @@ Scenario scenario_from_json_impl(const Value& v, SweepSpec* spec) {
   }
   if (spec != nullptr) fields::read_fields(r, fields::kSweep, *spec);
   r.done();
+  // A claim selector naming a sample no listed metric emits would match no
+  // row at any point, and the claim could only fail after the whole sweep.
+  auto check_selector = [&](const ClaimSelector& sel, const std::string& where) {
+    const bool emitted = std::ranges::any_of(
+        s.metrics, [&](Metric m) { return metric_emits(m, sel.metric, kAnyIndex, s, -1); });
+    if (!emitted) schema_error(where, "no listed metric emits sample '" + sel.metric + "'");
+  };
+  for (std::size_t i = 0; spec != nullptr && i < spec->claims.size(); ++i) {
+    const std::string where = ctx + ".claims[" + std::to_string(i) + "]";
+    check_selector(spec->claims[i].a, where + ".a.metric");
+    if (spec->claims[i].b) check_selector(*spec->claims[i].b, where + ".b.metric");
+  }
   return s;
 }
 

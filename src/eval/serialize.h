@@ -45,10 +45,12 @@
 //
 // "a" and "b" select one aggregate row per point: "topology" and "routing"
 // are label prefixes ("routing" empty or absent matches any row) and
-// "metric" is a row's metric name. "b" and "op" ("ratio" or "difference")
-// come together; without them the claim bounds a's mean itself. A claim
-// needs "text" and at least one of "min", "max" (inclusive) or "trend"
-// ("increasing" or "decreasing", non-strict, in sweep point order).
+// "metric" is a sample name some listed metric emits (MetricInfo::samples,
+// printed by `jf_eval list`; the loader refuses any other name). "b" and
+// "op" ("ratio" or "difference") come together; without them the claim
+// bounds a's mean itself. A claim needs "text" and at least one of "min",
+// "max" (inclusive) or "trend" ("increasing" or "decreasing", non-strict,
+// in sweep point order).
 #pragma once
 
 #include <string>

@@ -15,9 +15,19 @@ namespace jf::eval {
 
 namespace {
 
+// Throws std::invalid_argument naming the row when a spec-only precondition
+// fails. These messages reach jf_eval users, so they carry no source locator.
+void need(const TopologySpec& spec, bool cond, std::string_view what) {
+  if (!cond) {
+    throw std::invalid_argument("topology '" + spec.display() + "': " + spec.family + " needs " +
+                                std::string(what));
+  }
+}
+
+void check_swdc(const TopologySpec& spec) { need(spec, spec.switches >= 3, "switches >= 3"); }
+
 topo::Topology build_swdc_family(topo::SwdcLattice lattice, const TopologySpec& spec,
                                  Rng& rng) {
-  check(spec.switches >= 3, "swdc topology: need switches >= 3");
   topo::SwdcParams p;
   p.lattice = lattice;
   p.num_switches = topo::swdc_feasible_size(lattice, spec.switches);
@@ -27,41 +37,48 @@ topo::Topology build_swdc_family(topo::SwdcLattice lattice, const TopologySpec& 
   return topo::build_swdc(p, rng);
 }
 
+// One topology family: the preconditions its build reads from the spec
+// alone, checked by validate_scenario before any cell runs and by
+// build_topology before every build, and the build itself.
 struct Family {
   std::string_view name;
+  void (*check)(const TopologySpec&);
   topo::Topology (*build)(const TopologySpec&, Rng&);
 };
 
 // Sorted by name, the order `jf_eval list` prints.
 constexpr Family kFamilies[] = {
     {"degree-diameter",
+     [](const TopologySpec& spec) {
+       need(spec, spec.switches >= 2 && spec.ports >= 1, "switches >= 2 and ports >= 1");
+       need(spec, spec.network_degree >= 1 && spec.network_degree < spec.ports,
+            "1 <= network_degree < ports");
+     },
      [](const TopologySpec& spec, Rng& rng) {
        // Fig. 3's benchmark rows: best-known degree-diameter graphs
        // (exact Petersen/Hoffman-Singleton where constructible, annealed
        // low-path-length regular graphs elsewhere — see
        // topo/degree_diameter.h). Servers default to the ports left over
        // after the network degree, like the paper's (A, B, C) rows.
-       check(spec.switches >= 2 && spec.ports >= 1,
-             "degree-diameter topology: need switches >= 2 and ports >= 1");
-       check(spec.network_degree >= 1 && spec.network_degree < spec.ports,
-             "degree-diameter topology: need 1 <= network_degree < ports");
        const int sps = spec.servers_per_switch > 0 ? spec.servers_per_switch
                                                    : spec.ports - spec.network_degree;
        return topo::build_degree_diameter_topology(spec.switches, spec.ports,
                                                    spec.network_degree, sps, rng);
      }},
     {"fattree",
+     [](const TopologySpec& spec) {
+       need(spec, spec.fattree_k >= 2, "fattree_k >= 2");
+       // Oversubscription would violate the edge switches' port budgets —
+       // the fat-tree's design point k^3/4 is exactly its full-bisection
+       // capacity.
+       need(spec, spec.servers <= topo::fattree_servers(spec.fattree_k),
+            "servers <= the k^3/4 design capacity");
+     },
      [](const TopologySpec& spec, Rng&) {
-       check(spec.fattree_k >= 2, "fattree topology: need fattree_k >= 2");
        auto topo = topo::build_fattree(spec.fattree_k);
        // Optional undersubscription: repack `servers` evenly across the
-       // edge layer (Fig. 2(a)'s server ramp). Oversubscription would
-       // violate the edge switches' port budgets — the fat-tree's design
-       // point k^3/4 is exactly its full-bisection capacity.
+       // edge layer (Fig. 2(a)'s server ramp).
        if (spec.servers > 0) {
-         const int designed = topo::fattree_servers(spec.fattree_k);
-         check(spec.servers <= designed,
-               "fattree topology: servers exceeds the k^3/4 design capacity");
          const int num_edge = topo::fattree_layers(spec.fattree_k).num_edge;
          for (topo::NodeId sw = 0; sw < num_edge; ++sw) {
            const int share = (spec.servers + num_edge - 1 - sw) / num_edge;
@@ -71,24 +88,30 @@ constexpr Family kFamilies[] = {
        return topo;
      }},
     {"jellyfish",
+     [](const TopologySpec& spec) {
+       need(spec, spec.switches >= 2 && spec.ports >= 1, "switches >= 2 and ports >= 1");
+       // Every switch keeps at least one port for the network.
+       need(spec, spec.servers <= spec.switches * (spec.ports - 1),
+            "servers <= switches * (ports - 1)");
+     },
      [](const TopologySpec& spec, Rng& rng) {
-       check(spec.switches >= 2 && spec.ports >= 1,
-             "jellyfish topology: need switches >= 2 and ports >= 1");
        return topo::build_jellyfish_with_servers(spec.switches, spec.ports, spec.servers, rng);
      }},
     {"jellyfish-incr",
+     [](const TopologySpec& spec) {
+       need(spec, spec.grow_from >= 2, "grow_from >= 2");
+       need(spec, spec.switches >= spec.grow_from, "switches >= grow_from");
+       need(spec, spec.grow_step >= 1, "grow_step >= 1");
+       need(spec,
+            spec.ports >= 1 && spec.network_degree >= 1 && spec.network_degree <= spec.ports,
+            "1 <= network_degree <= ports");
+     },
      [](const TopologySpec& spec, Rng& rng) {
        // Incrementally grown Jellyfish (§4.2): the Fig. 5/6 "expanded"
        // rows. Expressed as a pure fixed-step GrowthSchedule and executed
        // by the unified growth planner, which threads the one rng stream
        // through the initial build and every expansion splice in order —
        // byte-identical to the historical inline grow loop.
-       check(spec.grow_from >= 2, "jellyfish-incr topology: need grow_from >= 2");
-       check(spec.switches >= spec.grow_from,
-             "jellyfish-incr topology: need switches >= grow_from");
-       check(spec.grow_step >= 1, "jellyfish-incr topology: need grow_step >= 1");
-       check(spec.ports >= 1 && spec.network_degree >= 1 && spec.network_degree <= spec.ports,
-             "jellyfish-incr topology: need 1 <= network_degree <= ports");
        expansion::GrowthSchedule sched;
        sched.initial = {spec.grow_from, spec.ports,
                         spec.grow_from * (spec.ports - spec.network_degree)};
@@ -99,22 +122,24 @@ constexpr Family kFamilies[] = {
        opts.score_bisection = false;  // construction only; metrics score plans
        return expansion::plan_growth(sched, {}, rng, opts).topology;
      }},
-    {"swdc-hex3d",
+    {"swdc-hex3d", check_swdc,
      [](const TopologySpec& spec, Rng& rng) {
        return build_swdc_family(topo::SwdcLattice::kHexTorus3D, spec, rng);
      }},
-    {"swdc-ring",
+    {"swdc-ring", check_swdc,
      [](const TopologySpec& spec, Rng& rng) {
        return build_swdc_family(topo::SwdcLattice::kRing, spec, rng);
      }},
-    {"swdc-torus2d",
+    {"swdc-torus2d", check_swdc,
      [](const TopologySpec& spec, Rng& rng) {
        return build_swdc_family(topo::SwdcLattice::kTorus2D, spec, rng);
      }},
     {"twolayer",
+     [](const TopologySpec& spec) {
+       need(spec, spec.containers >= 1 && spec.switches_per_container >= 1,
+            "containers and switches_per_container");
+     },
      [](const TopologySpec& spec, Rng& rng) {
-       check(spec.containers >= 1 && spec.switches_per_container >= 1,
-             "twolayer topology: need containers and switches_per_container");
        topo::TwoLayerParams p;
        p.num_containers = spec.containers;
        p.switches_per_container = spec.switches_per_container;
@@ -135,12 +160,22 @@ static_assert(std::ranges::is_sorted(kFamilyNames));
 
 }  // namespace
 
-topo::Topology build_topology(const TopologySpec& spec, Rng& rng) {
-  check(spec.fail_links >= 0.0 && spec.fail_links <= 1.0,
-        "build_topology: fail_links must be in [0, 1]");
+namespace {
+
+const Family& checked_family(const TopologySpec& spec) {
   const auto* it = std::ranges::find(kFamilies, std::string_view(spec.family), &Family::name);
   check(it != std::end(kFamilies), "build_topology: unknown topology family");
-  topo::Topology topo = it->build(spec, rng);
+  need(spec, spec.fail_links >= 0.0 && spec.fail_links <= 1.0, "fail_links in [0, 1]");
+  it->check(spec);
+  return *it;
+}
+
+}  // namespace
+
+void check_topology_spec(const TopologySpec& spec) { checked_family(spec); }
+
+topo::Topology build_topology(const TopologySpec& spec, Rng& rng) {
+  topo::Topology topo = checked_family(spec).build(spec, rng);
   // Link failures (Fig. 8) draw from the same topology stream, after the
   // build — every family composes with a failure fraction, and each seed
   // fails a different random subset even for deterministic families.

@@ -19,8 +19,13 @@
 
 namespace jf::eval {
 
-// Builds the spec'd topology; throws std::invalid_argument for an unknown
-// family. Deterministic in (spec, rng state).
+// Throws std::invalid_argument when the row's family would refuse it from
+// the spec alone (an unknown family, a field out of range, more servers than
+// ports). Its messages name the row's label and carry no source locator.
+void check_topology_spec(const TopologySpec& spec);
+
+// Builds the spec'd topology after check_topology_spec. Deterministic in
+// (spec, rng state).
 topo::Topology build_topology(const TopologySpec& spec, Rng& rng);
 
 // True when the family's build ignores its Rng ("fattree"), i.e. the built

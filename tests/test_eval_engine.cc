@@ -8,6 +8,7 @@
 
 #include "common/stats.h"
 #include "eval/engine.h"
+#include "eval/serialize.h"
 #include "flow/restricted.h"
 #include "flow/throughput.h"
 #include "topo/fattree.h"
@@ -194,6 +195,40 @@ TEST(EvalEngine, UnknownFamilyAndSchemeThrow) {
 
 // A scenario the engine cannot run fails before any cell of the batch runs,
 // not partway through from a worker.
+// The metric table's sample column is what the evaluators emit. Every
+// metric runs alone at smoke size (the growth metrics over growth_smoke's
+// schedule), and the emitted (name, index) pairs must equal the column's
+// prediction. run_cell's ensure() only catches an emitted row outside the
+// column; this also catches a stale or extra column entry.
+TEST(EvalEngine, SampleColumnMatchesEmittedRows) {
+  const eval::SweepSpec growth = eval::load_sweep_file(JF_SCENARIO_DIR "/growth_smoke.json");
+  const int steps = static_cast<int>(expansion::resolve_growth_steps(growth.base.growth).size());
+  ASSERT_GE(steps, 1);
+  for (const eval::MetricInfo& info : eval::metric_table()) {
+    SCOPED_TRACE(std::string(info.name));
+    eval::Scenario s;
+    s.topologies = {{.family = "jellyfish", .switches = 12, .ports = 6, .servers = 24}};
+    s.routings = {{"ksp", 4}};
+    s.metrics = {info.metric};
+    s.samples_per_seed = 2;
+    s.sim.warmup_ns = 1'000'000;
+    s.sim.measure_ns = 4'000'000;
+    s.growth = growth.base.growth;
+    std::set<std::pair<std::string, int>> emitted;
+    for (const eval::Sample& row : eval::Engine({.threads = 1}).run(s).samples) {
+      emitted.emplace(row.metric, row.sample);
+    }
+    std::set<std::pair<std::string, int>> predicted;
+    for (const eval::SampleSeries& series : info.samples) {
+      const int count = series.index == eval::SampleIndex::kCell      ? 1
+                        : series.index == eval::SampleIndex::kTraffic ? s.samples_per_seed
+                                                                      : steps + 1;
+      for (int i = 0; i < count; ++i) predicted.emplace(eval::sample_name(series, i), i);
+    }
+    EXPECT_EQ(emitted, predicted);
+  }
+}
+
 TEST(EvalEngine, RejectsBadScenariosBeforeAnyCellRuns) {
   eval::Scenario good;
   good.topologies = {{.family = "fattree", .fattree_k = 4}};
@@ -213,12 +248,23 @@ TEST(EvalEngine, RejectsBadScenariosBeforeAnyCellRuns) {
   repeated_seed.seeds = {1, 1, 2};
   eval::Scenario no_routings = good;
   no_routings.metrics = {eval::Metric::kRoutedThroughput};
+  // A built row its family's factory would refuse, named by its label.
+  eval::Scenario too_many_servers = good;
+  too_many_servers.topologies = {{.family = "jellyfish", .label = "tight", .switches = 8,
+                                  .ports = 4, .servers = 100}};
+  eval::Scenario swdc_too_small = good;
+  swdc_too_small.topologies = {{.family = "swdc-ring", .switches = 2, .ports = 6}};
 
   for (const auto& [bad, needle] :
        {std::pair{flow_stats, "flow_stats does not support fail_links"},
         std::pair{repeated_metric, "a metric is listed twice"},
         std::pair{repeated_seed, "a seed is listed twice"},
-        std::pair{no_routings, "routed_throughput needs >= 1 routing spec"}}) {
+        std::pair{no_routings, "routed_throughput needs >= 1 routing spec"},
+        std::pair{too_many_servers,
+                  "scenario.topologies[0]: topology 'tight': jellyfish needs servers <= "
+                  "switches * (ports - 1)"},
+        std::pair{swdc_too_small,
+                  "scenario.topologies[0]: topology 'swdc-ring': swdc-ring needs switches >= 3"}}) {
     const eval::Scenario batch[] = {good, bad};
     int reports_done = 0;
     try {

@@ -72,10 +72,10 @@ TEST(Serialize, SweepRoundTripIsByteIdentical) {
       {{{"routing.width", "", {2, 4}}, {"traffic.demand", "", {0.5, 1.0}}}},
   };
   spec.claims = {
-      {.text = "bounded", .a = {"jf", "", "throughput"}, .min = 0.5, .max = 1.0},
+      {.text = "bounded", .a = {"jf", "", "mean_path"}, .min = 0.5, .max = 1.0},
       {.text = "growing",
-       .a = {"jf", "ksp", "sim_goodput"},
-       .b = eval::ClaimSelector{"fattree", "ecmp", "sim_goodput"},
+       .a = {"jf", "ksp", "routed_throughput"},
+       .b = eval::ClaimSelector{"fattree", "ecmp", "routed_throughput"},
        .op = eval::Claim::Op::kRatio,
        .trend = eval::Claim::Trend::kIncreasing},
   };
@@ -261,6 +261,33 @@ TEST(Serialize, LoaderErrorPaths) {
                                  "max": "one"}]})",
                  "scenario.claims[0].max");
   expect_context(R"({"claims": {"text": "t"}})", "scenario.claims");
+  // A selector must name a sample some listed metric emits, or it would
+  // match no row at any point; growth metrics' canonical per-step names
+  // count.
+  auto claim = [](const char* metrics, const char* a, const char* b) {
+    return std::string(R"({"metrics": )") + metrics + R"(, "claims": [{"text": "t",
+        "a": {"metric": ")" + a + R"("}, "b": {"metric": ")" + b + R"("},
+        "op": "ratio", "min": 1}]})";
+  };
+  expect_context(claim(R"(["throughput"])", "throughputt", "throughput").c_str(),
+                 "scenario.claims[0].a.metric: no listed metric emits sample 'throughputt'");
+  expect_context(claim(R"(["throughput"])", "throughput", "mean_path").c_str(),
+                 "scenario.claims[0].b.metric: no listed metric emits sample 'mean_path'");
+  expect_context(claim(R"(["path_stats"])", "path_stats", "diameter").c_str(),
+                 "scenario.claims[0].a.metric: no listed metric emits sample 'path_stats'");
+  expect_context(claim(R"(["expansion_cost"])", "expansion_cost_s01", "expansion_cost").c_str(),
+                 "sample 'expansion_cost_s01'");
+  expect_context(claim(R"(["expansion_cost"])", "expansion_cost_s", "expansion_cost").c_str(),
+                 "sample 'expansion_cost_s'");
+  expect_context(claim(R"(["throughput"])", "throughput_s1", "throughput").c_str(),
+                 "sample 'throughput_s1'");
+  EXPECT_NO_THROW(load(claim(R"(["server_cdf"])", "server_cdf_le5", "server_cdf_le2").c_str()));
+  EXPECT_NO_THROW(load(
+      claim(R"(["link_diversity", "throughput"])", "div_rank_p90", "throughput").c_str()));
+  EXPECT_NO_THROW(
+      load(claim(R"(["expansion_cost"])", "expansion_cost_s3", "expansion_cost").c_str()));
+  EXPECT_NO_THROW(
+      load(claim(R"(["rewired_cables"])", "cables_touched_s0", "rewired_cables_s12").c_str()));
   // A plain scenario has no claims.
   EXPECT_THROW(eval::scenario_from_json(json::Value::parse(R"({"claims": []})")),
                std::invalid_argument);
@@ -409,7 +436,8 @@ void for_each_table(Fn&& fn) {
 template <typename T>
 std::vector<T> probe_values() {
   if constexpr (std::is_same_v<T, std::string>) {
-    return {"probe"};
+    // A claim selector's metric must be a sample some listed metric emits.
+    return {"probe", "mean_path"};
   } else if constexpr (std::is_floating_point_v<T> ||
                        std::is_same_v<T, std::optional<double>>) {
     return {0.25, 0.75, 2.5};

@@ -331,38 +331,46 @@ TEST(EngineStore, ForeignSampleRowsDegradeToMiss) {
   store::ResultStore store(dir.path);
   eval::BatchStats cold;
   const std::string cold_report = run_with(s, 1, &store, &cold);
-  // Keep each payload's schema and key but make its first row name
-  // another cell: a topology index the scenario lacks (the report's
-  // aggregates would throw at render), the scenario's other seed (it would
-  // be averaged in silently), or a topology id that narrows to this cell's
-  // own index as an int. Each entry must be dropped and recomputed.
   std::vector<std::string> digests;
   for (const auto& e : stdfs::recursive_directory_iterator(dir.path / "cells")) {
     if (e.is_regular_file()) digests.push_back(e.path().filename().string());
   }
   ASSERT_EQ(digests.size(), 4u);
-  for (std::size_t i = 0; i < digests.size(); ++i) {
-    json::Value v = json::Value::parse(common::read_file(store.entry_path(digests[i])));
-    json::Value* samples = nullptr;
-    for (auto& [key, member] : v.as_object()) {
-      if (key == "samples") samples = &member;
+  // Keep each payload's schema and key but make its first row one this cell
+  // cannot emit: a topology index the scenario lacks (the report's
+  // aggregates would throw at render), the scenario's other seed (it would
+  // be averaged in silently), a topology id that narrows to this cell's own
+  // index as an int, a sample name no metric of the cell emits, a valid
+  // name at a sample index its series cannot have (samples_per_seed is 1),
+  // or a negative index. Each entry must be dropped and recomputed, which
+  // re-persists a good one.
+  for (int corruption = 0; corruption < 6; ++corruption) {
+    SCOPED_TRACE(corruption);
+    for (const std::string& digest : digests) {
+      json::Value v = json::Value::parse(common::read_file(store.entry_path(digest)));
+      json::Value* samples = nullptr;
+      for (auto& [key, member] : v.as_object()) {
+        if (key == "samples") samples = &member;
+      }
+      ASSERT_NE(samples, nullptr);
+      json::Array& row = samples->as_array().front().as_array();
+      const std::int64_t topo = row[0].as_int();
+      const std::uint64_t seed = row[2].as_uint();
+      switch (corruption) {
+        case 0: row[0] = json::Value(7); break;
+        case 1: row[2] = json::Value(std::uint64_t{3} - seed); break;
+        case 2: row[0] = json::Value(topo + (std::int64_t{1} << 32)); break;
+        case 3: row[4] = json::Value("bogus"); break;
+        case 4: row[3] = json::Value(5); break;
+        default: row[3] = json::Value(-1); break;
+      }
+      store.put(digest, v.dump());
     }
-    ASSERT_NE(samples, nullptr);
-    json::Array& row = samples->as_array().front().as_array();
-    const std::int64_t topo = row[0].as_int();
-    const std::uint64_t seed = row[2].as_uint();
-    switch (i % 3) {
-      case 0: row[0] = json::Value(7); break;
-      case 1: row[2] = json::Value(std::uint64_t{3} - seed); break;
-      default: row[0] = json::Value(topo + (std::int64_t{1} << 32)); break;
-    }
-    store.put(digests[i], v.dump());
+    eval::BatchStats warm;
+    EXPECT_EQ(run_with(s, 1, &store, &warm), cold_report);
+    EXPECT_EQ(warm.solved, 4);
+    EXPECT_EQ(warm.store_hits, 0);
   }
-  eval::BatchStats warm;
-  EXPECT_EQ(run_with(s, 1, &store, &warm), cold_report);
-  EXPECT_EQ(warm.solved, 4);
-  EXPECT_EQ(warm.store_hits, 0);
-  // The recomputes re-persisted good entries.
   eval::BatchStats warm2;
   EXPECT_EQ(run_with(s, 2, &store, &warm2), cold_report);
   EXPECT_EQ(warm2.solved, 0);
